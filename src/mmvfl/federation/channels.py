@@ -11,7 +11,8 @@ from __future__ import annotations
 import queue
 import socket
 
-from .messages import HEADER, MAX_BODY_BYTES, ProtocolError, decode_body, encode_body, frame_size
+from .messages import (HEADER, MAX_BODY_BYTES, ProtocolError, decode_body, encode_body, frame,
+                       frame_size)
 
 
 class ChannelClosedError(Exception):
@@ -73,10 +74,12 @@ class TcpChannel:
         self._closed = False
 
     def send_bytes(self, body: bytes):
+        """Send one framed body; ``ProtocolError`` if it exceeds the frame limit."""
         if self._closed:
             raise ChannelClosedError("channel is closed")
+        framed = frame(body)
         try:
-            self._sock.sendall(HEADER.pack(len(body)) + body)
+            self._sock.sendall(framed)
         except OSError as exc:
             raise ChannelClosedError(f"send failed: {exc}") from exc
 

@@ -53,12 +53,9 @@ class FederationConfig:
     shape: ProblemShape
     hyper: Hyperparams
     seed: int
-    transport: str = "in_process"
     round_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.transport not in ("in_process", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
         if not self.round_timeout > 0:
             raise ValueError("round_timeout must be positive")
         if len(self.hyper.sparsity) != self.shape.num_participants:

@@ -5,15 +5,20 @@ body length followed by a UTF-8 JSON object with exactly the keys
 
     {"kind", "round", "participant_id", "payload", "objective_part"}
 
-``payload`` is either null or a row-major nested array of decimal
-floats; floats are written with 17 significant digits so decoding
-returns bit-identical values.  ``objective_part`` is null or a float.
+``payload`` is either null or one binary matrix block
+
+    {"rows": r, "cols": c, "f8le": "<base64 of r*c little-endian float64>"}
+
+holding the matrix in row-major order, so decoding returns bit-identical
+values at 8 bytes (plus base64) per entry.  ``objective_part`` is null
+or a float written in its shortest round-trip form, again bit-identical.
 On a Register message ``objective_part`` doubles as the label-ownership
 flag (1.0 owner, 0.0 otherwise) since the schema has no other slot.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 from dataclasses import dataclass
@@ -32,6 +37,10 @@ KINDS = (KIND_REGISTER, KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED, KIND_A
 MATRIX_KINDS = (KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED)
 
 _BODY_KEYS = {"kind", "round", "participant_id", "payload", "objective_part"}
+_PAYLOAD_KEYS = {"rows", "cols", "f8le"}
+
+# Wire dtype of matrix entries, whatever the host byte order.
+_WIRE_DTYPE = np.dtype("<f8")
 
 HEADER = struct.Struct("!I")
 
@@ -63,16 +72,50 @@ class RoundMessage:
             raise ProtocolError("participant_id must be >= 0")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _format_float(value: float) -> str:
     value = float(value)
     if not np.isfinite(value):
         raise ProtocolError(f"non-finite value cannot go on the wire: {value!r}")
-    return format(value, ".17g")
+    # repr is the shortest string that parses back to the same double and
+    # always keeps a '.' or exponent, so -0.0 survives as a JSON float.
+    return repr(value)
 
 
-def _format_matrix(matrix: np.ndarray) -> str:
-    rows = (",".join(_format_float(v) for v in row) for row in matrix.tolist())
-    return "[[" + "],[".join(rows) + "]]"
+def _encode_matrix(matrix: np.ndarray) -> str:
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ProtocolError("payload must be a non-empty 2-D matrix")
+    if not np.isfinite(matrix).all():
+        raise ProtocolError("payload contains non-finite entries")
+    block = base64.b64encode(matrix.astype(_WIRE_DTYPE, copy=False).tobytes())
+    return '{"rows":%d,"cols":%d,"f8le":"%s"}' % (
+        matrix.shape[0], matrix.shape[1], block.decode("ascii"))
+
+
+def _decode_matrix(raw) -> np.ndarray:
+    if not isinstance(raw, dict) or set(raw) != _PAYLOAD_KEYS:
+        raise ProtocolError("payload must be null or carry exactly rows, cols, f8le")
+    rows, cols, block = raw["rows"], raw["cols"], raw["f8le"]
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
+        raise ProtocolError("payload rows and cols must be positive integers")
+    if not isinstance(block, str):
+        raise ProtocolError("payload f8le must be a base64 string")
+    try:
+        data = base64.b64decode(block, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ProtocolError(f"payload f8le is not valid base64: {exc}") from exc
+    if len(data) != rows * cols * _WIRE_DTYPE.itemsize:
+        raise ProtocolError(
+            f"payload holds {len(data)} bytes, not {rows}x{cols} float64 entries")
+    # astype copies: frombuffer over bytes is read-only and may be
+    # foreign-endian, the result is writable native float64.
+    matrix = np.frombuffer(data, dtype=_WIRE_DTYPE).reshape(rows, cols).astype(np.float64)
+    if not np.isfinite(matrix).all():
+        raise ProtocolError("payload contains non-finite entries")
+    return matrix
 
 
 def encode_body(message: RoundMessage) -> bytes:
@@ -80,10 +123,7 @@ def encode_body(message: RoundMessage) -> bytes:
     if message.payload is None:
         payload = "null"
     else:
-        payload = np.asarray(message.payload, dtype=np.float64)
-        if payload.ndim != 2 or payload.size == 0:
-            raise ProtocolError("payload must be a non-empty 2-D matrix")
-        payload = _format_matrix(payload)
+        payload = _encode_matrix(np.asarray(message.payload, dtype=np.float64))
     part = "null" if message.objective_part is None else _format_float(message.objective_part)
     body = (
         '{"kind":%s,"round":%d,"participant_id":%d,"payload":%s,"objective_part":%s}'
@@ -93,35 +133,36 @@ def encode_body(message: RoundMessage) -> bytes:
 
 
 def decode_body(body: bytes) -> RoundMessage:
-    """Parse JSON body bytes back into a message, validating the schema."""
+    """Parse JSON body bytes back into a message, validating the schema.
+
+    Any malformed body raises ``ProtocolError`` and nothing else.
+    """
     try:
         raw = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError covers deeply nested arrays.
         raise ProtocolError(f"undecodable message body: {exc}") from exc
     if not isinstance(raw, dict) or set(raw) != _BODY_KEYS:
         raise ProtocolError("message body must carry exactly the schema keys")
     kind = raw["kind"]
     if not isinstance(kind, str):
         raise ProtocolError("kind must be a string")
-    if not isinstance(raw["round"], int) or isinstance(raw["round"], bool):
+    if not _is_int(raw["round"]):
         raise ProtocolError("round must be an integer")
-    if not isinstance(raw["participant_id"], int) or isinstance(raw["participant_id"], bool):
+    if not _is_int(raw["participant_id"]):
         raise ProtocolError("participant_id must be an integer")
     payload = raw["payload"]
     if payload is not None:
-        try:
-            payload = np.asarray(payload, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed payload: {exc}") from exc
-        if payload.ndim != 2 or payload.size == 0:
-            raise ProtocolError("payload must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(payload)):
-            raise ProtocolError("payload contains non-finite entries")
+        payload = _decode_matrix(payload)
     part = raw["objective_part"]
     if part is not None:
         if isinstance(part, bool) or not isinstance(part, (int, float)):
             raise ProtocolError("objective_part must be a float")
-        part = float(part)
+        try:
+            part = float(part)
+        except OverflowError as exc:
+            raise ProtocolError(f"objective_part out of float range: {exc}") from exc
         if not np.isfinite(part):
             raise ProtocolError("objective_part must be finite")
     return RoundMessage(kind=kind, round=raw["round"],

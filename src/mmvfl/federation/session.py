@@ -93,7 +93,7 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
         dims=tuple(v.shape[1] for v in views),
     )
     config = FederationConfig(shape=shape, hyper=hyper, seed=seed,
-                              transport=transport, round_timeout=round_timeout)
+                              round_timeout=round_timeout)
 
     if transport == "in_process":
         pairs = [InProcessChannel.pair() for _ in views]

@@ -1,10 +1,15 @@
 """Wire protocol, transports, coordinator behavior, and the privacy audit."""
 
+import base64
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmvfl.federation import (
     ChannelClosedError,
@@ -103,6 +108,27 @@ def test_encode_rejects_bad_payloads():
                                  objective_part=float("nan")))
 
 
+def f8le(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def matrix_body(payload):
+    return json.dumps({"kind": "ZkUpload", "round": 1, "participant_id": 0,
+                       "payload": payload, "objective_part": 1.0}).encode("utf-8")
+
+
+def test_payload_is_one_little_endian_block():
+    payload = np.array([[1.5, -0.0, 3.0], [2.0 ** -1074, -7.25, 1e300]])
+    body = encode_body(RoundMessage(kind="ZBroadcast", round=2, participant_id=1,
+                                    payload=payload))
+    assert json.loads(body)["payload"] == {"rows": 2, "cols": 3,
+                                           "f8le": f8le(payload.ravel())}
+    decoded = decode_body(body).payload
+    assert decoded.tobytes() == payload.tobytes()
+    assert decoded.dtype == np.float64 and decoded.dtype.isnative
+    assert decoded.flags.c_contiguous and decoded.flags.writeable
+
+
 def test_decode_rejects_malformed_bodies():
     good = encode_body(RoundMessage(kind="Register", round=0, participant_id=0))
     decode_body(good)  # sanity
@@ -121,10 +147,69 @@ def test_decode_rejects_malformed_bodies():
         b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":"x"}',
         b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":true}',
         b"\xff\xfe",
+        b"[" * 100000,
+        b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":'
+        + b"1" * 400 + b"}",
+        b'{"kind":"Register","round":' + b"1" * 5000
+        + b',"participant_id":0,"payload":null,"objective_part":null}',
+        matrix_body({"rows": 2, "cols": 2, "f8le": "not base64!"}),
+        matrix_body({"rows": 2, "cols": 2, "f8le": f8le([1.0, 2.0, 3.0])}),
+        matrix_body({"rows": 3, "cols": 2, "f8le": f8le([1.0, 2.0, 3.0, 4.0])}),
+        matrix_body({"rows": 0, "cols": 2, "f8le": ""}),
+        matrix_body({"rows": 2, "cols": 0, "f8le": ""}),
+        matrix_body({"rows": True, "cols": 1, "f8le": f8le([1.0])}),
+        matrix_body({"rows": 1.0, "cols": 1, "f8le": f8le([1.0])}),
+        matrix_body({"rows": 1, "cols": 1, "f8le": f8le([1.0]), "extra": 1}),
+        matrix_body({"rows": 1, "f8le": f8le([1.0])}),
+        matrix_body({"rows": 1, "cols": 1, "f8le": 5}),
+        matrix_body({"rows": 1, "cols": 2, "f8le": f8le([1.0, np.nan])}),
+        matrix_body({"rows": 1, "cols": 1, "f8le": f8le([-np.inf])}),
     ]
     for body in bad_bodies:
         with pytest.raises(ProtocolError):
             decode_body(body)
+
+
+_GOOD_BODY = encode_body(RoundMessage(kind="ZkUpload", round=1, participant_id=0,
+                                      payload=np.ones((2, 2)), objective_part=1.0))
+
+
+@st.composite
+def mutated_good_bodies(draw):
+    start = draw(st.integers(0, len(_GOOD_BODY)))
+    cut = draw(st.integers(0, 8))
+    return _GOOD_BODY[:start] + draw(st.binary(max_size=8)) + _GOOD_BODY[start + cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=512), mutated_good_bodies()))
+def test_decode_arbitrary_bytes_raises_only_protocol_error(body):
+    try:
+        message = decode_body(body)
+    except ProtocolError:
+        return
+    assert isinstance(message, RoundMessage)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                np.finfo(np.float64).max, -np.finfo(np.float64).max]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=_FINITE),
+       st.one_of(st.none(), _FINITE))
+def test_codec_roundtrip_is_bitwise_for_any_finite_matrix(payload, part):
+    message = RoundMessage(kind="ZkUpload", round=1, participant_id=0,
+                           payload=payload, objective_part=part)
+    decoded = decode_body(encode_body(message))
+    assert decoded.payload.tobytes() == payload.tobytes()
+    if part is None:
+        assert decoded.objective_part is None
+    else:
+        assert np.float64(decoded.objective_part).tobytes() == np.float64(part).tobytes()
 
 
 def test_frame_layout_and_size():
@@ -174,6 +259,19 @@ def test_tcp_channel_framing_and_errors():
         client.close()
         with pytest.raises(ChannelClosedError):
             server.recv_bytes(timeout=2.0)
+    finally:
+        server.close()
+        client.close()
+
+
+def test_tcp_send_enforces_frame_limit(monkeypatch):
+    monkeypatch.setattr(messages_module, "MAX_BODY_BYTES", 10)
+    (server,), (client,) = _tcp_channel_pairs(1, 0, timeout=5.0)
+    try:
+        with pytest.raises(ProtocolError):
+            client.send_bytes(b"x" * 11)
+        client.send_bytes(b"x" * 10)
+        assert server.recv_bytes(timeout=2.0) == b"x" * 10
     finally:
         server.close()
         client.close()
