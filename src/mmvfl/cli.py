@@ -5,7 +5,9 @@ single-block baselines, the cross-validated sweep, synthetic data
 generation, and privacy audits of recorded message traces.  Every run
 writes a ``run_manifest.json`` that echoes the full effective
 configuration (defaults included), so passing a manifest back through
-``--config`` reproduces the run's numeric outputs bit for bit.
+``--config`` reproduces the run's numeric outputs bit for bit.  BLAS
+runs on one thread for the whole invocation; the manifest's ``numerics``
+key records the numpy/scipy versions and each OpenBLAS build.
 
 Exit codes: 0 on success, 2 on configuration errors (unknown flags,
 missing files, bad grids), 1 on runtime failures.
@@ -43,6 +45,7 @@ from .evaluation import (
     write_results_csv,
 )
 from .federation import audit_trace, run_federated
+from .numerics import numerics_report, single_blas_thread
 from .optimizer import Hyperparams, one_hot, run_reference
 
 MODES = ("reference", "federated-inproc", "federated-tcp", "supfl",
@@ -53,7 +56,7 @@ DEFAULT_P_GRID = (2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0,
                   50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
 
 # manifest keys that are run outputs, not configuration
-MANIFEST_EXTRA_KEYS = ("version", "dataset", "outputs")
+MANIFEST_EXTRA_KEYS = ("version", "dataset", "outputs", "numerics")
 
 
 class ConfigError(Exception):
@@ -312,6 +315,7 @@ def write_manifest(config: RunConfig, out_dir, dataset_facts, outputs):
     manifest["version"] = version_string()
     manifest["dataset"] = dataset_facts
     manifest["outputs"] = sorted(outputs)
+    manifest["numerics"] = numerics_report()
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -555,6 +559,7 @@ def run_audit_mode(config: RunConfig, out_dir) -> int:
     return 1
 
 
+@single_blas_thread()
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]

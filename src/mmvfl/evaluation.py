@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import supfl_solve, supmvlfl_solve
 from .data import FoldPlan, MultiViewDataset
 from .featsel import score_features, select_top
-from .numerics import check_seed, derive_seed
+from .numerics import check_seed, derive_seed, single_blas_thread
 from .optimizer import Hyperparams, one_hot, run_reference
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
@@ -94,6 +94,7 @@ def _fit_transforms(method: str, train: MultiViewDataset, beta: float,
     raise ValueError(f"unknown method {method!r}")
 
 
+@single_blas_thread()
 def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
              beta_grid, p_grid, *, consensus_penalty: float = 1000.0,
              label_penalty: float = 1000.0, seed=0,
@@ -103,7 +104,8 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
     Per cell the method is trained on the fold's training split, features
     are ranked per participant, the top p percent are kept, and the
     selected columns are scored with ``classify_eval`` on the validation
-    split.  Returns one ``ExperimentResult`` per cell.
+    split.  Returns one ``ExperimentResult`` per cell.  BLAS runs on one
+    thread throughout.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ensure_matrix
+from ..numerics import ensure_matrix, single_blas_thread
 from ..optimizer import Hyperparams, ParticipantState, ProblemShape, check_one_hot
 from .channels import InProcessChannel, TcpChannel
 from .coordinator import (
@@ -76,6 +76,7 @@ def _tcp_channel_pairs(count: int, port: int, timeout: float):
             [TcpChannel(s) for s in client_sockets])
 
 
+@single_blas_thread()
 def run_federated(views, labels, hyper: Hyperparams, seed, *,
                   transport: str = "in_process", round_timeout: float = 60.0,
                   port: int = 0) -> FederatedResult:
@@ -83,6 +84,8 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
 
     The first participant owns the labels.  ``transport`` selects
     in-process queues or loopback TCP; ``port`` 0 lets the OS pick one.
+    BLAS is pinned to one thread for the whole session, so the
+    participant threads' solves do not oversubscribe the cores.
     """
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
     labels = check_one_hot(labels)

@@ -4,14 +4,31 @@ All matrices are 2-D float64 arrays with finite entries.  Every function
 here is pure: identical inputs produce bit-identical outputs, which the
 round-based training protocol relies on to stay reproducible across
 transports and across runs.
+
+``single_blas_thread`` pins every loaded OpenBLAS build to one thread
+for the duration of an entry-point call, so results do not depend on
+the caller's BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
+from dataclasses import dataclass, field
+
 import numpy as np
+import scipy
 from scipy.linalg import cho_factor, cho_solve
 
 MAX_SEED = 2**64 - 1
+
+# BLAS thread count inside every entry point.  The dense solves here are
+# small, so extra BLAS threads only oversubscribe the cores, and a fixed
+# count keeps floating-point reduction order, hence results, fixed.
+BLAS_THREADS = 1
 
 # Residual target for the positive-definite solver, relative to ||b||_F.
 SPD_RESIDUAL_TOL = 1e-10
@@ -118,3 +135,135 @@ def random_orthonormal(rows: int, cols: int, seed) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pinning
+
+
+def _openblas_symbol(lib, stem: str):
+    """The ``stem`` entry point of an OpenBLAS build, or None.
+
+    numpy bundles an ILP64 build whose symbols carry a ``64_`` suffix;
+    scipy bundles an LP64 one; a system OpenBLAS has no ``scipy_`` prefix.
+    """
+    for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}",
+                 f"openblas_{stem}64_", f"openblas_{stem}"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+@dataclass(frozen=True)
+class OpenBlasLibrary:
+    """One OpenBLAS build loaded into this process."""
+
+    path: str
+    config: str | None
+    get_num_threads: object | None = field(repr=False)
+    set_num_threads: object | None = field(repr=False)
+
+    @property
+    def pinnable(self) -> bool:
+        return self.get_num_threads is not None and self.set_num_threads is not None
+
+    def threads(self) -> int | None:
+        """Current thread count, or None when the symbol is missing."""
+        if self.get_num_threads is None:
+            return None
+        return int(self.get_num_threads())
+
+    def set_threads(self, count: int):
+        self.set_num_threads(count)
+
+
+@functools.cache
+def openblas_libraries() -> tuple[OpenBlasLibrary, ...]:
+    """Every OpenBLAS build mapped into this process, found once.
+
+    numpy and scipy each bundle their own build, so both are listed by
+    scanning ``/proc/self/maps``.  Empty on platforms without it or when
+    the BLAS is not OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    libraries = []
+    for path in sorted(p for p in paths if p.startswith("/") and ".so" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get_threads = _openblas_symbol(lib, "get_num_threads")
+        set_threads = _openblas_symbol(lib, "set_num_threads")
+        get_config = _openblas_symbol(lib, "get_config")
+        if get_threads is not None:
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+        config = None
+        if get_config is not None:
+            get_config.argtypes = []
+            get_config.restype = ctypes.c_char_p
+            config = get_config().decode("utf-8", "replace").strip()
+        libraries.append(OpenBlasLibrary(path, config, get_threads, set_threads))
+    return tuple(libraries)
+
+
+class _PinState:
+    """Process-wide pin bookkeeping: the outermost scope saves and pins,
+    the last one to leave restores."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved: list[tuple[OpenBlasLibrary, int]] = []
+
+
+_PIN = _PinState()
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS on ``BLAS_THREADS`` threads.
+
+    Usable as ``with single_blas_thread():`` or as a decorator.  The
+    thread count is process-global, so nested and concurrent scopes
+    share one pin: the first to enter saves each library's count and
+    sets it, the last to leave restores it, also on an exception.  A
+    no-op when no OpenBLAS is loaded.
+    """
+    with _PIN.lock:
+        if _PIN.depth == 0:
+            libraries = [lib for lib in openblas_libraries() if lib.pinnable]
+            _PIN.saved = [(lib, lib.threads()) for lib in libraries]
+            for lib in libraries:
+                lib.set_threads(BLAS_THREADS)
+        _PIN.depth += 1
+    try:
+        yield
+    finally:
+        with _PIN.lock:
+            _PIN.depth -= 1
+            if _PIN.depth == 0:
+                for lib, count in _PIN.saved:
+                    lib.set_threads(count)
+                _PIN.saved = []
+
+
+def numerics_report() -> dict:
+    """numpy and scipy versions plus each OpenBLAS build with its current
+    thread count (None when the build exposes no thread symbols).  An
+    empty ``openblas`` list means nothing could be pinned."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas": [{"library": os.path.basename(lib.path), "config": lib.config,
+                      "threads": lib.threads()}
+                     for lib in openblas_libraries()],
+    }

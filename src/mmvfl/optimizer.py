@@ -32,6 +32,7 @@ from .numerics import (
     l21_norm,
     random_orthonormal,
     row_norms,
+    single_blas_thread,
     solve_spd,
 )
 
@@ -498,13 +499,14 @@ class TrainingResult:
         return len(self.objectives)
 
 
+@single_blas_thread()
 def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     """Single-process execution of the full training schedule.
 
     Per round every participant refits its transform and pseudo-labels,
     then the consensus is re-aggregated and the objective recorded.
     Stops when the relative objective change drops below ``outer_tol``
-    or after ``outer_max`` rounds.
+    or after ``outer_max`` rounds.  BLAS runs on one thread throughout.
     """
     seed = check_seed(seed)
     states = make_states(views, labels, hyper, seed)

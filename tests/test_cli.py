@@ -87,6 +87,12 @@ def test_manifest_reproduces_a_training_run(tmp_path):
                  "--out", first, "--seed", "3"]) == 0
     second = str(tmp_path / "second")
     manifest = os.path.join(first, "run_manifest.json")
+    with open(manifest, encoding="utf-8") as handle:
+        numerics = json.load(handle)["numerics"]
+    assert set(numerics) == {"numpy", "scipy", "openblas"}
+    for entry in numerics["openblas"]:
+        assert set(entry) == {"library", "config", "threads"}
+        assert entry["threads"] == 1
     assert main(["--config", manifest, "--out", second]) == 0
     for name in ("transform_1.csv", "transform_2.csv", "consensus.csv",
                  "objective_trace.csv", "message_trace.jsonl"):

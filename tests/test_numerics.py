@@ -1,8 +1,18 @@
-"""Low-level numeric helpers: norms, seeded RNG streams, SPD solving."""
+"""Low-level numeric helpers: norms, seeded RNG streams, SPD solving,
+BLAS thread pinning."""
+
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import mmvfl
+import mmvfl.optimizer
+from mmvfl import Hyperparams, one_hot, run_reference, synth_planted
+from mmvfl.federation import run_federated
 from mmvfl.numerics import (
     NotPositiveDefiniteError,
     check_seed,
@@ -10,8 +20,10 @@ from mmvfl.numerics import (
     ensure_matrix,
     frobenius_norm_sq,
     l21_norm,
+    openblas_libraries,
     random_orthonormal,
     row_norms,
+    single_blas_thread,
     solve_spd,
 )
 
@@ -137,3 +149,171 @@ def test_random_orthonormal_seeds_differ():
 def test_random_orthonormal_needs_enough_rows():
     with pytest.raises(ValueError):
         random_orthonormal(3, 5, 0)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pinning
+
+
+def thread_counts():
+    return [lib.threads() for lib in openblas_libraries() if lib.pinnable]
+
+
+@pytest.fixture
+def two_threads_before():
+    """Every pinnable OpenBLAS set to 2 threads, the original counts put
+    back afterwards."""
+    libraries = [lib for lib in openblas_libraries() if lib.pinnable]
+    if not libraries:
+        pytest.skip("no OpenBLAS with thread controls is loaded")
+    original = [lib.threads() for lib in libraries]
+    try:
+        for lib in libraries:
+            lib.set_threads(2)
+        yield
+    finally:
+        for lib, count in zip(libraries, original):
+            lib.set_threads(count)
+
+
+def test_scope_pins_every_library_and_restores(two_threads_before):
+    with single_blas_thread():
+        assert thread_counts() == [1] * len(thread_counts())
+    assert set(thread_counts()) == {2}
+
+
+def test_nested_scope_restores_only_at_the_outermost_exit(two_threads_before):
+    with single_blas_thread():
+        with single_blas_thread():
+            assert set(thread_counts()) == {1}
+        assert set(thread_counts()) == {1}
+    assert set(thread_counts()) == {2}
+
+
+def test_scope_restores_on_exception(two_threads_before):
+    with pytest.raises(RuntimeError):
+        with single_blas_thread():
+            raise RuntimeError("boom")
+    assert set(thread_counts()) == {2}
+
+    @single_blas_thread()
+    def failing():
+        assert set(thread_counts()) == {1}
+        raise KeyError("inside")
+
+    with pytest.raises(KeyError):
+        failing()
+    assert set(thread_counts()) == {2}
+
+
+def test_concurrent_scopes_share_one_pin(two_threads_before):
+    inside = threading.Barrier(3)
+    leave = [threading.Event(), threading.Event()]
+
+    def worker(index):
+        with single_blas_thread():
+            inside.wait(timeout=10)
+            leave[index].wait(timeout=10)
+
+    workers = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for thread in workers:
+        thread.start()
+    inside.wait(timeout=10)
+    assert set(thread_counts()) == {1}
+    # the first scope to leave must not restore while the other is open
+    leave[0].set()
+    workers[0].join(timeout=10)
+    assert set(thread_counts()) == {1}
+    leave[1].set()
+    workers[1].join(timeout=10)
+    assert set(thread_counts()) == {2}
+
+
+def test_scope_survives_many_racing_threads(two_threads_before):
+    failures = []
+
+    def worker():
+        for _ in range(200):
+            with single_blas_thread():
+                with single_blas_thread():
+                    if set(thread_counts()) != {1}:
+                        failures.append(thread_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert failures == []
+    assert set(thread_counts()) == {2}
+
+
+def _probe_solve_spd(monkeypatch):
+    """Record, per solve, the calling thread and the BLAS thread counts."""
+    calls = []
+    original = mmvfl.optimizer.solve_spd
+
+    def probe(a, b):
+        calls.append((threading.current_thread().name, set(thread_counts())))
+        return original(a, b)
+
+    monkeypatch.setattr(mmvfl.optimizer, "solve_spd", probe)
+    return calls
+
+
+def _tiny_problem():
+    dataset, _ = synth_planted(num_participants=2, num_classes=3, num_samples=40,
+                               dims=(6, 5), n_informative=2, seed=1)
+    labels = one_hot(dataset.labels, dataset.num_classes)
+    return dataset.views, labels, Hyperparams.uniform(2, sparsity=0.1, outer_max=3)
+
+
+def test_solves_inside_run_reference_see_one_thread(two_threads_before, monkeypatch):
+    calls = _probe_solve_spd(monkeypatch)
+    views, labels, hyper = _tiny_problem()
+    run_reference(views, labels, hyper, 5)
+    assert calls and all(counts == {1} for _, counts in calls)
+    assert set(thread_counts()) == {2}
+
+
+def test_participant_threads_see_one_thread(two_threads_before, monkeypatch):
+    calls = _probe_solve_spd(monkeypatch)
+    views, labels, hyper = _tiny_problem()
+    run_federated(views, labels, hyper, 5, transport="in_process")
+    main = threading.main_thread().name
+    assert calls and all(name != main for name, _ in calls)
+    assert all(counts == {1} for _, counts in calls)
+    assert set(thread_counts()) == {2}
+
+
+_THREAD_COUNT_RUN = """
+import hashlib
+from mmvfl import Hyperparams, one_hot, run_reference, synth_planted
+dataset, _ = synth_planted(num_participants=3, num_classes=6, num_samples=1000,
+                           dims=(200, 80, 150), seed=3)
+hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=20)
+result = run_reference(dataset.views, one_hot(dataset.labels, dataset.num_classes),
+                       hyper, 3)
+print(repr(result.objectives))
+for transform in result.transforms:
+    print(hashlib.sha256(transform.tobytes()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmvfl.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUN],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
