@@ -12,18 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import ensure_matrix, frobenius_norm_sq, row_norms
-from .optimizer import (
-    MONOTONICITY_SLACK,
-    NonDecreasingObjectiveError,
-    _penalized_solve,
-    check_one_hot,
-    fit_sparse_transform,
-    gram_matrix,
-    has_converged,
-    irls_diagonal,
-    smoothed_row_penalty,
-)
+from .numerics import ensure_matrix, frobenius_norm_sq
+from .optimizer import _irls, check_one_hot, fit_sparse_transform, gram_matrix
 
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
@@ -57,40 +47,15 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
         raise ValueError("one sparsity weight per view required")
     if any(not b > 0 for b in sparsity):
         raise ValueError("sparsity weights must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")
 
-    grams = [gram_matrix(v) for v in views]
-    xtys = [v.T @ labels for v in views]
-    transforms: list[np.ndarray | None] = [None] * len(views)
-
-    objectives: list[float] = []
-    guard = None
-    for _ in range(max_iter):
-        total = 0.0
-        smoothed = 0.0
-        for k, view in enumerate(views):
-            if transforms[k] is None:
-                diag = np.ones(view.shape[1])
-            else:
-                diag = irls_diagonal(transforms[k], eps)
-            transforms[k] = _penalized_solve(grams[k], xtys[k], diag, sparsity[k])
-            fit = frobenius_norm_sq(view @ transforms[k] - labels)
-            norms = row_norms(transforms[k])
-            total += fit + sparsity[k] * float(norms.sum())
-            smoothed += fit + sparsity[k] * smoothed_row_penalty(norms, eps)
-        if guard is not None and smoothed > guard + MONOTONICITY_SLACK * max(1.0, abs(guard)):
-            raise NonDecreasingObjectiveError(
-                f"smoothed objective rose from {guard!r} to {smoothed!r}")
-        guard = smoothed
-        if objectives:
-            previous = objectives[-1]
-            objectives.append(total)
-            if has_converged(previous, total, tol):
-                break
-        else:
-            objectives.append(total)
+    transforms, _, objectives = _irls(
+        [gram_matrix(v) for v in views], [v.T @ labels for v in views],
+        [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)
     return transforms, objectives

@@ -432,18 +432,19 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
     return outputs
 
 
-def emit_curves(results_path, out_dir) -> list[str]:
+def emit_curves(results_path, out_dir, methods=METHODS) -> list[str]:
     """Per-participant accuracy-vs-p curve files from a results CSV.
 
     Each file has a ``p`` column plus one accuracy column per method
-    found; methods missing from the results produce a warning on stderr.
+    found; a requested method (one of ``methods``) missing from the
+    results produces a warning on stderr.
     """
     results = read_results_csv(results_path)
     if not results:
         raise ValueError(f"{results_path}: no result rows")
     curves = mean_curves(select_best(results))
     present = sorted({c.method for c in curves}, key=METHODS.index)
-    for method in METHODS:
+    for method in methods:
         if method not in present:
             print(f"warning: results are missing method {method!r}", file=sys.stderr)
     by_participant: dict = {}
@@ -485,7 +486,7 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(all_rows, results_path)
     outputs = ["results.csv"]
-    outputs.extend(emit_curves(results_path, out_dir))
+    outputs.extend(emit_curves(results_path, out_dir, config.methods))
 
     curves = mean_curves(select_best(all_rows))
     by_method: dict = {}

@@ -99,7 +99,8 @@ class MultiViewDataset:
 def _parse_view(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
+    # invalid UTF-8 decodes to lone surrogates, which no number parses
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if line == "" :
@@ -127,7 +128,7 @@ def _parse_view(path) -> np.ndarray:
 
 def _parse_labels(path) -> np.ndarray:
     labels = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if line == "":
@@ -136,15 +137,16 @@ def _parse_labels(path) -> np.ndarray:
                 labels.append(int(line))
             except ValueError:
                 raise ParseError(path, lineno, 1, f"not an integer label: {line!r}") from None
-            if labels[-1] < 0:
-                raise ParseError(path, lineno, 1, f"negative label: {line!r}")
+            if not 0 <= labels[-1] <= np.iinfo(np.int64).max:
+                raise ParseError(path, lineno, 1, f"label out of range: {line!r}")
     if not labels:
         raise ParseError(path, 1, 1, "empty label file")
     return np.asarray(labels, dtype=np.int64)
 
 
 def load_csv(view_paths, label_path) -> MultiViewDataset:
-    """Load one CSV per view plus a label file into a dataset."""
+    """Load one CSV per view plus a label file into a dataset.  A malformed
+    file raises ParseError (with row and column) or RowCountMismatchError."""
     labels = _parse_labels(label_path)
     views = []
     for path in view_paths:

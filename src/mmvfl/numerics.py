@@ -1,9 +1,9 @@
 """Dense float64 matrix kernels shared by every update rule.
 
-All matrices are 2-D float64 arrays with finite entries.  Every function
-here is pure: identical inputs produce bit-identical outputs, which the
-round-based training protocol relies on to stay reproducible across
-transports and across runs.
+All matrices are 2-D float64 arrays with finite entries.  Identical
+inputs produce bit-identical outputs, which the round-based training
+protocol relies on to stay reproducible across transports and runs;
+only ``_cholesky_solve_in_place`` writes to an argument.
 
 ``single_blas_thread`` pins every loaded OpenBLAS build to one thread
 for the duration of an entry-point call, so results do not depend on
@@ -92,7 +92,8 @@ def solve_spd(a, b) -> np.ndarray:
 
     Cholesky factorization followed by iterative refinement, so the
     relative residual ||a x - b||_F / ||b||_F stays within
-    SPD_RESIDUAL_TOL even for poorly scaled systems.
+    SPD_RESIDUAL_TOL even for poorly scaled systems.  ``a`` is checked
+    and left unchanged.
     """
     a = ensure_matrix(a, "a")
     b = ensure_matrix(b, "b")
@@ -104,15 +105,26 @@ def solve_spd(a, b) -> np.ndarray:
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError("a is not symmetric")
+    return _cholesky_solve_in_place(np.array(a, order="F"), b, a)
+
+
+def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
+    """``solve_spd`` without checks, for (matrix + diag(shift)) x = b.
+
+    ``work`` holds that system in Fortran order and is overwritten by its
+    Cholesky factor; refinement residuals come from ``matrix`` and
+    ``shift``, so no second copy of the system is kept."""
     try:
-        factor = cho_factor(a, lower=True, check_finite=False)
+        factor = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     x = cho_solve(factor, b, check_finite=False)
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
-            residual = b - a @ x
+            residual = b - matrix @ x
+            if shift is not None:
+                residual -= shift[:, None] * x
             if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
                 break
             x = x + cho_solve(factor, residual, check_finite=False)

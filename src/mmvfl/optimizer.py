@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    _cholesky_solve_in_place,
     check_seed,
     derive_seed,
     ensure_matrix,
@@ -33,7 +34,6 @@ from .numerics import (
     random_orthonormal,
     row_norms,
     single_blas_thread,
-    solve_spd,
 )
 
 # Absolute slack allowed before a rising objective is treated as a
@@ -210,12 +210,15 @@ def gram_matrix(features) -> np.ndarray:
 
 
 def _penalized_solve(gram, xty, irls_diag, sparsity):
-    a = gram.copy()
-    a[np.diag_indices(a.shape[0])] += sparsity * irls_diag
-    return solve_spd(a, xty)
+    """(G + sparsity diag) W = X^T T; G is symmetric, so G.T is G in
+    Fortran order, the layout the in-place Cholesky factor needs."""
+    shift = sparsity * irls_diag
+    a = gram.T.copy(order="F")
+    a[np.diag_indices_from(a)] += shift
+    return _cholesky_solve_in_place(a, xty, gram, shift)
 
 
-def solve_transform(features, targets, irls_diag, sparsity: float, gram=None) -> np.ndarray:
+def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray:
     """Exact minimizer of ||X W - T||_F^2 + sparsity * tr(W^T diag W)."""
     features = ensure_matrix(features, "features")
     targets = ensure_matrix(targets, "targets")
@@ -226,9 +229,9 @@ def solve_transform(features, targets, irls_diag, sparsity: float, gram=None) ->
     irls_diag = np.asarray(irls_diag, dtype=np.float64)
     if irls_diag.shape != (features.shape[1],):
         raise DimensionMismatchError("reweighting diagonal must have one entry per feature")
-    if gram is None:
-        gram = gram_matrix(features)
-    return _penalized_solve(gram, features.T @ targets, irls_diag, sparsity)
+    if not np.all(np.isfinite(irls_diag)):
+        raise ValueError("reweighting diagonal contains non-finite entries")
+    return _penalized_solve(gram_matrix(features), features.T @ targets, irls_diag, sparsity)
 
 
 def fit_objective(features, targets, transform, sparsity: float) -> float:
@@ -250,6 +253,47 @@ def smoothed_row_penalty(norms, eps: float) -> float:
     return float(np.sum(norms - eps * np.log1p(norms / eps)))
 
 
+def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None):
+    """Reweighted least squares for blocks k minimizing
+    ||X_k W_k - T||_F^2 + sparsity[k] ||W_k||_{2,1}, given G_k = X_k^T X_k,
+    X_k^T T and ||T||_F^2, so the fit term is the Gram form
+    sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.  The
+    guard and the stopping rule watch the sum over blocks.  Inputs are
+    trusted (the public callers check them).  Returns
+    ``(transforms, irls_diags, objectives)``."""
+    def evaluate(transforms):
+        raw = smoothed = 0.0
+        norms = []
+        for w, g, xty, t_sq, s in zip(transforms, grams, xtys, targets_sq, sparsity):
+            fit = float(np.sum(w * (g @ w - 2.0 * xty))) + t_sq
+            norms.append(np.sqrt(np.sum(w * w, axis=1)))
+            raw += fit + s * float(norms[-1].sum())
+            smoothed += fit + s * smoothed_row_penalty(norms[-1], eps)
+        return raw, smoothed, norms
+
+    objectives: list[float] = []
+    guard = norms = None
+    if inits is not None:
+        raw, guard, norms = evaluate(inits)
+        objectives.append(raw)
+    diags = [np.ones(g.shape[0]) for g in grams]
+    for _ in range(max_iter):
+        if norms is not None:
+            diags = [1.0 / (2.0 * (row + eps)) for row in norms]
+        transforms = [_penalized_solve(*block) for block in zip(grams, xtys, diags, sparsity)]
+        if not all(np.isfinite(w).all() for w in transforms):
+            raise ValueError("a transform contains non-finite entries")
+        value, smoothed, norms = evaluate(transforms)
+        if guard is not None and smoothed > guard + MONOTONICITY_SLACK * max(1.0, abs(guard)):
+            raise NonDecreasingObjectiveError(
+                f"smoothed objective rose from {guard!r} to {smoothed!r}")
+        guard = smoothed
+        objectives.append(value)
+        if len(objectives) > 1 and has_converged(objectives[-2], value, tol):
+            break
+    return transforms, diags, objectives
+
+
 def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
                          inner_tol: float = 1e-6, inner_max: int = 50,
                          init=None, gram=None):
@@ -259,9 +303,10 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     the relative change of the objective drops below ``inner_tol`` or
     ``inner_max`` iterations pass.  Starts from ``init`` when given (a
     warm transform from the previous round), otherwise from a plain ridge
-    step.  Returns ``(transform, irls_diag, objectives)`` where
-    ``irls_diag`` is the diagonal used for the final solve, so the pair
-    satisfies the reweighted stationarity condition to solver precision.
+    step.  ``gram``, when given, must be ``gram_matrix(features)``.
+    Returns ``(transform, irls_diag, objectives)`` where ``irls_diag`` is
+    the diagonal used for the final solve, so the pair satisfies the
+    reweighted stationarity condition to solver precision.
 
     The reported trace holds the raw objective; the internal descent
     guard watches the smoothed penalty instead, since only that one is
@@ -272,42 +317,16 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     targets = ensure_matrix(targets, "targets")
     if not sparsity > 0:
         raise ValueError("sparsity must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     if inner_max < 1:
         raise ValueError("inner_max must be >= 1")
+    inits = None if init is None else [ensure_matrix(init, "init")]
     if gram is None:
         gram = gram_matrix(features)
-    xty = features.T @ targets
-    d = features.shape[1]
-
-    def evaluate(w):
-        fit = frobenius_norm_sq(features @ w - targets)
-        norms = row_norms(w)
-        raw = fit + sparsity * float(norms.sum())
-        smoothed = fit + sparsity * smoothed_row_penalty(norms, eps)
-        return raw, smoothed
-
-    transform = init
-    objectives: list[float] = []
-    guard = None
-    if transform is not None:
-        raw, guard = evaluate(transform)
-        objectives.append(raw)
-    diag = None
-    for _ in range(inner_max):
-        diag = irls_diagonal(transform, eps) if transform is not None else np.ones(d)
-        transform = _penalized_solve(gram, xty, diag, sparsity)
-        value, smoothed = evaluate(transform)
-        if guard is not None and smoothed > guard + MONOTONICITY_SLACK * max(1.0, abs(guard)):
-            raise NonDecreasingObjectiveError(
-                f"smoothed objective rose from {guard!r} to {smoothed!r}")
-        guard = smoothed
-        if objectives:
-            previous = objectives[-1]
-            objectives.append(value)
-            if abs(value - previous) <= inner_tol * max(1.0, abs(previous)):
-                break
-        else:
-            objectives.append(value)
+    [transform], [diag], objectives = _irls(
+        [gram], [features.T @ targets], [frobenius_norm_sq(targets)], [sparsity],
+        eps, inner_tol, inner_max, inits)
     return transform, diag, objectives
 
 
@@ -352,10 +371,12 @@ def aggregate_consensus(pseudo_labels, penalties) -> np.ndarray:
 # Objective bookkeeping
 
 
-def local_objective_part(state: ParticipantState) -> float:
+def local_objective_part(state: ParticipantState, projected=None) -> float:
     """The objective terms participant k can evaluate alone: fit error,
-    sparsity penalty, and (owner only) the label attachment term."""
-    projected = state.features @ state.transform
+    sparsity penalty, and (owner only) the label attachment term.
+    ``projected`` is ``X_k W_k`` when the caller already holds it."""
+    if projected is None:
+        projected = state.features @ state.transform
     value = frobenius_norm_sq(projected - state.pseudo_labels)
     value += state.sparsity * l21_norm(state.transform)
     if state.is_label_owner:
@@ -478,11 +499,7 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     else:
         state.pseudo_labels = pseudo_label_update(
             projected, consensus, state.consensus_penalty)
-    part = frobenius_norm_sq(projected - state.pseudo_labels)
-    part += state.sparsity * l21_norm(transform)
-    if state.is_label_owner:
-        part += state.label_penalty * frobenius_norm_sq(state.pseudo_labels - state.labels)
-    return part
+    return local_objective_part(state, projected)
 
 
 @dataclass

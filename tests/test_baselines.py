@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import mmvfl.baselines as baselines
+import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.optimizer import (
     NonDecreasingObjectiveError,
@@ -109,7 +109,7 @@ def test_supmvlfl_trace_descends():
 
 def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     views, labels, _ = random_instance(22)
-    good = baselines._penalized_solve
+    good = optimizer._penalized_solve
     calls = {"n": 0}
 
     def sabotage(gram, xty, diag, sparsity):
@@ -118,7 +118,7 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
             return np.full((gram.shape[0], xty.shape[1]), 50.0)
         return good(gram, xty, diag, sparsity)
 
-    monkeypatch.setattr(baselines, "_penalized_solve", sabotage)
+    monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
         supmvlfl_solve(views, labels, 0.1, max_iter=4)
 

@@ -153,6 +153,14 @@ def test_emit_curves_flags_missing_methods(tmp_path, capsys):
         assert handle.read() == "p,supfl\n20,0.75\n60,0.75\n"
 
 
+def test_sweep_with_a_method_subset_warns_only_for_requested_methods(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["--mode", "sweep", "--config", config, "--out", str(tmp_path / "s"),
+                 "--beta-grid", "0.1", "--p-grid", "100", "--folds", "3",
+                 "--methods", "supfl,supmvlfl"]) == 0
+    assert "missing method" not in capsys.readouterr().err
+
+
 def test_synth_mode_then_training_on_its_files(tmp_path):
     config = write_config(tmp_path)
     data_dir = str(tmp_path / "data")

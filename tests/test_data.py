@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmvfl.data import (
     ClassTooSmallError,
@@ -110,6 +112,55 @@ def test_parse_error_on_bad_label(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv([str(view)], str(labels))
     assert err.value.row == 2
+
+
+def test_parse_error_on_invalid_utf8(tmp_path):
+    view = tmp_path / "v.csv"
+    view.write_bytes(b"1,2\n3,\xff\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    with pytest.raises(ParseError) as err:
+        load_csv([str(view)], str(labels))
+    assert (err.value.row, err.value.col) == (2, 2)
+    view.write_text("1,2\n3,4\n")
+    labels.write_bytes(b"0\n\xff\n")
+    with pytest.raises(ParseError) as err:
+        load_csv([str(view)], str(labels))
+    assert (err.value.row, err.value.col) == (2, 1)
+
+
+def test_parse_error_on_label_beyond_int64(tmp_path):
+    view = tmp_path / "v.csv"
+    view.write_text("1,2\n3,4\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n99999999999999999999999\n")
+    with pytest.raises(ParseError) as err:
+        load_csv([str(view)], str(labels))
+    assert (err.value.row, err.value.col) == (2, 1)
+
+
+_VIEW_TEXT = "0123456789,.-+eE \r\nnaif_\xff"
+_LABEL_TEXT = "0123456789-+ \r\n_"
+
+
+def _file_bytes(alphabet):
+    piece = st.binary(max_size=8) | st.text(alphabet, max_size=12).map(str.encode)
+    return st.lists(piece, max_size=8).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(view_bytes=_file_bytes(_VIEW_TEXT), label_bytes=_file_bytes(_LABEL_TEXT))
+def test_load_arbitrary_bytes_raises_only_parse_errors(tmp_path, view_bytes, label_bytes):
+    view = tmp_path / "v.csv"
+    view.write_bytes(view_bytes)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(label_bytes)
+    try:
+        dataset = load_csv([str(view)], str(labels))
+    except (ParseError, RowCountMismatchError):
+        return
+    assert dataset.num_samples == dataset.labels.shape[0]
 
 
 def test_row_count_mismatch(tmp_path):

@@ -254,16 +254,16 @@ def test_scope_survives_many_racing_threads(two_threads_before):
     assert set(thread_counts()) == {2}
 
 
-def _probe_solve_spd(monkeypatch):
+def _probe_solves(monkeypatch):
     """Record, per solve, the calling thread and the BLAS thread counts."""
     calls = []
-    original = mmvfl.optimizer.solve_spd
+    original = mmvfl.optimizer._penalized_solve
 
-    def probe(a, b):
+    def probe(gram, xty, irls_diag, sparsity):
         calls.append((threading.current_thread().name, set(thread_counts())))
-        return original(a, b)
+        return original(gram, xty, irls_diag, sparsity)
 
-    monkeypatch.setattr(mmvfl.optimizer, "solve_spd", probe)
+    monkeypatch.setattr(mmvfl.optimizer, "_penalized_solve", probe)
     return calls
 
 
@@ -275,7 +275,7 @@ def _tiny_problem():
 
 
 def test_solves_inside_run_reference_see_one_thread(two_threads_before, monkeypatch):
-    calls = _probe_solve_spd(monkeypatch)
+    calls = _probe_solves(monkeypatch)
     views, labels, hyper = _tiny_problem()
     run_reference(views, labels, hyper, 5)
     assert calls and all(counts == {1} for _, counts in calls)
@@ -283,7 +283,7 @@ def test_solves_inside_run_reference_see_one_thread(two_threads_before, monkeypa
 
 
 def test_participant_threads_see_one_thread(two_threads_before, monkeypatch):
-    calls = _probe_solve_spd(monkeypatch)
+    calls = _probe_solves(monkeypatch)
     views, labels, hyper = _tiny_problem()
     run_federated(views, labels, hyper, 5, transport="in_process")
     main = threading.main_thread().name

@@ -3,8 +3,12 @@ objective bookkeeping, and the single-process reference loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmvfl.optimizer as optimizer
+from mmvfl.baselines import supmvlfl_solve
+from mmvfl.numerics import SPD_RESIDUAL_TOL
 from mmvfl.optimizer import (
     Hyperparams,
     NonDecreasingObjectiveError,
@@ -238,6 +242,67 @@ def test_fit_sparse_transform_deterministic():
     b, _, tb = fit_sparse_transform(x, z, 0.2)
     assert np.array_equal(a, b)
     assert ta == tb
+
+
+def _record_solves(monkeypatch):
+    """Wrap the kernel's solve step; returns the list of (args, result)."""
+    solves = []
+    original = optimizer._penalized_solve
+
+    def record(gram, xty, irls_diag, sparsity):
+        result = original(gram, xty, irls_diag, sparsity)
+        solves.append(((gram, xty, irls_diag, sparsity), result))
+        return result
+
+    monkeypatch.setattr(optimizer, "_penalized_solve", record)
+    return solves
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), d=st.integers(1, 40), c=st.integers(1, 4),
+       zero_rows=st.integers(0, 40), sparsity=st.floats(1e-3, 10.0),
+       eps=st.sampled_from([1e-6, 1e-4, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_gram_form_objective_matches_residual_form_at_every_iterate(
+        n, d, c, zero_rows, sparsity, eps, seed):
+    # zero rows in the warm start put 1/(2 eps) on the first reweighting
+    # diagonal; d > n leaves the gram singular
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    t = rng.standard_normal((n, c))
+    init = rng.standard_normal((d, c))
+    init[:zero_rows] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _record_solves(patch)
+        _, _, trace = fit_sparse_transform(x, t, sparsity, eps=eps, init=init, inner_max=8)
+    gram, xty, t_sq = optimizer.gram_matrix(x), x.T @ t, float(np.sum(t * t))
+    iterates = [init] + [w for _, w in solves]
+    assert len(trace) == len(iterates)
+    for value, w in zip(trace, iterates):
+        # the Gram form cancels terms of this size, so its rounding error
+        # scales with them where X is ill-conditioned and W large
+        cancelled = float(np.sum(np.abs(w) * (np.abs(gram) @ np.abs(w) + 2.0 * np.abs(xty))))
+        tolerance = 1e-12 * max(1.0, t_sq, cancelled)
+        assert abs(value - fit_objective(x, t, w, sparsity)) <= tolerance
+    if zero_rows:
+        assert solves[0][0][2].max() == 1.0 / (2.0 * eps)
+
+
+def test_every_kernel_solve_meets_the_residual_promise(monkeypatch):
+    solves = _record_solves(monkeypatch)
+    rng = np.random.default_rng(15)
+    for n, d in ((40, 8), (12, 30), (25, 60)):
+        x = rng.standard_normal((n, d))
+        init = rng.standard_normal((d, 3))
+        init[: d // 2] = 0.0
+        fit_sparse_transform(x, rng.standard_normal((n, 3)), 0.05, init=init)
+        labels = one_hot(np.arange(n) % 3, 3)
+        supmvlfl_solve([x, rng.standard_normal((n, 5))], labels, 0.2)
+    views, labels = tiny_problem(16)
+    run_reference(views, labels, Hyperparams.uniform(2, sparsity=0.1), 16)
+    assert len(solves) > 100
+    for (gram, xty, irls_diag, sparsity), w in solves:
+        a = gram + np.diag(sparsity * irls_diag)
+        assert np.linalg.norm(a @ w - xty) <= SPD_RESIDUAL_TOL * np.linalg.norm(xty)
 
 
 # ---------------------------------------------------------------------------
