@@ -22,8 +22,6 @@ import subprocess
 import sys
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from . import __version__
 from .baselines import supfl_solve, supmvlfl_solve
 from .data import (
@@ -33,6 +31,7 @@ from .data import (
     make_folds,
     save_csv,
     synth_planted,
+    write_matrix_csv,
 )
 from .evaluation import (
     METHODS,
@@ -44,7 +43,7 @@ from .evaluation import (
     select_best,
     write_results_csv,
 )
-from .federation import audit_trace, run_federated
+from .federation import TracedMessage, audit_trace, run_federated
 from .numerics import numerics_report, single_blas_thread
 from .optimizer import Hyperparams, one_hot, run_reference
 
@@ -237,15 +236,6 @@ def resolve_config(argv) -> RunConfig:
 # Shared output writers
 
 
-def write_matrix_csv(path, matrix):
-    """Write one matrix with the lossless float encoding."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in matrix:
-            handle.write(",".join(format(v, FLOAT_FORMAT) for v in row))
-            handle.write("\n")
-
-
 def write_objective_trace(path, objectives):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("round,objective\n")
@@ -270,20 +260,9 @@ def write_message_trace(path, trace):
             handle.write(json.dumps(record) + "\n")
 
 
-@dataclass
-class _TraceRecord:
-    """Message record reconstructed from a trace log."""
-
-    direction: str
-    kind: str
-    round: int
-    participant_id: int
-    nbytes: int
-    payload_shape: tuple[int, int] | None
-    objective_part: float | None
-
-
-def read_message_trace(path) -> list[_TraceRecord]:
+def read_message_trace(path) -> list[TracedMessage]:
+    """Trace entries back from a log; payloads were never written, so
+    every ``payload`` is None."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -295,7 +274,7 @@ def read_message_trace(path) -> list[_TraceRecord]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from None
             shape = raw.get("payload_shape")
-            records.append(_TraceRecord(
+            records.append(TracedMessage(
                 direction=str(raw.get("direction", "")),
                 kind=str(raw.get("kind", "")),
                 round=int(raw.get("round", 0)),
@@ -369,16 +348,14 @@ def training_hyper(config: RunConfig, num_participants: int) -> Hyperparams:
 
 
 def _write_training_outputs(out_dir, transforms, consensus, objectives):
-    outputs = []
-    for k, transform in enumerate(transforms):
-        name = f"transform_{k + 1}.csv"
-        write_matrix_csv(os.path.join(out_dir, name), transform)
-        outputs.append(name)
-    write_matrix_csv(os.path.join(out_dir, "consensus.csv"), consensus)
-    outputs.append("consensus.csv")
+    """Transforms, the consensus (unless None) and the objective trace."""
+    matrices = {f"transform_{k + 1}.csv": t for k, t in enumerate(transforms)}
+    if consensus is not None:
+        matrices["consensus.csv"] = consensus
+    for name, matrix in matrices.items():
+        write_matrix_csv(os.path.join(out_dir, name), matrix)
     write_objective_trace(os.path.join(out_dir, "objective_trace.csv"), objectives)
-    outputs.append("objective_trace.csv")
-    return outputs
+    return list(matrices) + ["objective_trace.csv"]
 
 
 def run_training_mode(config: RunConfig, out_dir) -> list[str]:
@@ -418,13 +395,7 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
         transforms, objectives = supmvlfl_solve(
             dataset.views, labels, config.beta, eps=config.eps,
             tol=config.inner_tol, max_iter=config.inner_max)
-        outputs = []
-        for k, transform in enumerate(transforms):
-            name = f"transform_{k + 1}.csv"
-            write_matrix_csv(os.path.join(out_dir, name), transform)
-            outputs.append(name)
-        write_objective_trace(os.path.join(out_dir, "objective_trace.csv"), objectives)
-        outputs.append("objective_trace.csv")
+        outputs = _write_training_outputs(out_dir, transforms, None, objectives)
     else:
         raise ValueError(f"not a training mode: {config.mode}")
 

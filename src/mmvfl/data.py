@@ -4,13 +4,16 @@ On disk a dataset is one headerless CSV per view (rows are samples,
 columns are that view's features) plus a label file with one integer
 class index per line.  All views must agree on the number of rows and
 row order; values are written with 17 significant digits so a
-load/save/load round trip is bit-exact.
+load/save/load round trip is bit-exact.  Views are read and written by
+numpy's C tokenizer and formatter; the Python line parser runs only
+when the tokenizer refuses a file, to name the bad row and column.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,10 @@ import numpy as np
 from .numerics import check_seed, ensure_matrix
 
 FLOAT_FORMAT = ".17g"
+
+# numpy's float parser strips these ASCII separators as whitespace around
+# a cell, float() does not; a view holding one goes to the line parser
+_FLOAT_REJECTS_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class ParseError(Exception):
@@ -144,17 +151,44 @@ def _parse_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _read_view(path) -> np.ndarray:
+    """One view through numpy's tokenizer.  Anything it refuses, or reads
+    as non-finite or empty, goes to the line parser, which raises the
+    located ParseError or accepts what only float() reads (underscores,
+    non-ASCII digits); so both paths accept the same files and values."""
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 16):
+            if any(sep in block for sep in _FLOAT_REJECTS_SPACE):
+                return _parse_view(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            view = np.loadtxt(path, delimiter=",", comments=None, dtype=np.float64,
+                              ndmin=2, encoding="utf-8")
+    except (ValueError, Warning):
+        pass
+    else:
+        if view.size and np.isfinite(view).all():
+            return view
+    return _parse_view(path)
+
+
 def load_csv(view_paths, label_path) -> MultiViewDataset:
     """Load one CSV per view plus a label file into a dataset.  A malformed
     file raises ParseError (with row and column) or RowCountMismatchError."""
     labels = _parse_labels(label_path)
     views = []
     for path in view_paths:
-        view = _parse_view(path)
+        view = _read_view(path)
         if view.shape[0] != labels.shape[0]:
             raise RowCountMismatchError(path, view.shape[0], labels.shape[0])
         views.append(view)
     return MultiViewDataset(views=views, labels=labels)
+
+
+def write_matrix_csv(path, matrix):
+    """Write one 2-D matrix, a row per line, with the lossless float encoding."""
+    np.savetxt(path, matrix, fmt="%" + FLOAT_FORMAT, delimiter=",")
 
 
 def save_csv(dataset: MultiViewDataset, view_paths, label_path):
@@ -163,13 +197,8 @@ def save_csv(dataset: MultiViewDataset, view_paths, label_path):
     if len(view_paths) != dataset.num_participants:
         raise ValueError("one path per view required")
     for path, view in zip(view_paths, dataset.views):
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in view:
-                handle.write(",".join(format(v, FLOAT_FORMAT) for v in row))
-                handle.write("\n")
-    with open(label_path, "w", encoding="utf-8") as handle:
-        for label in dataset.labels:
-            handle.write(f"{int(label)}\n")
+        write_matrix_csv(path, view)
+    np.savetxt(label_path, dataset.labels, fmt="%d")
 
 
 @dataclass(frozen=True)

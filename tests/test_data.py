@@ -1,15 +1,19 @@
 """Dataset IO, fold planning, and the planted-feature generator."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mmvfl.cli import _write_training_outputs
 from mmvfl.data import (
     ClassTooSmallError,
     MultiViewDataset,
     ParseError,
     RowCountMismatchError,
+    _parse_view,
     load_csv,
     make_folds,
     save_csv,
@@ -163,6 +167,64 @@ def test_load_arbitrary_bytes_raises_only_parse_errors(tmp_path, view_bytes, lab
     assert dataset.num_samples == dataset.labels.shape[0]
 
 
+# "\x1c" and "\x1f" are whitespace to numpy's float parser but not to float()
+_CSV_TOKENS = list("0123456789.e+-_, \t\n\r#\"\x1c\x1f") + ["nan", "inf", "\u0661", "\uff11"]
+
+
+def _outcome(read):
+    try:
+        array = read()
+    except ParseError as err:
+        return str(err), err.row, err.col
+    return array.shape, array.tobytes()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(view_bytes=st.lists(st.sampled_from(_CSV_TOKENS), max_size=40).map(
+    lambda tokens: "".join(tokens).encode("utf-8")))
+@example(view_bytes=b"#comment\n1,2\n")
+@example(view_bytes=b"1,2#x\n")
+@example(view_bytes=b" \n")
+@example(view_bytes=b"1\n \n2\n")
+@example(view_bytes=b"1,2\n \n3,4\n")
+@example(view_bytes=b"1,2\n\t\n3,4\n")
+@example(view_bytes=b"\xef\xbb\xbf1,2\n")
+@example(view_bytes=b'"1",2\n')
+@example(view_bytes=b"1,2,\n")
+@example(view_bytes=b"1,\x002\n")
+@example(view_bytes=b"1,\xff\n")
+@example(view_bytes=b"nan,1\n")
+@example(view_bytes=b"1,inf\n")
+@example(view_bytes=b"Infinity\n")
+@example(view_bytes=b"1e500\n")
+@example(view_bytes=b"1_0\n")
+@example(view_bytes="\u0661,2\n".encode("utf-8"))
+@example(view_bytes="\uff11\n".encode("utf-8"))
+@example(view_bytes=b"1,2\r3,4\r")
+@example(view_bytes=b"1,2\r\n3,4\r\n")
+@example(view_bytes=b"-0,0\n")
+@example(view_bytes=b"1e-400,5e-324\n")
+@example(view_bytes=b"1\x1c\n")
+@example(view_bytes=b"\x1f1,2\n")
+@example(view_bytes=b"")
+@example(view_bytes=b"\n\n")
+def test_load_matches_the_line_parser(tmp_path, view_bytes):
+    """The numpy fast path returns the line parser's array bit for bit,
+    or the line parser's located ParseError, and emits no warning."""
+    view = tmp_path / "v.csv"
+    view.write_bytes(view_bytes)
+    expected = _outcome(lambda: _parse_view(view))
+    rows = expected[0][0] if isinstance(expected[0], tuple) else 1
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n" * rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(lambda: load_csv([str(view)], str(labels)).views[0])
+    assert got == expected
+    assert not caught
+
+
 def test_row_count_mismatch(tmp_path):
     view = tmp_path / "v.csv"
     view.write_text("1,2\n3,4\n5,6\n")
@@ -202,6 +264,30 @@ def test_save_load_roundtrip_is_lossless(tmp_path):
     save_csv(loaded, paths2, label_path2)
     for p1, p2 in zip(paths + [label_path], paths2 + [label_path2]):
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("matrix, text", [
+    ([[-0.0, 5e-324, 0.1, 1 / 3], [_MAX, -_MAX, 1e16, 2.5]],
+     "-0,4.9406564584124654e-324,0.10000000000000001,0.33333333333333331\n"
+     "1.7976931348623157e+308,-1.7976931348623157e+308,10000000000000000,2.5\n"),
+    ([[-0.0, 0.1, 1e16]], "-0,0.10000000000000001,10000000000000000\n"),
+    ([[1 / 3], [5e-324], [-_MAX]],
+     "0.33333333333333331\n4.9406564584124654e-324\n-1.7976931348623157e+308\n"),
+], ids=["n_by_d", "one_row", "one_column"])
+def test_matrix_writers_produce_golden_bytes(tmp_path, matrix, text):
+    matrix = np.array(matrix)
+    n = matrix.shape[0]
+    save_csv(MultiViewDataset(views=[matrix], labels=np.arange(n)),
+             [str(tmp_path / "v.csv")], str(tmp_path / "y.csv"))
+    assert (tmp_path / "v.csv").read_bytes() == text.encode()
+    assert (tmp_path / "y.csv").read_bytes() == "".join(f"{i}\n" for i in range(n)).encode()
+    outputs = _write_training_outputs(str(tmp_path), [matrix], matrix, [1.0])
+    assert outputs == ["transform_1.csv", "consensus.csv", "objective_trace.csv"]
+    for name in outputs[:2]:
+        assert (tmp_path / name).read_bytes() == text.encode()
 
 
 def test_dataset_validation_and_restrict():
