@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..optimizer import (
-    Hyperparams,
-    ProblemShape,
-    aggregate_consensus,
-    has_converged,
-    init_consensus,
-    round_objective,
-)
+from ..optimizer import Hyperparams, ProblemShape, close_round, init_consensus
 from .channels import ChannelClosedError, ChannelTimeoutError, MessageChannel
 from .messages import (
     KIND_ABORT,
@@ -180,14 +173,11 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
                     abort_all(f"upload without objective part from participant {pid}")
                 uploads[pid] = message
 
-            consensus = aggregate_consensus(
-                [uploads[pid].payload for pid in ids], penalties)
-            value = round_objective(
-                [uploads[pid].objective_part for pid in ids],
-                [uploads[pid].payload for pid in ids], penalties, consensus)
+            consensus, value, done = close_round(
+                [uploads[pid].payload for pid in ids],
+                [uploads[pid].objective_part for pid in ids], penalties, previous,
+                config.hyper.outer_tol)
             objectives.append(value)
-            done = (previous is not None
-                    and has_converged(previous, value, config.hyper.outer_tol))
             done = done or round_index == config.hyper.outer_max
             kind = KIND_CONVERGED if done else KIND_Z_BROADCAST
             for pid in ids:

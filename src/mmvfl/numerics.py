@@ -3,7 +3,7 @@
 All matrices are 2-D float64 arrays with finite entries.  Identical
 inputs produce bit-identical outputs, which the round-based training
 protocol relies on to stay reproducible across transports and runs;
-only ``_cholesky_solve_in_place`` writes to an argument.
+only the Cholesky kernels write to an argument, their work matrix.
 
 ``single_blas_thread`` pins every loaded OpenBLAS build to one thread
 for the duration of an entry-point call, so results do not depend on
@@ -16,12 +16,13 @@ import contextlib
 import ctypes
 import functools
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cython_lapack
 
 MAX_SEED = 2**64 - 1
 
@@ -114,11 +115,8 @@ def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
     ``work`` holds that system in Fortran order and is overwritten by its
     Cholesky factor; refinement residuals come from ``matrix`` and
     ``shift``, so no second copy of the system is kept."""
-    try:
-        factor = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    x = cho_solve(factor, b, check_finite=False)
+    _cholesky_factor_in_place(work)
+    x = _cholesky_solve(work, b)
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
@@ -127,7 +125,79 @@ def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
                 residual -= shift[:, None] * x
             if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
                 break
-            x = x + cho_solve(factor, residual, check_finite=False)
+            x = x + _cholesky_solve(work, residual)
+    return x
+
+
+# ---------------------------------------------------------------------------
+# LAPACK Cholesky without the interpreter lock
+
+
+def _lapack_function(name: str, signature: str, *argtypes):
+    """A LAPACK routine from scipy's ``cython_lapack`` capsules as a
+    ``ctypes`` function.
+
+    scipy's f2py wrappers (``cho_factor``, ``cho_solve``) hold the
+    interpreter lock while LAPACK runs; a ``ctypes`` call through the same
+    function pointer releases it, so threads can factor side by side.  It
+    is the library and routine scipy itself calls, so results are the
+    same bit for bit.  ``signature`` is the C signature the capsule must
+    name (with scipy's double typedef written as ``double``)."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule_name = get_name(capsule)
+    found = re.sub(r"__pyx_t_\w*cython_lapack_d\b", "double", capsule_name.decode())
+    if found != signature:
+        raise ImportError(f"scipy's {name} has signature {found!r}, expected {signature!r}")
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, capsule_name))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_dpotrf = _lapack_function(
+    "dpotrf", "void (char *, int *, double *, int *, int *)",
+    ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)
+_dpotrs = _lapack_function(
+    "dpotrs", "void (char *, int *, int *, double *, int *, double *, int *, int *)",
+    ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)
+
+
+def _check_lapack_matrix(m, rows: int, name: str, square: bool = False):
+    """LAPACK reads ``m`` through a raw pointer: insist on the layout it assumes."""
+    if (m.dtype != np.float64 or m.ndim != 2 or m.shape[0] != rows
+            or (square and m.shape[1] != rows) or not m.flags.f_contiguous):
+        raise ValueError(f"{name} must be a Fortran-order float64 matrix with {rows} rows")
+
+
+def _cholesky_factor_in_place(work) -> None:
+    """Overwrite the lower triangle of the Fortran-order SPD ``work`` with
+    its Cholesky factor (LAPACK ``dpotrf``; the upper triangle is left as
+    it was).  Raises ``NotPositiveDefiniteError`` when it is not SPD."""
+    n = len(work)
+    _check_lapack_matrix(work, n, "work", square=True)
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+    _dpotrf(b"L", ctypes.byref(size), work.ctypes.data, ctypes.byref(size), ctypes.byref(info))
+    if info.value > 0:
+        raise NotPositiveDefiniteError(
+            f"{info.value}-th leading minor of the array is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of dpotrf")
+
+
+def _cholesky_solve(factor, b) -> np.ndarray:
+    """Solve with a factor from ``_cholesky_factor_in_place`` (LAPACK
+    ``dpotrs``).  Returns a new Fortran-order array; ``b`` is unchanged."""
+    n = len(factor)
+    _check_lapack_matrix(factor, n, "factor", square=True)
+    x = np.array(b, dtype=np.float64, order="F")
+    _check_lapack_matrix(x, n, "b")
+    size, nrhs, info = ctypes.c_int(n), ctypes.c_int(x.shape[1]), ctypes.c_int(0)
+    _dpotrs(b"L", ctypes.byref(size), ctypes.byref(nrhs), factor.ctypes.data,
+            ctypes.byref(size), x.ctypes.data, ctypes.byref(size), ctypes.byref(info))
+    if info.value != 0:
+        raise ValueError(f"illegal value in argument {-info.value} of dpotrs")
     return x
 
 

@@ -20,6 +20,8 @@ oracle for the federated protocol.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,14 @@ from .numerics import (
 # Absolute slack allowed before a rising objective is treated as a
 # numerical fault.
 MONOTONICITY_SLACK = 1e-9
+
+# Estimated multiply-adds per round a lane needs before participants run
+# side by side.  Threads only gain while LAPACK and BLAS run without the
+# interpreter lock; on small blocks the lock hand-offs between numpy calls
+# cost more than that overlap saves.  Measured on 2 cores, rounds under
+# 1e7 of estimated work (see ``_lane_count``) took 1.2-2.6x as long on
+# two lanes as on one, and rounds of 1.5e7-4e7 took 0.65-1.1x.
+LANE_WORK = 8_000_000
 
 # Stream tags for seed derivation; every randomly initialized block gets
 # its own child seed so federated and single-process runs agree bitwise.
@@ -203,10 +213,15 @@ def irls_diagonal(transform, eps: float) -> np.ndarray:
 
 
 def gram_matrix(features) -> np.ndarray:
-    """Symmetrized feature gram matrix X^T X."""
+    """Symmetric feature gram matrix X^T X."""
     features = ensure_matrix(features, "features")
     g = features.T @ features
-    return (g + g.T) * 0.5
+    # numpy computes X^T X by a symmetric rank-k update, which is exactly
+    # symmetric; averaging with the transpose would then change no bit
+    # but cost a second d x d temporary.
+    if not np.array_equal(g, g.T):
+        g = (g + g.T) * 0.5
+    return g
 
 
 def _penalized_solve(gram, xty, irls_diag, sparsity):
@@ -216,28 +231,6 @@ def _penalized_solve(gram, xty, irls_diag, sparsity):
     a = gram.T.copy(order="F")
     a[np.diag_indices_from(a)] += shift
     return _cholesky_solve_in_place(a, xty, gram, shift)
-
-
-def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray:
-    """Exact minimizer of ||X W - T||_F^2 + sparsity * tr(W^T diag W)."""
-    features = ensure_matrix(features, "features")
-    targets = ensure_matrix(targets, "targets")
-    if targets.shape[0] != features.shape[0]:
-        raise DimensionMismatchError("features and targets must have equal rows")
-    if not sparsity > 0:
-        raise ValueError("sparsity must be positive")
-    irls_diag = np.asarray(irls_diag, dtype=np.float64)
-    if irls_diag.shape != (features.shape[1],):
-        raise DimensionMismatchError("reweighting diagonal must have one entry per feature")
-    if not np.all(np.isfinite(irls_diag)):
-        raise ValueError("reweighting diagonal contains non-finite entries")
-    return _penalized_solve(gram_matrix(features), features.T @ targets, irls_diag, sparsity)
-
-
-def fit_objective(features, targets, transform, sparsity: float) -> float:
-    """Reconstruction error plus the row-sparsity penalty."""
-    residual = features @ transform - targets
-    return frobenius_norm_sq(residual) + sparsity * l21_norm(transform)
 
 
 def smoothed_row_penalty(norms, eps: float) -> float:
@@ -482,13 +475,14 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     """One local round: refit the transform against the current
     pseudo-labels, refresh the pseudo-labels against the broadcast
     consensus, and return the local objective contribution (the only
-    scalar that leaves the participant)."""
+    scalar that leaves the participant).  The state's features were
+    checked when it was built, so they are not checked again here."""
     if state.gram is None:
         state.gram = gram_matrix(state.features)
-    transform, diag, _ = fit_sparse_transform(
-        state.features, state.pseudo_labels, state.sparsity,
-        eps=hyper.eps, inner_tol=hyper.inner_tol, inner_max=hyper.inner_max,
-        init=state.transform, gram=state.gram)
+    targets = state.pseudo_labels
+    [transform], [diag], _ = _irls(
+        [state.gram], [state.features.T @ targets], [float(np.sum(targets * targets))],
+        [state.sparsity], hyper.eps, hyper.inner_tol, hyper.inner_max, [state.transform])
     state.transform = transform
     state.irls_diag = diag
     projected = state.features @ transform
@@ -500,6 +494,44 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
         state.pseudo_labels = pseudo_label_update(
             projected, consensus, state.consensus_penalty)
     return local_objective_part(state, projected)
+
+
+def close_round(pseudo_labels, parts, penalties, previous, outer_tol: float):
+    """The coordinator's end of a round: re-aggregate the consensus, total
+    the objective, and test it against the previous round's value (None
+    in the first round).  Returns ``(consensus, objective, converged)``."""
+    consensus = aggregate_consensus(pseudo_labels, penalties)
+    value = round_objective(parts, pseudo_labels, penalties, consensus)
+    converged = previous is not None and has_converged(previous, value, outer_tol)
+    return consensus, value, converged
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lane_count(num_samples: int, num_classes: int, dims) -> int:
+    """Lanes for a round: one per usable CPU, at most one per participant,
+    and at most one per ``LANE_WORK`` of estimated round work,
+    sum_k d_k (n c + d_k^2) multiply-adds (X^T Z and X W, one Cholesky)."""
+    work = sum(d * (num_samples * num_classes + d * d) for d in dims)
+    return max(1, min(len(dims), _usable_cpus(), work // LANE_WORK))
+
+
+def _assign_lanes(dims, lanes: int) -> list[list[int]]:
+    """Participants (by index) per lane, greedily by feature count: the
+    widest unassigned participant goes to the lane with the fewest
+    features so far (ties to the lower lane).  Lane 0 gets the widest."""
+    assigned: list[list[int]] = [[] for _ in range(lanes)]
+    loads = [0] * lanes
+    for k in sorted(range(len(dims)), key=lambda k: (-dims[k], k)):
+        lane = min(range(lanes), key=lambda j: (loads[j], j))
+        assigned[lane].append(k)
+        loads[lane] += dims[k]
+    return assigned
 
 
 @dataclass
@@ -524,6 +556,14 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     then the consensus is re-aggregated and the objective recorded.
     Stops when the relative objective change drops below ``outer_tol``
     or after ``outer_max`` rounds.  BLAS runs on one thread throughout.
+
+    A participant's round reads only its own state and the consensus, so
+    the participants of a round run side by side on min(P, usable CPUs)
+    lanes when the round is large enough (``LANE_WORK``).  The calling
+    thread runs lane 0, one worker thread runs each other lane, and a
+    participant stays on one lane for the whole run.  Parts are gathered
+    and aggregated in participant order, so the result is the same bit
+    for bit for any lane count.
     """
     seed = check_seed(seed)
     states = make_states(views, labels, hyper, seed)
@@ -531,18 +571,37 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     num_classes = states[0].pseudo_labels.shape[1]
     consensus = init_consensus(n, num_classes, seed)
     penalties = [st.consensus_penalty for st in states]
+    dims = [st.features.shape[1] for st in states]
+    lanes = _assign_lanes(dims, _lane_count(n, num_classes, dims))
+    workers = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"mmvfl-lane{j}")
+               for j in range(1, len(lanes))]
+
+    def run_lane(lane, consensus):
+        return [(k, participant_round(states[k], consensus, hyper)) for k in lane]
 
     objectives: list[float] = []
     previous = None
-    for _ in range(hyper.outer_max):
-        parts = [participant_round(st, consensus, hyper) for st in states]
-        consensus = aggregate_consensus([st.pseudo_labels for st in states], penalties)
-        value = round_objective(parts, [st.pseudo_labels for st in states],
-                                penalties, consensus)
-        objectives.append(value)
-        if previous is not None and has_converged(previous, value, hyper.outer_tol):
-            break
-        previous = value
+    try:
+        for _ in range(hyper.outer_max):
+            futures = [worker.submit(run_lane, lane, consensus)
+                       for worker, lane in zip(workers, lanes[1:])]
+            try:
+                done = run_lane(lanes[0], consensus)
+            finally:
+                wait(futures)
+            for future in futures:
+                done += future.result()
+            parts = [part for _, part in sorted(done)]
+            consensus, value, converged = close_round(
+                [st.pseudo_labels for st in states], parts, penalties, previous,
+                hyper.outer_tol)
+            objectives.append(value)
+            if converged:
+                break
+            previous = value
+    finally:
+        for worker in workers:
+            worker.shutdown()
     return TrainingResult(
         transforms=[st.transform for st in states],
         pseudo_labels=[st.pseudo_labels for st in states],

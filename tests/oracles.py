@@ -4,7 +4,9 @@ Everything here is deliberately naive and shares no code with the
 package under test: explicit Python loops, plain np.linalg.solve or
 grid/first-order search instead of the package's factorizations and
 closed forms.  Frozen constants in the tests were produced by these
-functions.
+functions.  The one exception, ``solve_transform``, is marked below: it
+is the package's own penalized solve behind a plain signature, which
+the tests hold against these oracles.
 """
 
 from __future__ import annotations
@@ -49,6 +51,25 @@ def plain_solve_minimizer(features, targets, diag, weight) -> np.ndarray:
     diag = np.asarray(diag, dtype=np.float64)
     a = features.T @ features + weight * np.diag(diag)
     return np.linalg.solve(a, features.T @ targets)
+
+
+def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray:
+    """The package's exact minimizer of ||X W - T||_F^2 + sparsity *
+    tr(W^T diag W) (not an oracle: it runs the kernel's Cholesky step)."""
+    from mmvfl.optimizer import _penalized_solve, gram_matrix
+
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    irls_diag = np.asarray(irls_diag, dtype=np.float64)
+    return _penalized_solve(gram_matrix(features), features.T @ targets, irls_diag, sparsity)
+
+
+def fit_objective(features, targets, transform, sparsity: float) -> float:
+    """Reconstruction error plus the row-sparsity penalty, in residual form."""
+    transform = np.asarray(transform, dtype=np.float64)
+    residual = np.asarray(features) @ transform - targets
+    norms = np.sqrt(np.sum(transform * transform, axis=1))
+    return float(np.sum(residual * residual)) + sparsity * float(np.sum(norms))
 
 
 def gd_quadratic_minimizer(features, targets, diag, weight,

@@ -35,7 +35,6 @@ from mmvfl.optimizer import (
     owner_pseudo_label_update,
     pseudo_label_update,
     run_reference,
-    solve_transform,
     total_objective,
 )
 
@@ -44,6 +43,7 @@ from oracles import (
     finite_difference_gradient,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
+    solve_transform,
 )
 
 

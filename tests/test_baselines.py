@@ -7,10 +7,11 @@ import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.optimizer import (
     NonDecreasingObjectiveError,
-    fit_objective,
     fit_sparse_transform,
     one_hot,
 )
+
+from oracles import fit_objective
 
 
 def random_instance(seed, max_views=4):

@@ -1,6 +1,7 @@
 """Dataset IO, fold planning, and the planted-feature generator."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_save_load_roundtrip_is_lossless(tmp_path):
     label_path2 = str(tmp_path / "y2.csv")
     save_csv(loaded, paths2, label_path2)
     for p1, p2 in zip(paths + [label_path], paths2 + [label_path2]):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 _MAX = 1.7976931348623157e308

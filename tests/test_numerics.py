@@ -8,6 +8,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 import mmvfl
 import mmvfl.optimizer
@@ -15,6 +18,9 @@ from mmvfl import Hyperparams, one_hot, run_reference, synth_planted
 from mmvfl.federation import run_federated
 from mmvfl.numerics import (
     NotPositiveDefiniteError,
+    _cholesky_factor_in_place,
+    _cholesky_solve,
+    _cholesky_solve_in_place,
     check_seed,
     derive_seed,
     ensure_matrix,
@@ -123,6 +129,71 @@ def test_solve_spd_shape_checks():
         solve_spd(np.ones((2, 3)), np.ones((2, 1)))
     with pytest.raises(ValueError):
         solve_spd(np.eye(2), np.ones((3, 1)))
+
+
+def _bits(m):
+    """Exact bit pattern and memory layout of a float64 matrix."""
+    return m.flags.f_contiguous, m.shape, np.asarray(m).tobytes(order="A")
+
+
+def _scipy_solve_in_place(a, b, matrix, shift):
+    """The in-place solve as written on scipy's f2py wrappers."""
+    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    x = cho_solve(factor, b, check_finite=False)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm > 0.0:
+        for _ in range(3):
+            residual = b - matrix @ x - shift[:, None] * x
+            if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
+                break
+            x = x + cho_solve(factor, residual, check_finite=False)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 300), nrhs=st.integers(1, 12), rank_gap=st.integers(-3, 3),
+       shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, seed):
+    # X^T X (singular when X has fewer rows than columns) plus a positive
+    # diagonal shift: the systems the kernel solves
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(1, d + rank_gap), d))
+    matrix = x.T @ x
+    shifts = shift * rng.uniform(0.5, 2.0, d)
+    system = matrix + np.diag(shifts)
+    b = rng.standard_normal((d, nrhs))
+
+    work = np.array(system, order="F")
+    _cholesky_factor_in_place(work)
+    factor, _ = cho_factor(system, lower=True, check_finite=False)
+    assert _bits(work) == _bits(factor)
+    assert _bits(_cholesky_solve(work, b)) == _bits(cho_solve((factor, True), b))
+
+    ours = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+    theirs = _scipy_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+    assert _bits(ours) == _bits(theirs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 40])
+def test_lapack_cholesky_rejects_non_positive_definite(d):
+    indefinite = np.eye(d, order="F")
+    indefinite[d - 1, d - 1] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match=f"{d}-th leading minor"):
+        _cholesky_factor_in_place(indefinite)
+    with pytest.raises(NotPositiveDefiniteError):
+        _cholesky_solve_in_place(np.zeros((d, d), order="F"), np.ones((d, 1)), np.zeros((d, d)))
+
+
+def test_lapack_cholesky_rejects_layouts_it_cannot_read():
+    for work in (np.eye(3), np.ones((3, 2), order="F"), np.eye(3, dtype=np.float32, order="F")):
+        with pytest.raises(ValueError):
+            _cholesky_factor_in_place(work)
+    factor = np.eye(3, order="F")
+    for b in (np.ones((2, 1)), np.ones(3)):
+        with pytest.raises(ValueError):
+            _cholesky_solve(factor, b)
+    with pytest.raises(ValueError):
+        _cholesky_solve(np.eye(3), np.ones((3, 1)))
 
 
 def test_random_orthonormal_is_orthonormal_and_deterministic():

@@ -1,6 +1,8 @@
 """Core training math: closed-form updates, the reweighted sparse solve,
 objective bookkeeping, and the single-process reference loop."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from mmvfl.optimizer import (
     ProblemShape,
     aggregate_consensus,
     check_one_hot,
-    fit_objective,
     fit_sparse_transform,
     has_converged,
     irls_diagonal,
@@ -26,16 +27,17 @@ from mmvfl.optimizer import (
     pseudo_label_update,
     round_objective,
     run_reference,
-    solve_transform,
     total_objective,
 )
 
 from oracles import (
+    fit_objective,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
     loop_reweight_diag,
     loop_total_objective,
     plain_solve_minimizer,
+    solve_transform,
 )
 
 
@@ -567,3 +569,111 @@ def test_label_attachment_tightens_with_eta():
         if previous is not None:
             assert gap < previous
         previous = gap
+
+
+# ---------------------------------------------------------------------------
+# participant lanes
+
+
+def _bits(result):
+    """Every output block of a run as raw bytes."""
+    return ([w.tobytes() for w in result.transforms],
+            [z.tobytes() for z in result.pseudo_labels],
+            result.consensus.tobytes(), np.asarray(result.objectives).tobytes())
+
+
+def test_run_reference_is_bitwise_the_same_on_any_lane_count(monkeypatch):
+    dims = (5, 9, 3, 7, 11, 4)
+    views, labels = tiny_problem(8, num_samples=30, dims=dims)
+    # unequal weights, so parts aggregated out of participant order would
+    # round differently
+    hyper = Hyperparams(sparsity=tuple(0.01 * (k + 1) for k in range(6)),
+                        consensus_penalty=tuple(10.0 ** (k % 3) for k in range(6)),
+                        label_penalty=50.0, outer_tol=1e-12, outer_max=12)
+    original = optimizer.participant_round
+    runs = {}
+    for lanes in (1, 3):
+        threads = {}
+
+        def record(state, consensus, hyper):
+            threads.setdefault(state.participant_id, set()).add(threading.get_ident())
+            return original(state, consensus, hyper)
+
+        monkeypatch.setattr(optimizer, "participant_round", record)
+        monkeypatch.setattr(optimizer, "_lane_count", lambda *args, lanes=lanes: lanes)
+        runs[lanes] = run_reference(views, labels, hyper, 4)
+        # each participant stays on one thread, and there is one per lane
+        assert sorted(threads) == list(range(6))
+        assert all(len(idents) == 1 for idents in threads.values())
+        assert len(set().union(*threads.values())) == lanes
+    assert runs[1].rounds == 12
+    assert _bits(runs[1]) == _bits(runs[3])
+
+
+def test_lane_count_follows_cpus_participants_and_round_work(monkeypatch):
+    hw = (240, 76, 216, 47, 64, 6)  # 3.77e7 estimated work per round
+    for cpus, lanes in ((1, 1), (2, 2), (3, 3), (64, 4)):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert optimizer._lane_count(2000, 10, hw) == lanes
+    assert optimizer._lane_count(2000, 10, (5000, 5000)) == 2  # one lane per participant
+    assert optimizer._lane_count(300, 5, (64,) * 5) == 1       # too little work to share
+
+
+def test_lanes_balance_feature_counts_widest_first():
+    assert optimizer._assign_lanes([240, 76, 216, 47, 64, 6], 2) == [[0, 4, 5], [2, 1, 3]]
+    assert optimizer._assign_lanes([48, 40, 254, 1984, 512, 928], 3) == [[3], [5], [4, 2, 0, 1]]
+    assert optimizer._assign_lanes([3, 3], 1) == [[0, 1]]
+
+
+@pytest.mark.skipif(optimizer._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_participants_of_a_round_run_at_the_same_time(monkeypatch):
+    # large enough for two lanes; every round both participants must meet
+    # at the barrier, which times out if they run one after the other
+    rng = np.random.default_rng(5)
+    views = [rng.standard_normal((2000, 200)) for _ in range(2)]
+    labels = one_hot(np.arange(2000) % 3, 3)
+    barrier = threading.Barrier(2, timeout=10)
+    original = optimizer.participant_round
+
+    def meet(state, consensus, hyper):
+        barrier.wait()
+        return original(state, consensus, hyper)
+
+    monkeypatch.setattr(optimizer, "participant_round", meet)
+    result = run_reference(views, labels, Hyperparams.uniform(2, outer_max=2), 1)
+    assert result.rounds == 2
+
+
+@pytest.mark.parametrize("failing", ["worker lane", "calling thread"])
+def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
+    views, labels = tiny_problem(9, num_samples=20, dims=(4, 6, 5))
+    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5)
+    error = RuntimeError(f"solve failed on the {failing}")
+    original = optimizer._penalized_solve
+
+    def solve(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (failing == "calling thread"):
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "_penalized_solve", solve)
+    monkeypatch.setattr(optimizer, "_lane_count", lambda *args: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        run_reference(views, labels, hyper, 2)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", [1, 6, 240, 1984])
+def test_gram_matrix_is_exactly_symmetric(d, layout):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((60, 2 * d))
+    x = {"C": np.ascontiguousarray(x[:, :d]), "F": np.asfortranarray(x[:, :d]),
+         "strided": x[:, ::2]}[layout]
+    g = optimizer.gram_matrix(x)
+    assert np.array_equal(g, g.T)
+    product = x.T @ x
+    assert g.tobytes() == ((product + product.T) * 0.5).tobytes()
