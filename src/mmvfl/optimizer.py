@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,16 @@ MONOTONICITY_SLACK = 1e-9
 # 1e7 of estimated work (see ``_lane_count``) took 1.2-2.6x as long on
 # two lanes as on one, and rounds of 1.5e7-4e7 took 0.65-1.1x.
 LANE_WORK = 8_000_000
+
+# At most this many lanes: only one and two have been measured (on a
+# 2-core machine), so wider hosts keep to two until more are.
+MAX_LANES = 2
+
+# CPU quota of the process's own cgroup, as a container sees it: cgroup v2
+# ``cpu.max`` ("<quota|max> <period>"), else the cgroup v1 quota and
+# period (quota -1 when there is none).
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 # Stream tags for seed derivation; every randomly initialized block gets
 # its own child seed so federated and single-process runs agree bitwise.
@@ -153,6 +164,9 @@ class ParticipantState:
     labels: np.ndarray | None = None
     label_penalty: float | None = None
     gram: np.ndarray | None = field(default=None, repr=False)
+    # Fortran-order d x d buffer for the factor of the gram plus its
+    # diagonal; participants that never run at the same time may share one
+    work: np.ndarray | None = field(default=None, repr=False)
 
     def validate(self):
         n, d = self.features.shape
@@ -224,13 +238,14 @@ def gram_matrix(features) -> np.ndarray:
     return g
 
 
-def _penalized_solve(gram, xty, irls_diag, sparsity):
+def _penalized_solve(gram, xty, irls_diag, sparsity, work):
     """(G + sparsity diag) W = X^T T; G is symmetric, so G.T is G in
-    Fortran order, the layout the in-place Cholesky factor needs."""
+    Fortran order, the layout the in-place Cholesky factor needs.  The
+    Fortran-order ``work`` (shaped like G) is overwritten by the factor."""
     shift = sparsity * irls_diag
-    a = gram.T.copy(order="F")
-    a[np.diag_indices_from(a)] += shift
-    return _cholesky_solve_in_place(a, xty, gram, shift)
+    np.copyto(work, gram.T)
+    work[np.diag_indices_from(work)] += shift
+    return _cholesky_solve_in_place(work, xty, gram, shift)
 
 
 def smoothed_row_penalty(norms, eps: float) -> float:
@@ -246,14 +261,15 @@ def smoothed_row_penalty(norms, eps: float) -> float:
     return float(np.sum(norms - eps * np.log1p(norms / eps)))
 
 
-def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None):
+def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None, works=None):
     """Reweighted least squares for blocks k minimizing
     ||X_k W_k - T||_F^2 + sparsity[k] ||W_k||_{2,1}, given G_k = X_k^T X_k,
     X_k^T T and ||T||_F^2, so the fit term is the Gram form
     sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.  The
     guard and the stopping rule watch the sum over blocks.  Inputs are
-    trusted (the public callers check them).  Returns
-    ``(transforms, irls_diags, objectives)``."""
+    trusted (the public callers check them).  ``works`` holds one
+    Fortran-order factor buffer per block (allocated here when None).
+    Returns ``(transforms, irls_diags, objectives)``."""
     def evaluate(transforms):
         raw = smoothed = 0.0
         norms = []
@@ -270,10 +286,15 @@ def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None):
         raw, guard, norms = evaluate(inits)
         objectives.append(raw)
     diags = [np.ones(g.shape[0]) for g in grams]
+    # one factor buffer per block for the whole fit: a d x d block freed
+    # and allocated again every iteration fragments the allocator's heap
+    if works is None:
+        works = [np.empty(g.shape, order="F") for g in grams]
     for _ in range(max_iter):
         if norms is not None:
             diags = [1.0 / (2.0 * (row + eps)) for row in norms]
-        transforms = [_penalized_solve(*block) for block in zip(grams, xtys, diags, sparsity)]
+        transforms = [_penalized_solve(*block)
+                      for block in zip(grams, xtys, diags, sparsity, works)]
         if not all(np.isfinite(w).all() for w in transforms):
             raise ValueError("a transform contains non-finite entries")
         value, smoothed, norms = evaluate(transforms)
@@ -289,17 +310,16 @@ def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None):
 
 def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
                          inner_tol: float = 1e-6, inner_max: int = 50,
-                         init=None, gram=None):
+                         init=None):
     """Row-sparse least squares by iteratively reweighted least squares.
 
     Alternates the reweighting diagonal and the closed-form solve until
     the relative change of the objective drops below ``inner_tol`` or
     ``inner_max`` iterations pass.  Starts from ``init`` when given (a
     warm transform from the previous round), otherwise from a plain ridge
-    step.  ``gram``, when given, must be ``gram_matrix(features)``.
-    Returns ``(transform, irls_diag, objectives)`` where ``irls_diag`` is
-    the diagonal used for the final solve, so the pair satisfies the
-    reweighted stationarity condition to solver precision.
+    step.  Returns ``(transform, irls_diag, objectives)`` where
+    ``irls_diag`` is the diagonal used for the final solve, so the pair
+    satisfies the reweighted stationarity condition to solver precision.
 
     The reported trace holds the raw objective; the internal descent
     guard watches the smoothed penalty instead, since only that one is
@@ -315,11 +335,9 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     if inner_max < 1:
         raise ValueError("inner_max must be >= 1")
     inits = None if init is None else [ensure_matrix(init, "init")]
-    if gram is None:
-        gram = gram_matrix(features)
     [transform], [diag], objectives = _irls(
-        [gram], [features.T @ targets], [frobenius_norm_sq(targets)], [sparsity],
-        eps, inner_tol, inner_max, inits)
+        [gram_matrix(features)], [features.T @ targets], [frobenius_norm_sq(targets)],
+        [sparsity], eps, inner_tol, inner_max, inits)
     return transform, diag, objectives
 
 
@@ -479,10 +497,13 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     checked when it was built, so they are not checked again here."""
     if state.gram is None:
         state.gram = gram_matrix(state.features)
+    if state.work is None:
+        state.work = np.empty(state.gram.shape, order="F")
     targets = state.pseudo_labels
     [transform], [diag], _ = _irls(
         [state.gram], [state.features.T @ targets], [float(np.sum(targets * targets))],
-        [state.sparsity], hyper.eps, hyper.inner_tol, hyper.inner_max, [state.transform])
+        [state.sparsity], hyper.eps, hyper.inner_tol, hyper.inner_max, [state.transform],
+        [state.work])
     state.transform = transform
     state.irls_diag = diag
     projected = state.features @ transform
@@ -506,19 +527,38 @@ def close_round(pseudo_labels, parts, penalties, previous, outer_tol: float):
     return consensus, value, converged
 
 
+def _cpu_quota() -> int | None:
+    """Whole CPUs the cgroup CPU quota allows (rounded up), or None when
+    there is no quota or it cannot be read."""
+    try:
+        try:
+            quota, period = Path(_CPU_MAX).read_text().split()
+        except FileNotFoundError:
+            quota, period = (Path(name).read_text().strip() for name in _CFS_QUOTA)
+        if quota in ("max", "-1"):
+            return None
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on: its CPU affinity, capped by the
+    cgroup CPU quota, which affinity does not show."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _cpu_quota() or cpus)
 
 
 def _lane_count(num_samples: int, num_classes: int, dims) -> int:
     """Lanes for a round: one per usable CPU, at most one per participant,
-    and at most one per ``LANE_WORK`` of estimated round work,
-    sum_k d_k (n c + d_k^2) multiply-adds (X^T Z and X W, one Cholesky)."""
+    at most ``MAX_LANES``, and at most one per ``LANE_WORK`` of estimated
+    round work, sum_k d_k (n c + d_k^2) multiply-adds (X^T Z and X W, one
+    Cholesky)."""
     work = sum(d * (num_samples * num_classes + d * d) for d in dims)
-    return max(1, min(len(dims), _usable_cpus(), work // LANE_WORK))
+    return max(1, min(len(dims), _usable_cpus(), MAX_LANES, work // LANE_WORK))
 
 
 def _assign_lanes(dims, lanes: int) -> list[list[int]]:
@@ -558,12 +598,13 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     or after ``outer_max`` rounds.  BLAS runs on one thread throughout.
 
     A participant's round reads only its own state and the consensus, so
-    the participants of a round run side by side on min(P, usable CPUs)
-    lanes when the round is large enough (``LANE_WORK``).  The calling
-    thread runs lane 0, one worker thread runs each other lane, and a
-    participant stays on one lane for the whole run.  Parts are gathered
-    and aggregated in participant order, so the result is the same bit
-    for bit for any lane count.
+    the participants of a round run side by side on up to min(P, usable
+    CPUs, ``MAX_LANES``) lanes when the round is large enough (see
+    ``_lane_count``).  The calling thread runs lane 0, one worker thread
+    runs each other lane, and a participant stays on one lane for the
+    whole run, where it shares one factor buffer with the lane's other
+    participants.  Parts are gathered and aggregated in participant
+    order, so the result is the same bit for bit for any lane count.
     """
     seed = check_seed(seed)
     states = make_states(views, labels, hyper, seed)
@@ -573,6 +614,11 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     penalties = [st.consensus_penalty for st in states]
     dims = [st.features.shape[1] for st in states]
     lanes = _assign_lanes(dims, _lane_count(n, num_classes, dims))
+    for lane in lanes:
+        # the participants of a lane run one at a time: one factor buffer
+        shared = np.empty(max(dims[k] for k in lane) ** 2)
+        for k in lane:
+            states[k].work = shared[:dims[k] ** 2].reshape((dims[k], dims[k]), order="F")
     workers = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"mmvfl-lane{j}")
                for j in range(1, len(lanes))]
 

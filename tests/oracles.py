@@ -61,7 +61,9 @@ def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     irls_diag = np.asarray(irls_diag, dtype=np.float64)
-    return _penalized_solve(gram_matrix(features), features.T @ targets, irls_diag, sparsity)
+    gram = gram_matrix(features)
+    work = np.empty(gram.shape, order="F")
+    return _penalized_solve(gram, features.T @ targets, irls_diag, sparsity, work)
 
 
 def fit_objective(features, targets, transform, sparsity: float) -> float:

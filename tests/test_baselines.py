@@ -113,11 +113,11 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     good = optimizer._penalized_solve
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity):
+    def sabotage(gram, xty, diag, sparsity, work):
         calls["n"] += 1
         if calls["n"] > len(views):
             return np.full((gram.shape[0], xty.shape[1]), 50.0)
-        return good(gram, xty, diag, sparsity)
+        return good(gram, xty, diag, sparsity, work)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):

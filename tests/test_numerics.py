@@ -330,9 +330,9 @@ def _probe_solves(monkeypatch):
     calls = []
     original = mmvfl.optimizer._penalized_solve
 
-    def probe(gram, xty, irls_diag, sparsity):
+    def probe(gram, xty, irls_diag, sparsity, work):
         calls.append((threading.current_thread().name, set(thread_counts())))
-        return original(gram, xty, irls_diag, sparsity)
+        return original(gram, xty, irls_diag, sparsity, work)
 
     monkeypatch.setattr(mmvfl.optimizer, "_penalized_solve", probe)
     return calls

@@ -1,6 +1,7 @@
 """Core training math: closed-form updates, the reweighted sparse solve,
 objective bookkeeping, and the single-process reference loop."""
 
+import os
 import threading
 
 import numpy as np
@@ -225,11 +226,11 @@ def test_fit_sparse_transform_guard_fires_on_broken_solver(monkeypatch):
     good = optimizer._penalized_solve
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity):
+    def sabotage(gram, xty, diag, sparsity, work):
         calls["n"] += 1
         if calls["n"] >= 2:
             return np.full((gram.shape[0], xty.shape[1]), 100.0)
-        return good(gram, xty, diag, sparsity)
+        return good(gram, xty, diag, sparsity, work)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
@@ -251,8 +252,8 @@ def _record_solves(monkeypatch):
     solves = []
     original = optimizer._penalized_solve
 
-    def record(gram, xty, irls_diag, sparsity):
-        result = original(gram, xty, irls_diag, sparsity)
+    def record(gram, xty, irls_diag, sparsity, work):
+        result = original(gram, xty, irls_diag, sparsity, work)
         solves.append(((gram, xty, irls_diag, sparsity), result))
         return result
 
@@ -612,11 +613,44 @@ def test_run_reference_is_bitwise_the_same_on_any_lane_count(monkeypatch):
 
 def test_lane_count_follows_cpus_participants_and_round_work(monkeypatch):
     hw = (240, 76, 216, 47, 64, 6)  # 3.77e7 estimated work per round
-    for cpus, lanes in ((1, 1), (2, 2), (3, 3), (64, 4)):
+    for cpus, lanes in ((1, 1), (2, 2), (3, 2), (64, 2)):  # never more than MAX_LANES
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda cpus=cpus: cpus)
         assert optimizer._lane_count(2000, 10, hw) == lanes
-    assert optimizer._lane_count(2000, 10, (5000, 5000)) == 2  # one lane per participant
+    assert optimizer._lane_count(2000, 10, (5000,)) == 1      # one lane per participant
     assert optimizer._lane_count(300, 5, (64,) * 5) == 1       # too little work to share
+    monkeypatch.setattr(optimizer, "MAX_LANES", 8)
+    assert optimizer._lane_count(2000, 10, hw) == 4            # work allows 4 of 64 CPUs
+
+
+@pytest.mark.parametrize("v2, v1, cpus", [
+    ("max 100000\n", None, None),
+    ("100000 100000\n", None, 1),
+    ("150000 100000\n", None, 2),      # a part of a CPU counts as one
+    ("50000 100000\n", None, 1),
+    (None, ("-1\n", "100000\n"), None),
+    (None, ("300000\n", "100000\n"), 3),
+    (None, None, None),                 # no cgroup files: no quota
+    ("garbage\n", None, None),
+    (None, ("100000\n", "0\n"), None),
+])
+def test_cpu_quota_reads_cgroup_v2_then_v1(tmp_path, monkeypatch, v2, v1, cpus):
+    names = [tmp_path / "cpu.max", tmp_path / "quota", tmp_path / "period"]
+    for name, text in zip(names, [v2, *(v1 or (None, None))]):
+        if text is not None:
+            name.write_text(text)
+    monkeypatch.setattr(optimizer, "_CPU_MAX", str(names[0]))
+    monkeypatch.setattr(optimizer, "_CFS_QUOTA", (str(names[1]), str(names[2])))
+    assert optimizer._cpu_quota() == cpus
+
+
+def test_usable_cpus_are_capped_by_the_cpu_quota(monkeypatch):
+    affinity = os.sched_getaffinity(0)
+    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: None)
+    assert optimizer._usable_cpus() == len(affinity)
+    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: 1)
+    assert optimizer._usable_cpus() == 1
+    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: len(affinity) + 5)
+    assert optimizer._usable_cpus() == len(affinity)
 
 
 def test_lanes_balance_feature_counts_widest_first():
