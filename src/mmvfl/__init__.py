@@ -41,7 +41,6 @@ from .numerics import (
     frobenius_norm_sq,
     l21_norm,
     random_orthonormal,
-    solve_spd,
 )
 from .optimizer import (
     DimensionMismatchError,
@@ -52,7 +51,6 @@ from .optimizer import (
     TrainingResult,
     one_hot,
     run_reference,
-    total_objective,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "frobenius_norm_sq",
     "l21_norm",
     "random_orthonormal",
-    "solve_spd",
     "DimensionMismatchError",
     "Hyperparams",
     "NonDecreasingObjectiveError",
@@ -98,6 +95,5 @@ __all__ = [
     "TrainingResult",
     "one_hot",
     "run_reference",
-    "total_objective",
     "__version__",
 ]

@@ -261,8 +261,8 @@ def write_message_trace(path, trace):
 
 
 def read_message_trace(path) -> list[TracedMessage]:
-    """Trace entries back from a log; payloads were never written, so
-    every ``payload`` is None."""
+    """Trace entries back from a log (kinds, rounds, sizes and payload
+    shapes; payloads are never logged)."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

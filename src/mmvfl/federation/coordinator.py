@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..optimizer import Hyperparams, ProblemShape, close_round, init_consensus
+from ..optimizer import Hyperparams, ProblemShape, init_consensus, run_rounds
 from .channels import ChannelClosedError, ChannelTimeoutError, MessageChannel
 from .messages import (
     KIND_ABORT,
@@ -65,7 +65,6 @@ class TracedMessage:
     participant_id: int
     nbytes: int
     payload_shape: tuple[int, int] | None = None
-    payload: np.ndarray | None = None
     objective_part: float | None = None
 
 
@@ -83,25 +82,29 @@ def _trace_entry(direction: str, message: RoundMessage, nbytes: int) -> TracedMe
     return TracedMessage(
         direction=direction, kind=message.kind, round=message.round,
         participant_id=message.participant_id, nbytes=nbytes,
-        payload_shape=shape, payload=message.payload,
-        objective_part=message.objective_part)
+        payload_shape=shape, objective_part=message.objective_part)
 
 
 def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     """Drive one full training session over already-connected channels.
 
     ``channels`` are raw byte channels, one per participant connection;
-    participant identities come from their Register messages.  Raises
-    ``RoundTimeoutError`` when a participant misses ``round_timeout`` and
-    ``FederationAbortError`` on duplicate registration, malformed
-    messages, or transport failure.
+    participant identities come from their Register messages.  The rounds
+    run through ``optimizer.run_rounds``: each round broadcasts the
+    previous round's consensus (round 0: the seeded one) and collects
+    every upload, and the last consensus goes out as ``Converged``.
+    Raises ``RoundTimeoutError`` when a participant misses
+    ``round_timeout`` and ``FederationAbortError`` on duplicate
+    registration, malformed messages, or transport failure.
     """
     channels = [ch if isinstance(ch, MessageChannel) else MessageChannel(ch)
                 for ch in channels]
     expected = config.shape.num_participants
     if len(channels) != expected:
         raise ValueError(f"need {expected} channels, got {len(channels)}")
+    matrix_shape = (config.shape.num_samples, config.shape.num_classes)
     trace: list[TracedMessage] = []
+    by_id: dict[int, MessageChannel] = {}
 
     def abort_all(reason: str):
         notice = RoundMessage(kind=KIND_ABORT, round=0, participant_id=0)
@@ -113,19 +116,46 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
             trace.append(_trace_entry("sent", notice, nbytes))
         raise FederationAbortError(reason)
 
+    def receive(ch: MessageChannel, who, failure: str) -> RoundMessage:
+        try:
+            message, nbytes = ch.recv(timeout=config.round_timeout)
+        except ChannelTimeoutError as exc:
+            raise RoundTimeoutError(who, str(exc)) from exc
+        except (ChannelClosedError, ProtocolError) as exc:
+            abort_all(f"{failure}: {exc}")
+        trace.append(_trace_entry("recv", message, nbytes))
+        return message
+
+    def broadcast(kind: str, round_index: int, consensus):
+        for pid in sorted(by_id):
+            message = RoundMessage(kind=kind, round=round_index,
+                                   participant_id=pid, payload=consensus)
+            trace.append(_trace_entry("sent", message, by_id[pid].send(message)))
+
+    def upload(pid: int, round_index: int) -> RoundMessage:
+        message = receive(by_id[pid], pid, f"transport failure on participant {pid}")
+        if message.kind != KIND_ZK_UPLOAD:
+            abort_all(f"expected ZkUpload, got {message.kind}")
+        if message.round != round_index or message.participant_id != pid:
+            abort_all(f"out-of-order upload from participant {pid}")
+        if message.payload is None or message.payload.shape != matrix_shape:
+            abort_all(f"bad upload payload shape from participant {pid}")
+        if message.objective_part is None:
+            abort_all(f"upload without objective part from participant {pid}")
+        return message
+
+    def refit(round_index: int, consensus):
+        broadcast(KIND_Z_BROADCAST, round_index - 1, consensus)
+        uploads = [upload(pid, round_index) for pid in sorted(by_id)]
+        return [m.payload for m in uploads], [m.objective_part for m in uploads]
+
     try:
         # Registration: one Register per channel, distinct ids, exactly
         # one label owner.
-        by_id: dict[int, MessageChannel] = {}
         owners = []
         for index, ch in enumerate(channels):
-            try:
-                message, nbytes = ch.recv(timeout=config.round_timeout)
-            except ChannelTimeoutError as exc:
-                raise RoundTimeoutError(f"<unregistered channel {index}>", str(exc)) from exc
-            except (ChannelClosedError, ProtocolError) as exc:
-                abort_all(f"registration failed on channel {index}: {exc}")
-            trace.append(_trace_entry("recv", message, nbytes))
+            message = receive(ch, f"<unregistered channel {index}>",
+                              f"registration failed on channel {index}")
             if message.kind != KIND_REGISTER:
                 abort_all(f"expected Register, got {message.kind}")
             pid = message.participant_id
@@ -138,56 +168,10 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
             by_id[pid] = ch
         if len(owners) != 1:
             abort_all(f"need exactly one label owner, got {sorted(owners)}")
-        ids = sorted(by_id)
 
-        # Round 0: broadcast the seeded initial consensus.
-        consensus = init_consensus(config.shape.num_samples,
-                                   config.shape.num_classes, config.seed)
-        for pid in ids:
-            message = RoundMessage(kind=KIND_Z_BROADCAST, round=0,
-                                   participant_id=pid, payload=consensus)
-            nbytes = by_id[pid].send(message)
-            trace.append(_trace_entry("sent", message, nbytes))
-
-        penalties = list(config.hyper.consensus_penalty)
-        matrix_shape = (config.shape.num_samples, config.shape.num_classes)
-        objectives: list[float] = []
-        previous = None
-        for round_index in range(1, config.hyper.outer_max + 1):
-            uploads: dict[int, RoundMessage] = {}
-            for pid in ids:
-                try:
-                    message, nbytes = by_id[pid].recv(timeout=config.round_timeout)
-                except ChannelTimeoutError as exc:
-                    raise RoundTimeoutError(pid, str(exc)) from exc
-                except (ChannelClosedError, ProtocolError) as exc:
-                    abort_all(f"transport failure on participant {pid}: {exc}")
-                trace.append(_trace_entry("recv", message, nbytes))
-                if message.kind != KIND_ZK_UPLOAD:
-                    abort_all(f"expected ZkUpload, got {message.kind}")
-                if message.round != round_index or message.participant_id != pid:
-                    abort_all(f"out-of-order upload from participant {pid}")
-                if message.payload is None or message.payload.shape != matrix_shape:
-                    abort_all(f"bad upload payload shape from participant {pid}")
-                if message.objective_part is None:
-                    abort_all(f"upload without objective part from participant {pid}")
-                uploads[pid] = message
-
-            consensus, value, done = close_round(
-                [uploads[pid].payload for pid in ids],
-                [uploads[pid].objective_part for pid in ids], penalties, previous,
-                config.hyper.outer_tol)
-            objectives.append(value)
-            done = done or round_index == config.hyper.outer_max
-            kind = KIND_CONVERGED if done else KIND_Z_BROADCAST
-            for pid in ids:
-                message = RoundMessage(kind=kind, round=round_index,
-                                       participant_id=pid, payload=consensus)
-                nbytes = by_id[pid].send(message)
-                trace.append(_trace_entry("sent", message, nbytes))
-            if done:
-                break
-            previous = value
+        consensus, objectives = run_rounds(
+            refit, init_consensus(*matrix_shape, config.seed), config.hyper)
+        broadcast(KIND_CONVERGED, len(objectives), consensus)
     finally:
         for ch in channels:
             ch.close()

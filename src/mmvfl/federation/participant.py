@@ -1,7 +1,7 @@
 """Participant side of the round-based training protocol.
 
-A participant keeps its feature block, transform, reweighting diagonal,
-and (for the label owner) label matrix strictly local.  Per round it
+A participant keeps its feature block, transform, and (for the label
+owner) label matrix strictly local.  Per round it
 refits locally, uploads only its pseudo-label matrix plus a scalar
 objective contribution, and waits for the next consensus broadcast.
 """
@@ -49,31 +49,25 @@ def participant_run(participant_id: int, features, labels,
             kind=KIND_REGISTER, round=0, participant_id=participant_id,
             objective_part=1.0 if state.is_label_owner else 0.0))
 
-        message, _ = channel.recv(timeout=config.round_timeout)
-        if message.kind == KIND_ABORT:
-            raise FederationAbortError("session aborted during registration")
-        if message.kind != KIND_Z_BROADCAST or message.round != 0:
-            raise FederationAbortError(f"expected the initial broadcast, got {message.kind}")
-        if message.payload is None or message.payload.shape != matrix_shape:
-            raise DimensionMismatchError("initial consensus has the wrong shape")
-        consensus = message.payload
-
+        # Answer the consensus of round r (0: the seeded one) with the
+        # upload of round r + 1, until the coordinator says Converged.
         round_index = 0
         while True:
-            round_index += 1
-            part = participant_round(state, consensus, config.hyper)
-            channel.send(RoundMessage(
-                kind=KIND_ZK_UPLOAD, round=round_index, participant_id=participant_id,
-                payload=state.pseudo_labels, objective_part=part))
             message, _ = channel.recv(timeout=config.round_timeout)
             if message.kind == KIND_ABORT:
                 raise FederationAbortError("session aborted by the coordinator")
-            if message.kind not in (KIND_Z_BROADCAST, KIND_CONVERGED):
-                raise FederationAbortError(f"unexpected message {message.kind}")
+            if (message.kind not in (KIND_Z_BROADCAST, KIND_CONVERGED)
+                    or message.round != round_index):
+                raise FederationAbortError(
+                    f"unexpected message {message.kind} for round {message.round}")
             if message.payload is None or message.payload.shape != matrix_shape:
                 raise DimensionMismatchError("broadcast consensus has the wrong shape")
-            consensus = message.payload
             if message.kind == KIND_CONVERGED:
                 return state
+            round_index += 1
+            part = participant_round(state, message.payload, config.hyper)
+            channel.send(RoundMessage(
+                kind=KIND_ZK_UPLOAD, round=round_index, participant_id=participant_id,
+                payload=state.pseudo_labels, objective_part=part))
     finally:
         channel.close()

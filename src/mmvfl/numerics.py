@@ -88,29 +88,11 @@ def l21_norm(m) -> float:
     return float(np.sum(row_norms(m)))
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a.
-
-    Cholesky factorization followed by iterative refinement, so the
-    relative residual ||a x - b||_F / ||b||_F stays within
-    SPD_RESIDUAL_TOL even for poorly scaled systems.  ``a`` is checked
-    and left unchanged.
-    """
-    a = ensure_matrix(a, "a")
-    b = ensure_matrix(b, "b")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"a must be square, got shape {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("a is not symmetric")
-    return _cholesky_solve_in_place(np.array(a, order="F"), b, a)
-
-
 def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
-    """``solve_spd`` without checks, for (matrix + diag(shift)) x = b.
+    """Solve (matrix + diag(shift)) x = b, a symmetric positive definite
+    system, by Cholesky factorization and iterative refinement, so the
+    relative residual ||A x - b||_F / ||b||_F stays within
+    SPD_RESIDUAL_TOL even for poorly scaled systems.  Nothing is checked.
 
     ``work`` holds that system in Fortran order and is overwritten by its
     Cholesky factor; refinement residuals come from ``matrix`` and

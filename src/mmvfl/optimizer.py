@@ -33,9 +33,7 @@ from .numerics import (
     derive_seed,
     ensure_matrix,
     frobenius_norm_sq,
-    l21_norm,
     random_orthonormal,
-    row_norms,
     single_blas_thread,
 )
 
@@ -148,15 +146,14 @@ class Hyperparams:
 class ParticipantState:
     """Everything participant k keeps locally between rounds.
 
-    ``features``, ``transform``, ``irls_diag``, and ``labels`` never
-    leave the participant; only ``pseudo_labels`` and scalar objective
+    ``features``, ``transform``, and ``labels`` never leave the
+    participant; only ``pseudo_labels`` and scalar objective
     contributions are shared.
     """
 
     participant_id: int
     features: np.ndarray
     transform: np.ndarray
-    irls_diag: np.ndarray
     pseudo_labels: np.ndarray
     sparsity: float
     consensus_penalty: float
@@ -167,25 +164,6 @@ class ParticipantState:
     # Fortran-order d x d buffer for the factor of the gram plus its
     # diagonal; participants that never run at the same time may share one
     work: np.ndarray | None = field(default=None, repr=False)
-
-    def validate(self):
-        n, d = self.features.shape
-        if self.transform.shape[0] != d:
-            raise DimensionMismatchError("transform rows must match feature columns")
-        num_classes = self.transform.shape[1]
-        if self.pseudo_labels.shape != (n, num_classes):
-            raise DimensionMismatchError("pseudo-labels must be samples x classes")
-        if self.irls_diag.shape != (d,):
-            raise DimensionMismatchError("reweighting diagonal must have one entry per feature")
-        if not np.all(self.irls_diag > 0):
-            raise ValueError("reweighting diagonal must be strictly positive")
-        if self.is_label_owner:
-            if self.labels is None or self.label_penalty is None:
-                raise ValueError("label owner needs labels and a label penalty")
-            if self.labels.shape != (n, num_classes):
-                raise DimensionMismatchError("labels must be samples x classes")
-        elif self.labels is not None:
-            raise ValueError("only the label owner may hold labels")
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -216,14 +194,6 @@ def check_one_hot(matrix) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Block updates
-
-
-def irls_diagonal(transform, eps: float) -> np.ndarray:
-    """Reweighting diagonal 1 / (2 (||row||_2 + eps)) for the row-sparsity
-    penalty; eps keeps entries finite when a row collapses to zero."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return 1.0 / (2.0 * (row_norms(transform) + eps))
 
 
 def gram_matrix(features) -> np.ndarray:
@@ -357,24 +327,14 @@ def pseudo_label_update(projected, consensus, consensus_penalty: float) -> np.nd
 
 def aggregate_consensus(pseudo_labels, penalties) -> np.ndarray:
     """Consensus minimizer: penalty-weighted average of the local
-    pseudo-label matrices, accumulated in participant order."""
-    pseudo_labels = list(pseudo_labels)
-    penalties = [float(w) for w in penalties]
-    if not pseudo_labels:
-        raise ValueError("need at least one pseudo-label matrix")
-    if len(penalties) != len(pseudo_labels):
-        raise DimensionMismatchError("one penalty per pseudo-label matrix required")
-    if any(not w > 0 for w in penalties):
-        raise ValueError("consensus penalties must be positive")
-    shape = pseudo_labels[0].shape
-    numerator = np.zeros(shape, dtype=np.float64)
+    pseudo-label matrices, accumulated in participant order.  The
+    matrices are trusted to be finite and of one shape (see
+    ``run_rounds``)."""
+    numerator = np.zeros(pseudo_labels[0].shape)
     total = 0.0
     for z, weight in zip(pseudo_labels, penalties):
-        z = ensure_matrix(z, "pseudo-labels")
-        if z.shape != shape:
-            raise DimensionMismatchError("pseudo-label matrices must share a shape")
-        numerator += weight * z
-        total += weight
+        numerator += float(weight) * z
+        total += float(weight)
     return numerator / total
 
 
@@ -382,16 +342,20 @@ def aggregate_consensus(pseudo_labels, penalties) -> np.ndarray:
 # Objective bookkeeping
 
 
-def local_objective_part(state: ParticipantState, projected=None) -> float:
+def _sum_sq(m) -> float:
+    """Sum of squared entries of an array the caller built itself."""
+    return float(np.sum(m * m))
+
+
+def local_objective_part(state: ParticipantState, projected) -> float:
     """The objective terms participant k can evaluate alone: fit error,
-    sparsity penalty, and (owner only) the label attachment term.
-    ``projected`` is ``X_k W_k`` when the caller already holds it."""
-    if projected is None:
-        projected = state.features @ state.transform
-    value = frobenius_norm_sq(projected - state.pseudo_labels)
-    value += state.sparsity * l21_norm(state.transform)
+    sparsity penalty, and (owner only) the label attachment term, given
+    ``projected`` = ``X_k W_k``."""
+    w = state.transform
+    value = _sum_sq(projected - state.pseudo_labels)
+    value += state.sparsity * float(np.sum(np.sqrt(np.sum(w * w, axis=1))))
     if state.is_label_owner:
-        value += state.label_penalty * frobenius_norm_sq(state.pseudo_labels - state.labels)
+        value += state.label_penalty * _sum_sq(state.pseudo_labels - state.labels)
     return value
 
 
@@ -403,15 +367,8 @@ def round_objective(local_parts, pseudo_labels, penalties, consensus) -> float:
     """
     total = 0.0
     for part, z, weight in zip(local_parts, pseudo_labels, penalties):
-        total += float(part) + float(weight) * frobenius_norm_sq(z - consensus)
+        total += float(part) + float(weight) * _sum_sq(z - consensus)
     return total
-
-
-def total_objective(states, consensus) -> float:
-    """Full training objective for a list of participant states."""
-    parts = [local_objective_part(st) for st in states]
-    return round_objective(parts, [st.pseudo_labels for st in states],
-                           [st.consensus_penalty for st in states], consensus)
 
 
 def has_converged(previous: float, current: float, tol: float) -> bool:
@@ -443,24 +400,25 @@ def init_consensus(num_samples: int, num_classes: int, seed) -> np.ndarray:
 
 def init_participant_state(participant_id: int, features, hyper: Hyperparams,
                            num_classes: int, seed, labels=None) -> ParticipantState:
-    """Build a participant's starting state from the shared seed."""
+    """Build a participant's starting state from the shared seed.
+    ``labels`` (label owner only) must be samples x ``num_classes``."""
     features = ensure_matrix(features, f"features[{participant_id}]")
     n, d = features.shape
-    transform = init_transform(d, num_classes, seed, participant_id)
-    state = ParticipantState(
+    if labels is not None:
+        labels = check_one_hot(labels)
+        if labels.shape != (n, num_classes):
+            raise DimensionMismatchError("labels must be samples x classes")
+    return ParticipantState(
         participant_id=participant_id,
         features=features,
-        transform=transform,
-        irls_diag=irls_diagonal(transform, hyper.eps),
+        transform=init_transform(d, num_classes, seed, participant_id),
         pseudo_labels=init_pseudo_labels(n, num_classes, seed, participant_id),
         sparsity=hyper.sparsity[participant_id],
         consensus_penalty=hyper.consensus_penalty[participant_id],
         is_label_owner=labels is not None,
-        labels=check_one_hot(labels) if labels is not None else None,
+        labels=labels,
         label_penalty=hyper.label_penalty if labels is not None else None,
     )
-    state.validate()
-    return state
 
 
 def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantState]:
@@ -500,12 +458,11 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     if state.work is None:
         state.work = np.empty(state.gram.shape, order="F")
     targets = state.pseudo_labels
-    [transform], [diag], _ = _irls(
-        [state.gram], [state.features.T @ targets], [float(np.sum(targets * targets))],
+    [transform], _, _ = _irls(
+        [state.gram], [state.features.T @ targets], [_sum_sq(targets)],
         [state.sparsity], hyper.eps, hyper.inner_tol, hyper.inner_max, [state.transform],
         [state.work])
     state.transform = transform
-    state.irls_diag = diag
     projected = state.features @ transform
     if state.is_label_owner:
         state.pseudo_labels = owner_pseudo_label_update(
@@ -517,14 +474,30 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     return local_objective_part(state, projected)
 
 
-def close_round(pseudo_labels, parts, penalties, previous, outer_tol: float):
-    """The coordinator's end of a round: re-aggregate the consensus, total
-    the objective, and test it against the previous round's value (None
-    in the first round).  Returns ``(consensus, objective, converged)``."""
-    consensus = aggregate_consensus(pseudo_labels, penalties)
-    value = round_objective(parts, pseudo_labels, penalties, consensus)
-    converged = previous is not None and has_converged(previous, value, outer_tol)
-    return consensus, value, converged
+def run_rounds(refit, consensus, hyper: Hyperparams):
+    """The one loop over training rounds, shared by ``run_reference`` and
+    the coordinator.
+
+    In round r (from 1), ``refit(r, consensus)`` has every participant
+    refit against the consensus of round r - 1 (the seeded one in round
+    1) and returns ``(pseudo_labels, parts)`` in participant order: the
+    uploaded matrices and objective contributions.  The consensus is then
+    re-aggregated with the ``consensus_penalty`` weights and the
+    objective totalled, until its relative change
+    drops below ``outer_tol`` or ``outer_max`` rounds have run.  The
+    matrices are not checked again here: the caller built them or
+    checked them when they arrived.  Returns ``(consensus, objectives)``.
+    """
+    penalties = hyper.consensus_penalty
+    objectives: list[float] = []
+    for round_index in range(1, hyper.outer_max + 1):
+        pseudo_labels, parts = refit(round_index, consensus)
+        consensus = aggregate_consensus(pseudo_labels, penalties)
+        objectives.append(round_objective(parts, pseudo_labels, penalties, consensus))
+        if len(objectives) > 1 and has_converged(objectives[-2], objectives[-1],
+                                                 hyper.outer_tol):
+            break
+    return consensus, objectives
 
 
 def _cpu_quota() -> int | None:
@@ -592,10 +565,10 @@ class TrainingResult:
 def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     """Single-process execution of the full training schedule.
 
-    Per round every participant refits its transform and pseudo-labels,
-    then the consensus is re-aggregated and the objective recorded.
-    Stops when the relative objective change drops below ``outer_tol``
-    or after ``outer_max`` rounds.  BLAS runs on one thread throughout.
+    The rounds run through ``run_rounds``, the loop the coordinator runs
+    too: per round every participant refits its transform and
+    pseudo-labels, then the consensus is re-aggregated and the objective
+    recorded.  BLAS runs on one thread throughout.
 
     A participant's round reads only its own state and the consensus, so
     the participants of a round run side by side on up to min(P, usable
@@ -608,10 +581,7 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     """
     seed = check_seed(seed)
     states = make_states(views, labels, hyper, seed)
-    n = states[0].features.shape[0]
-    num_classes = states[0].pseudo_labels.shape[1]
-    consensus = init_consensus(n, num_classes, seed)
-    penalties = [st.consensus_penalty for st in states]
+    n, num_classes = states[0].pseudo_labels.shape
     dims = [st.features.shape[1] for st in states]
     lanes = _assign_lanes(dims, _lane_count(n, num_classes, dims))
     for lane in lanes:
@@ -625,26 +595,19 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     def run_lane(lane, consensus):
         return [(k, participant_round(states[k], consensus, hyper)) for k in lane]
 
-    objectives: list[float] = []
-    previous = None
+    def refit(_, consensus):
+        futures = [worker.submit(run_lane, lane, consensus)
+                   for worker, lane in zip(workers, lanes[1:])]
+        try:
+            done = run_lane(lanes[0], consensus)
+        finally:
+            wait(futures)
+        for future in futures:
+            done += future.result()
+        return [st.pseudo_labels for st in states], [part for _, part in sorted(done)]
+
     try:
-        for _ in range(hyper.outer_max):
-            futures = [worker.submit(run_lane, lane, consensus)
-                       for worker, lane in zip(workers, lanes[1:])]
-            try:
-                done = run_lane(lanes[0], consensus)
-            finally:
-                wait(futures)
-            for future in futures:
-                done += future.result()
-            parts = [part for _, part in sorted(done)]
-            consensus, value, converged = close_round(
-                [st.pseudo_labels for st in states], parts, penalties, previous,
-                hyper.outer_tol)
-            objectives.append(value)
-            if converged:
-                break
-            previous = value
+        consensus, objectives = run_rounds(refit, init_consensus(n, num_classes, seed), hyper)
     finally:
         for worker in workers:
             worker.shutdown()

@@ -4,9 +4,10 @@ Everything here is deliberately naive and shares no code with the
 package under test: explicit Python loops, plain np.linalg.solve or
 grid/first-order search instead of the package's factorizations and
 closed forms.  Frozen constants in the tests were produced by these
-functions.  The one exception, ``solve_transform``, is marked below: it
-is the package's own penalized solve behind a plain signature, which
-the tests hold against these oracles.
+functions.  The exceptions, ``solve_transform``, ``solve_spd`` and
+``total_objective``, are marked below: they are the package's own
+kernels behind a plain signature, which the tests hold against these
+oracles.
 """
 
 from __future__ import annotations
@@ -64,6 +65,31 @@ def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray
     gram = gram_matrix(features)
     work = np.empty(gram.shape, order="F")
     return _penalized_solve(gram, features.T @ targets, irls_diag, sparsity, work)
+
+
+def solve_spd(a, b) -> np.ndarray:
+    """a @ x = b for symmetric positive definite a, by the package's
+    Cholesky step with refinement on a copy of a (not an oracle: it runs
+    the kernel's solve)."""
+    from mmvfl.numerics import _cholesky_solve_in_place
+
+    a = np.asarray(a, dtype=np.float64)
+    return _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64), a)
+
+
+def total_objective(states, consensus) -> float:
+    """Full training objective of participant states: each state's
+    ``local_objective_part`` plus its consensus penalty, summed in
+    participant order as the coordinator sums a round (not an oracle: the
+    local parts are the package's)."""
+    from mmvfl.optimizer import local_objective_part
+
+    total = 0.0
+    for st in states:
+        gap = st.pseudo_labels - consensus
+        total += (local_objective_part(st, st.features @ st.transform)
+                  + float(st.consensus_penalty) * float(np.sum(gap * gap)))
+    return total
 
 
 def fit_objective(features, targets, transform, sparsity: float) -> float:

@@ -29,13 +29,11 @@ from mmvfl.optimizer import (
     Hyperparams,
     aggregate_consensus,
     fit_sparse_transform,
-    irls_diagonal,
     make_states,
     one_hot,
     owner_pseudo_label_update,
     pseudo_label_update,
     run_reference,
-    total_objective,
 )
 
 from oracles import (
@@ -43,7 +41,9 @@ from oracles import (
     finite_difference_gradient,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
+    loop_reweight_diag,
     solve_transform,
+    total_objective,
 )
 
 
@@ -113,7 +113,7 @@ def test_closed_form_updates_match_oracles():
         n, d, c = int(rng.integers(6, 13)), int(rng.integers(2, 7)), int(rng.integers(2, 4))
         features = rng.standard_normal((n, d))
         targets = rng.standard_normal((n, c))
-        diag = irls_diagonal(rng.standard_normal((d, c)), 1e-6)
+        diag = loop_reweight_diag(rng.standard_normal((d, c)), 1e-6)
         weight = float(10.0 ** rng.uniform(-1.0, 0.5))
         ours = solve_transform(features, targets, diag, weight)
         oracle = gd_quadratic_minimizer(features, targets, diag, weight)
@@ -235,7 +235,7 @@ def test_stationarity_and_block_gradients():
            f"gradient gap {worst_gradient:.3e} <= 1e-5")
 
 
-def test_federated_equals_reference():
+def test_federated_equals_reference(wire):
     """Both transports reproduce the single-process run bit for bit."""
     mismatches = []
     for k, transport in [(2, "in_process"), (3, "in_process"), (6, "in_process"),
@@ -244,9 +244,10 @@ def test_federated_equals_reference():
         views, labels = random_problem(rng, k, max_samples=20, max_dim=6)
         hyper = random_hyper(rng, k, outer_max=12)
         reference = run_reference(views, labels, hyper, seed=k)
+        wire.clear()
         federated = run_federated(views, labels, hyper, seed=k,
                                   transport=transport)
-        _FEDERATED_SESSIONS.append((views, labels, federated))
+        _FEDERATED_SESSIONS.append((views, labels, federated, dict(wire)))
         same = federated.objectives == reference.objectives
         same &= federated.consensus.tobytes() == reference.consensus.tobytes()
         for state, transform in zip(federated.states, reference.transforms):
@@ -258,21 +259,21 @@ def test_federated_equals_reference():
            + (f"; mismatches: {mismatches}" if mismatches else ""))
 
 
-def test_privacy_trace():
+def test_privacy_trace(wire):
     """Nothing but samples x classes matrices ever crosses the wire, and
     no payload equals a feature block, transform, or the label matrix."""
     if not _FEDERATED_SESSIONS:
         rng = np.random.default_rng(9000)
         views, labels = random_problem(rng, 3, max_samples=20, max_dim=6)
         hyper = random_hyper(rng, 3, outer_max=10)
-        _FEDERATED_SESSIONS.append(
-            (views, labels, run_federated(views, labels, hyper, seed=0)))
+        result = run_federated(views, labels, hyper, seed=0)
+        _FEDERATED_SESSIONS.append((views, labels, result, dict(wire)))
 
     violations = []
     leaks = 0
     messages = 0
     total_bytes = 0
-    for views, labels, result in _FEDERATED_SESSIONS:
+    for views, labels, result, sent in _FEDERATED_SESSIONS:
         n, num_classes = labels.shape
         reportage = audit_trace(result.trace, n, num_classes)
         violations.extend(reportage.violations)
@@ -281,11 +282,12 @@ def test_privacy_trace():
         protected = [labels] + list(views) + [st.transform for st in result.states]
         protected_bytes = {p.tobytes() for p in protected}
         for entry in result.trace:
-            if entry.payload is None:
+            payload = sent[entry.kind, entry.round, entry.participant_id].payload
+            if payload is None:
                 continue
             if entry.payload_shape != (n, num_classes):
                 leaks += 1
-            if entry.payload.tobytes() in protected_bytes:
+            if payload.tobytes() in protected_bytes:
                 leaks += 1
     ok = not violations and leaks == 0
     report("privacy-trace", ok,

@@ -308,6 +308,26 @@ def test_golden_two_round_message_sequence():
     assert len(result.objectives) == 2
 
 
+@pytest.mark.parametrize("outer_max, outer_tol, converges", [
+    (100, 1e-5, True),
+    (3, 1e-300, False),
+])
+def test_coordinator_trace_sequence(outer_max, outer_tol, converges):
+    views, labels = tiny_problem(2, dims=(3, 4, 5))
+    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=outer_max, outer_tol=outer_tol)
+    result = run_federated(views, labels, hyper, seed=2)
+    rounds = len(result.objectives)
+    assert rounds > 1 and (rounds < outer_max) == converges
+    ids = range(3)
+    expected = [("recv", "Register", 0, pid) for pid in ids]
+    for r in range(1, rounds + 1):
+        expected += [("sent", "ZBroadcast", r - 1, pid) for pid in ids]
+        expected += [("recv", "ZkUpload", r, pid) for pid in ids]
+    expected += [("sent", "Converged", rounds, pid) for pid in ids]
+    log = [(e.direction, e.kind, e.round, e.participant_id) for e in result.trace]
+    assert log == expected
+
+
 @pytest.mark.parametrize("transport,dims", [
     ("in_process", (3, 4)),
     ("in_process", (3, 4, 5)),
@@ -478,12 +498,12 @@ def test_audit_passes_on_a_clean_session():
     assert report.total_bytes == sum(report.round_bytes.values())
 
 
-def test_traced_sizes_match_the_actual_encoding():
+def test_traced_sizes_match_the_actual_encoding(wire):
     _, _, result = run_small_session(dims=(3, 4))
     for entry in result.trace:
         rebuilt = RoundMessage(kind=entry.kind, round=entry.round,
                                participant_id=entry.participant_id,
-                               payload=entry.payload,
+                               payload=wire[entry.kind, entry.round, entry.participant_id].payload,
                                objective_part=entry.objective_part)
         assert entry.nbytes == frame_size(encode_body(rebuilt))
 
@@ -513,7 +533,7 @@ def test_audit_flags_other_schema_violations():
     assert len(report.violations) == 4
 
 
-def test_no_local_matrix_ever_crosses_the_wire():
+def test_no_local_matrix_ever_crosses_the_wire(wire):
     views, labels, result = run_small_session()
     n, num_classes = labels.shape
     protected_shapes = {v.shape for v in views}
@@ -523,29 +543,32 @@ def test_no_local_matrix_ever_crosses_the_wire():
             continue
         assert entry.payload_shape == (n, num_classes)
         assert entry.payload_shape not in protected_shapes or (n, num_classes) in protected_shapes
-        assert not np.array_equal(entry.payload, labels)
+        payload = wire[entry.kind, entry.round, entry.participant_id].payload
+        assert not np.array_equal(payload, labels)
 
 
-def test_label_heavy_uploads_stay_close_but_unequal_to_labels():
+def test_label_heavy_uploads_stay_close_but_unequal_to_labels(wire):
     views, labels = tiny_problem(7)
     hyper = Hyperparams.uniform(2, sparsity=0.1, consensus_penalty=1.0,
                                 label_penalty=1e9, outer_max=3)
     result = run_federated(views, labels, hyper, seed=7)
     first_owner_upload = next(
-        entry.payload for entry in result.trace
+        wire[entry.kind, entry.round, entry.participant_id].payload
+        for entry in result.trace
         if entry.kind == "ZkUpload" and entry.participant_id == 0)
     gap = np.linalg.norm(first_owner_upload - labels) / np.linalg.norm(labels)
     assert gap < 1e-6
     assert not np.array_equal(first_owner_upload, labels)
 
 
-def test_consensus_light_uploads_reduce_to_local_projections():
+def test_consensus_light_uploads_reduce_to_local_projections(wire):
     views, labels = tiny_problem(8)
     hyper = Hyperparams.uniform(2, sparsity=0.1, consensus_penalty=1e-12,
                                 outer_max=3)
     result = run_federated(views, labels, hyper, seed=8)
     first_upload = next(
-        entry.payload for entry in result.trace
+        wire[entry.kind, entry.round, entry.participant_id].payload
+        for entry in result.trace
         if entry.kind == "ZkUpload" and entry.participant_id == 1)
     # shadow the non-owner's first round locally
     state = init_participant_state(1, views[1], hyper, 3, 8)

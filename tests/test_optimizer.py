@@ -20,7 +20,6 @@ from mmvfl.optimizer import (
     check_one_hot,
     fit_sparse_transform,
     has_converged,
-    irls_diagonal,
     local_objective_part,
     make_states,
     one_hot,
@@ -28,7 +27,6 @@ from mmvfl.optimizer import (
     pseudo_label_update,
     round_objective,
     run_reference,
-    total_objective,
 )
 
 from oracles import (
@@ -39,6 +37,7 @@ from oracles import (
     loop_total_objective,
     plain_solve_minimizer,
     solve_transform,
+    total_objective,
 )
 
 
@@ -83,6 +82,17 @@ def test_check_one_hot_rejects_bad_rows():
 
 # ---------------------------------------------------------------------------
 # reweighting diagonal
+
+
+def irls_diagonal(transform, eps):
+    """The diagonal the kernel's first reweighted solve uses when it
+    starts from ``transform``."""
+    rng = np.random.default_rng(0)
+    d, c = transform.shape
+    _, diag, _ = fit_sparse_transform(rng.standard_normal((3 * d, d)),
+                                      rng.standard_normal((3 * d, c)), 0.1,
+                                      eps=eps, inner_max=1, init=transform)
+    return diag
 
 
 def test_irls_diagonal_examples():
@@ -471,7 +481,7 @@ def test_objective_scales_linearly_in_the_penalties():
 
 def test_round_objective_matches_total_objective():
     states, consensus, _, _ = random_states(23)
-    parts = [local_objective_part(st) for st in states]
+    parts = [local_objective_part(st, st.features @ st.transform) for st in states]
     via_round = round_objective(parts, [st.pseudo_labels for st in states],
                                 [st.consensus_penalty for st in states], consensus)
     assert via_round == total_objective(states, consensus)
