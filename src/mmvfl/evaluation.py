@@ -15,11 +15,19 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .baselines import supfl_solve, supmvlfl_solve
 from .data import FoldPlan, MultiViewDataset
 from .featsel import score_features, select_top
-from .numerics import check_seed, derive_seed, single_blas_thread
+from .numerics import (
+    NotPositiveDefiniteError,
+    _cholesky_factor_in_place,
+    _cholesky_solve,
+    check_seed,
+    derive_seed,
+    single_blas_thread,
+)
 from .optimizer import Hyperparams, one_hot, run_reference
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
@@ -47,32 +55,96 @@ class ExperimentResult:
     accuracy: float
 
 
+# A cell's Gram is solved by Cholesky only while LAPACK's estimate of its
+# reciprocal condition number (1-norm, ``dpocon``) is at least this; below
+# it, or when the factorization fails, the cell falls back to ``lstsq`` on
+# the explicit design, which gives the min-norm fit of a rank-deficient one.
+MIN_RCOND = 1e-10
+
+
+def _cholesky_coef(gram, rhs):
+    """Solve ``gram @ coef = rhs`` by Cholesky, or return None when
+    ``gram`` is not positive definite or its condition estimate is below
+    ``MIN_RCOND``.  ``gram`` is overwritten."""
+    anorm = float(np.abs(gram).sum(axis=0).max())
+    # gram is symmetric, so its transpose is the Fortran-order matrix LAPACK
+    # can factor in place
+    factor = gram.T
+    try:
+        _cholesky_factor_in_place(factor)
+    except NotPositiveDefiniteError:
+        return None
+    rcond, info = lapack.dpocon(factor, anorm, uplo="L")
+    if info != 0 or not rcond >= MIN_RCOND:
+        return None
+    return _cholesky_solve(factor, rhs)
+
+
+class _SplitScorer:
+    """Least-squares classifier accuracy for column subsets of one
+    train/validation split.
+
+    The labels are checked once.  The scorer keeps the Gram of the
+    training design ``[X 1]`` (from XᵀX, the column sums and n) and
+    ``[X 1]ᵀY`` for the one-hot targets Y, so each subset costs a
+    principal submatrix, a Cholesky solve and the validation scores; no
+    design matrix is built unless the solve falls back to ``lstsq``.
+    """
+
+    def __init__(self, train_features, train_labels, val_features, val_labels):
+        train_features = np.asarray(train_features, dtype=np.float64)
+        val_features = np.asarray(val_features, dtype=np.float64)
+        if train_features.ndim != 2 or val_features.ndim != 2:
+            raise ValueError("feature blocks must be 2-D")
+        if train_features.shape[1] != val_features.shape[1]:
+            raise ValueError("train and validation features have different columns")
+        train_labels = np.asarray(train_labels)
+        val_labels = np.asarray(val_labels)
+        num_classes = int(max(train_labels.max(), val_labels.max())) + 1
+        present = np.bincount(train_labels, minlength=num_classes)
+        if np.any(present == 0):
+            raise ValueError("every class needs at least one training sample")
+
+        n, d = train_features.shape
+        self.train = train_features
+        self.val = val_features
+        self.val_labels = val_labels
+        self.targets = one_hot(train_labels, num_classes)
+        self.gram = np.empty((d + 1, d + 1))
+        self.gram[:d, :d] = train_features.T @ train_features
+        self.gram[:d, d] = self.gram[d, :d] = train_features.sum(axis=0)
+        self.gram[d, d] = n
+        self.moments = np.vstack([train_features.T @ self.targets,
+                                  self.targets.sum(axis=0)])
+
+    def accuracy(self, columns) -> float:
+        """Validation accuracy of the fit on the given feature columns.
+
+        Prediction is the argmax over class scores; ties resolve to the
+        lowest class index.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.size == 0:
+            raise DegenerateInputError("no features selected")
+        rows = np.append(columns, len(self.gram) - 1)
+        coef = _cholesky_coef(self.gram[np.ix_(rows, rows)], self.moments[rows])
+        if coef is None:
+            design = np.hstack([self.train[:, columns], np.ones((len(self.train), 1))])
+            coef, *_ = np.linalg.lstsq(design, self.targets, rcond=None)
+        scores = self.val[:, columns] @ coef[:-1] + coef[-1]
+        predictions = np.argmax(scores, axis=1)
+        return float(np.mean(predictions == self.val_labels))
+
+
 def classify_eval(train_features, train_labels, val_features, val_labels) -> float:
-    """Validation accuracy of a least-squares map onto one-hot targets.
+    """Validation accuracy of a least-squares map onto one-hot targets,
+    fit on every training column.
 
     Prediction is the argmax over class scores; ties resolve to the
     lowest class index.  Every class must appear in the training labels.
     """
-    train_features = np.asarray(train_features, dtype=np.float64)
-    val_features = np.asarray(val_features, dtype=np.float64)
-    if train_features.ndim != 2 or val_features.ndim != 2:
-        raise ValueError("feature blocks must be 2-D")
-    if train_features.shape[1] == 0:
-        raise DegenerateInputError("no features selected")
-    train_labels = np.asarray(train_labels)
-    val_labels = np.asarray(val_labels)
-    num_classes = int(max(train_labels.max(), val_labels.max())) + 1
-    present = np.bincount(train_labels, minlength=num_classes)
-    if np.any(present == 0):
-        raise ValueError("every class needs at least one training sample")
-
-    targets = one_hot(train_labels, num_classes)
-    design = np.hstack([train_features, np.ones((train_features.shape[0], 1))])
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    val_design = np.hstack([val_features, np.ones((val_features.shape[0], 1))])
-    scores = val_design @ coef
-    predictions = np.argmax(scores, axis=1)
-    return float(np.mean(predictions == val_labels))
+    scorer = _SplitScorer(train_features, train_labels, val_features, val_labels)
+    return scorer.accuracy(np.arange(scorer.train.shape[1]))
 
 
 def _fit_transforms(method: str, train: MultiViewDataset, beta: float,
@@ -103,9 +175,10 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
 
     Per cell the method is trained on the fold's training split, features
     are ranked per participant, the top p percent are kept, and the
-    selected columns are scored with ``classify_eval`` on the validation
-    split.  Returns one ``ExperimentResult`` per cell.  BLAS runs on one
-    thread throughout.
+    selected columns are scored on the validation split by the same
+    least-squares classifier as ``classify_eval``, from one training Gram
+    per (fold, participant).  Returns one ``ExperimentResult`` per cell.
+    BLAS runs on one thread throughout.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -125,19 +198,21 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
         val_idx = folds.val_indices(fold)
         train = dataset.restrict(train_idx)
         val = dataset.restrict(val_idx)
+        scorers = [_SplitScorer(train.views[k], train.labels, val.views[k], val.labels)
+                   for k in range(dataset.num_participants)]
         for beta_index, beta in enumerate(beta_grid):
             run_seed = derive_seed(seed, fold, beta_index)
             transforms = _fit_transforms(method, train, beta, kwargs, run_seed)
             for k, transform in enumerate(transforms):
                 ranking = score_features(transform)
                 for p in p_grid:
-                    selected = select_top(ranking, p)
-                    accuracy = classify_eval(
-                        train.views[k][:, selected], train.labels,
-                        val.views[k][:, selected], val.labels)
+                    accuracy = scorers[k].accuracy(select_top(ranking, p))
                     results.append(ExperimentResult(
                         method=method, participant=k, p=p, fold=fold,
                         beta=beta, accuracy=accuracy))
+        # the scorers hold this fold's views: free them before the next
+        # fold's split is built
+        del scorers
     return results
 
 

@@ -8,9 +8,9 @@ matrix must never appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .messages import KIND_REGISTER, KIND_ZK_UPLOAD, KINDS, MATRIX_KINDS
+from .messages import KIND_ZK_UPLOAD, KINDS, MATRIX_KINDS
 
 
 @dataclass

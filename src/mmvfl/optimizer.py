@@ -239,21 +239,36 @@ def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None, wor
     guard and the stopping rule watch the sum over blocks.  Inputs are
     trusted (the public callers check them).  ``works`` holds one
     Fortran-order factor buffer per block (allocated here when None).
-    Returns ``(transforms, irls_diags, objectives)``."""
+    Returns ``(transforms, irls_diags, objectives)``.
+
+    The guard compares consecutive iterates by the change of the smoothed
+    objective, sum(dW * (G (W0 + W1) - 2 X^T T)) plus the penalty change,
+    not by the difference of two Gram-form values: their rounding error
+    scales with |W| |G| |W|, which on an ill-conditioned block exceeds the
+    slack where the residual form still descends; the change's scales
+    with |dW| |G| |W|."""
     def evaluate(transforms):
         raw = smoothed = 0.0
-        norms = []
+        norms, products, penalties = [], [], []
         for w, g, xty, t_sq, s in zip(transforms, grams, xtys, targets_sq, sparsity):
-            fit = float(np.sum(w * (g @ w - 2.0 * xty))) + t_sq
+            products.append(g @ w)
+            fit = float(np.sum(w * (products[-1] - 2.0 * xty))) + t_sq
             norms.append(np.sqrt(np.sum(w * w, axis=1)))
+            penalties.append(s * smoothed_row_penalty(norms[-1], eps))
             raw += fit + s * float(norms[-1].sum())
-            smoothed += fit + s * smoothed_row_penalty(norms[-1], eps)
-        return raw, smoothed, norms
+            smoothed += fit + penalties[-1]
+        return raw, smoothed, norms, (transforms, products, penalties)
+
+    def change(before, after):
+        total = 0.0
+        for w0, gw0, pen0, w1, gw1, pen1, xty in zip(*before, *after, xtys):
+            total += float(np.sum((w1 - w0) * (gw1 + gw0 - 2.0 * xty))) + (pen1 - pen0)
+        return total
 
     objectives: list[float] = []
-    guard = norms = None
+    guard = norms = previous = None
     if inits is not None:
-        raw, guard, norms = evaluate(inits)
+        raw, guard, norms, previous = evaluate(inits)
         objectives.append(raw)
     diags = [np.ones(g.shape[0]) for g in grams]
     # one factor buffer per block for the whole fit: a d x d block freed
@@ -267,11 +282,13 @@ def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None, wor
                       for block in zip(grams, xtys, diags, sparsity, works)]
         if not all(np.isfinite(w).all() for w in transforms):
             raise ValueError("a transform contains non-finite entries")
-        value, smoothed, norms = evaluate(transforms)
-        if guard is not None and smoothed > guard + MONOTONICITY_SLACK * max(1.0, abs(guard)):
-            raise NonDecreasingObjectiveError(
-                f"smoothed objective rose from {guard!r} to {smoothed!r}")
-        guard = smoothed
+        value, smoothed, norms, current = evaluate(transforms)
+        if guard is not None:
+            rise = change(previous, current)
+            if rise > MONOTONICITY_SLACK * max(1.0, abs(guard)):
+                raise NonDecreasingObjectiveError(
+                    f"smoothed objective rose by {rise!r} from {guard!r}")
+        guard, previous = smoothed, current
         objectives.append(value)
         if len(objectives) > 1 and has_converged(objectives[-2], value, tol):
             break

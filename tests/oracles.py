@@ -7,7 +7,8 @@ closed forms.  Frozen constants in the tests were produced by these
 functions.  The exceptions, ``solve_transform``, ``solve_spd`` and
 ``total_objective``, are marked below: they are the package's own
 kernels behind a plain signature, which the tests hold against these
-oracles.
+oracles.  ``lstsq_accuracy`` is the package's former classifier, kept
+as it was to hold the Gram-based one against.
 """
 
 from __future__ import annotations
@@ -230,3 +231,35 @@ def pinv_accuracy(train_x, train_y, val_x, val_y, num_classes: int) -> float:
         if best == int(val_y[i]):
             hits += 1
     return hits / val_x.shape[0]
+
+
+def lstsq_accuracy(train_features, train_labels, val_features, val_labels) -> float:
+    """Validation accuracy of a least-squares map onto one-hot targets,
+    fit by ``np.linalg.lstsq`` on the explicit design ``[X 1]``.
+
+    Prediction is the argmax over class scores; ties resolve to the
+    lowest class index.  Every class must appear in the training labels.
+    """
+    from mmvfl.evaluation import DegenerateInputError
+    from mmvfl.optimizer import one_hot
+
+    train_features = np.asarray(train_features, dtype=np.float64)
+    val_features = np.asarray(val_features, dtype=np.float64)
+    if train_features.ndim != 2 or val_features.ndim != 2:
+        raise ValueError("feature blocks must be 2-D")
+    if train_features.shape[1] == 0:
+        raise DegenerateInputError("no features selected")
+    train_labels = np.asarray(train_labels)
+    val_labels = np.asarray(val_labels)
+    num_classes = int(max(train_labels.max(), val_labels.max())) + 1
+    present = np.bincount(train_labels, minlength=num_classes)
+    if np.any(present == 0):
+        raise ValueError("every class needs at least one training sample")
+
+    targets = one_hot(train_labels, num_classes)
+    design = np.hstack([train_features, np.ones((train_features.shape[0], 1))])
+    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    val_design = np.hstack([val_features, np.ones((val_features.shape[0], 1))])
+    scores = val_design @ coef
+    predictions = np.argmax(scores, axis=1)
+    return float(np.mean(predictions == val_labels))

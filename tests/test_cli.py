@@ -6,8 +6,6 @@ import shutil
 import subprocess
 import sys
 
-import pytest
-
 from mmvfl.cli import emit_curves, main, read_message_trace, version_string
 from mmvfl.evaluation import ExperimentResult, write_results_csv
 

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.data import make_folds, synth_planted
 from mmvfl.evaluation import (
     DegenerateInputError,
@@ -20,7 +23,12 @@ from mmvfl.evaluation import (
     run_grid,
     select_best,
     write_results_csv,
+    _SplitScorer,
 )
+from mmvfl.featsel import score_features, select_top
+from mmvfl.optimizer import one_hot
+
+from oracles import lstsq_accuracy
 
 
 def small_dataset(seed=0):
@@ -96,6 +104,111 @@ def test_classifier_rejects_degenerate_input():
         classify_eval(np.zeros((4, 0)), [0, 1, 0, 1], np.zeros((2, 0)), [0, 1])
     with pytest.raises(ValueError):
         classify_eval(np.zeros((4, 2)), [0, 0, 0, 0], np.zeros((2, 2)), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# per-split scorer against the lstsq classifier
+
+
+def split_problem(kind, num_classes, d, seed):
+    """Training and validation blocks of one design kind.
+
+    Class k has k + 1 training samples plus a random extra, so no two
+    classes tie on a column that carries no information.  Every column
+    is offset, so the intercept matters.  ``duplicate`` repeats a column,
+    ``constant`` holds one column fixed and ``wide`` has fewer training
+    rows than columns: each makes the Gram of [X 1] singular for the
+    column sets that hold those columns (or, for ``wide``, enough of
+    them).  ``collinear`` pairs columns that differ by small noise.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.arange(1, num_classes + 1)
+    if kind != "wide":
+        counts = counts + rng.integers(3, 8, size=num_classes)
+    train_labels = rng.permutation(np.repeat(np.arange(num_classes), counts))
+    val_labels = rng.integers(0, num_classes, size=15)
+    offsets = rng.normal(0.0, 3.0, size=d)
+
+    def block(rows):
+        x = rng.standard_normal((rows, d)) + offsets
+        if kind == "duplicate":
+            x[:, d - 1] = x[:, 0]
+        elif kind == "constant":
+            x[:, d - 1] = offsets[d - 1]
+        elif kind == "collinear":
+            half = d // 2
+            x[:, d - half:] = x[:, :half] + 1e-3 * rng.standard_normal((rows, half))
+        return x
+
+    return block(len(train_labels)), train_labels, block(15), val_labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("well", "collinear", "duplicate", "constant", "wide")),
+       num_classes=st.integers(2, 3), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_scorer_matches_lstsq_oracle_on_nested_prefixes(kind, num_classes, extra, seed):
+    # wide problems get more columns than their 1 + ... + c training rows
+    d = num_classes * (num_classes + 1) // 2 + 1 + extra if kind == "wide" else 2 + extra
+    train, train_labels, val, val_labels = split_problem(kind, num_classes, d, seed)
+    scorer = _SplitScorer(train, train_labels, val, val_labels)
+    ranking = np.random.default_rng(seed).permutation(d)
+    for m in range(1, d + 1):
+        columns = ranking[:m]
+        expected = lstsq_accuracy(train[:, columns], train_labels,
+                                  val[:, columns], val_labels)
+        design = np.hstack([train[:, columns], np.ones((len(train), 1))])
+        singular = np.linalg.matrix_rank(design) < m + 1
+        # the 1-norm condition number of the Gram is at most m + 1 times
+        # its 2-norm one, so below 1e8 the estimate stays above MIN_RCOND
+        well_conditioned = not singular and np.linalg.cond(design) ** 2 < 1e8
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            lstsq = np.linalg.lstsq
+            patch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+            assert scorer.accuracy(columns) == expected
+        # singular designs take the lstsq fallback, well-conditioned ones
+        # the Cholesky solve; in between either may
+        if singular:
+            assert calls == [1]
+        if well_conditioned:
+            assert calls == []
+
+
+def test_scorer_rejects_bad_splits():
+    train = np.zeros((4, 2))
+    with pytest.raises(ValueError):
+        _SplitScorer(train, [0, 0, 0, 0], np.zeros((2, 2)), [0, 1])
+    with pytest.raises(ValueError):
+        _SplitScorer(train, [0, 1, 0, 1], np.zeros((2, 3)), [0, 1])
+    with pytest.raises(DegenerateInputError):
+        _SplitScorer(train, [0, 1, 0, 1], np.zeros((2, 2)), [0, 1]).accuracy([])
+
+
+def test_run_grid_accuracies_equal_the_lstsq_oracle():
+    dataset = small_dataset(seed=7)
+    folds = make_folds(dataset, 3, seed=4)
+    beta_grid, p_grid = [0.01, 1.0], [20.0, 50.0, 100.0]
+    for method in ("supfl", "supmvlfl"):
+        expected = []
+        for fold in range(folds.num_folds):
+            train = dataset.restrict(folds.train_indices(fold))
+            val = dataset.restrict(folds.val_indices(fold))
+            labels = one_hot(train.labels, train.num_classes)
+            for beta in beta_grid:
+                if method == "supfl":
+                    transforms = [supfl_solve(v, labels, beta)[0] for v in train.views]
+                else:
+                    transforms = supmvlfl_solve(train.views, labels, beta)[0]
+                for k, transform in enumerate(transforms):
+                    ranking = score_features(transform)
+                    for p in p_grid:
+                        selected = select_top(ranking, p)
+                        expected.append(lstsq_accuracy(
+                            train.views[k][:, selected], train.labels,
+                            val.views[k][:, selected], val.labels))
+        rows = run_grid(method, dataset, folds, beta_grid, p_grid, seed=0)
+        assert [row.accuracy for row in rows] == expected
 
 
 # ---------------------------------------------------------------------------
