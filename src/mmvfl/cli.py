@@ -256,6 +256,7 @@ def write_message_trace(path, trace):
                 "nbytes": entry.nbytes,
                 "payload_shape": list(shape) if shape is not None else None,
                 "objective_part": entry.objective_part,
+                "label_owner": entry.label_owner,
             }
             handle.write(json.dumps(record) + "\n")
 
@@ -282,6 +283,7 @@ def read_message_trace(path) -> list[TracedMessage]:
                 nbytes=int(raw.get("nbytes", 0)),
                 payload_shape=tuple(shape) if shape is not None else None,
                 objective_part=raw.get("objective_part"),
+                label_owner=bool(raw.get("label_owner", False)),
             ))
     return records
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import queue
 import socket
 
-from .messages import (HEADER, MAX_BODY_BYTES, ProtocolError, decode_body, encode_body, frame,
+from .messages import (LENGTH, MAX_BODY_BYTES, ProtocolError, decode_body, encode_body, frame,
                        frame_size)
 
 
@@ -103,8 +103,8 @@ class TcpChannel:
         if self._closed:
             raise ChannelClosedError("channel is closed")
         self._sock.settimeout(timeout)
-        header = self._recv_exact(HEADER.size)
-        (length,) = HEADER.unpack(header)
+        header = self._recv_exact(LENGTH.size)
+        (length,) = LENGTH.unpack(header)
         if length > MAX_BODY_BYTES:
             raise ProtocolError(f"frame of {length} bytes exceeds the limit")
         return self._recv_exact(length)

@@ -66,6 +66,7 @@ class TracedMessage:
     nbytes: int
     payload_shape: tuple[int, int] | None = None
     objective_part: float | None = None
+    label_owner: bool = False
 
 
 @dataclass
@@ -82,7 +83,8 @@ def _trace_entry(direction: str, message: RoundMessage, nbytes: int) -> TracedMe
     return TracedMessage(
         direction=direction, kind=message.kind, round=message.round,
         participant_id=message.participant_id, nbytes=nbytes,
-        payload_shape=shape, objective_part=message.objective_part)
+        payload_shape=shape, objective_part=message.objective_part,
+        label_owner=message.label_owner)
 
 
 def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
@@ -163,7 +165,7 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
                 abort_all(f"participant id {pid} out of range")
             if pid in by_id:
                 abort_all(f"duplicate registration for participant {pid}")
-            if message.objective_part == 1.0:
+            if message.label_owner:
                 owners.append(pid)
             by_id[pid] = ch
         if len(owners) != 1:

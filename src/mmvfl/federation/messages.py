@@ -1,24 +1,25 @@
 """Round message schema and its wire encoding.
 
 Every message is one length-prefixed frame: a 4-byte big-endian unsigned
-body length followed by a UTF-8 JSON object with exactly the keys
+body length followed by the body.  The body has three parts:
 
-    {"kind", "round", "participant_id", "payload", "objective_part"}
+    4-byte big-endian unsigned header length h
+    h bytes of UTF-8 JSON with exactly the keys
+        {"kind", "round", "participant_id", "objective_part",
+         "label_owner", "payload"}
+    the payload entries as raw row-major little-endian float64
 
-``payload`` is either null or one binary matrix block
-
-    {"rows": r, "cols": c, "f8le": "<base64 of r*c little-endian float64>"}
-
-holding the matrix in row-major order, so decoding returns bit-identical
-values at 8 bytes (plus base64) per entry.  ``objective_part`` is null
-or a float written in its shortest round-trip form, again bit-identical.
-On a Register message ``objective_part`` doubles as the label-ownership
-flag (1.0 owner, 0.0 otherwise) since the schema has no other slot.
+``payload`` in the header is null or ``{"rows": r, "cols": c}``; the
+body then ends with exactly r*c*8 bytes, or with the header when it is
+null.  Matrices decode bit-identically at 8 bytes per entry plus a
+header of 100-140 bytes.  ``objective_part`` is null or a float
+written in its shortest round-trip form, again bit-identical.
+``label_owner`` is true only on the Register of the participant that
+holds the labels.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from dataclasses import dataclass
@@ -36,13 +37,14 @@ KINDS = (KIND_REGISTER, KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED, KIND_A
 # Kinds whose payload is a pseudo-label or consensus matrix.
 MATRIX_KINDS = (KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED)
 
-_BODY_KEYS = {"kind", "round", "participant_id", "payload", "objective_part"}
-_PAYLOAD_KEYS = {"rows", "cols", "f8le"}
+_HEADER_KEYS = {"kind", "round", "participant_id", "objective_part", "label_owner", "payload"}
+_PAYLOAD_KEYS = {"rows", "cols"}
 
 # Wire dtype of matrix entries, whatever the host byte order.
 _WIRE_DTYPE = np.dtype("<f8")
 
-HEADER = struct.Struct("!I")
+# The frame's body length and the body's header length.
+LENGTH = struct.Struct("!I")
 
 # Far above anything a training round produces; guards the frame reader
 # against garbage lengths.
@@ -62,6 +64,7 @@ class RoundMessage:
     participant_id: int
     payload: np.ndarray | None = None
     objective_part: float | None = None
+    label_owner: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -70,6 +73,8 @@ class RoundMessage:
             raise ProtocolError("round must be >= 0")
         if self.participant_id < 0:
             raise ProtocolError("participant_id must be >= 0")
+        if self.label_owner and self.kind != KIND_REGISTER:
+            raise ProtocolError("only a Register message can claim label ownership")
 
 
 def _is_int(value) -> bool:
@@ -85,66 +90,58 @@ def _format_float(value: float) -> str:
     return repr(value)
 
 
-def _encode_matrix(matrix: np.ndarray) -> str:
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ProtocolError("payload must be a non-empty 2-D matrix")
-    if not np.isfinite(matrix).all():
-        raise ProtocolError("payload contains non-finite entries")
-    block = base64.b64encode(matrix.astype(_WIRE_DTYPE, copy=False).tobytes())
-    return '{"rows":%d,"cols":%d,"f8le":"%s"}' % (
-        matrix.shape[0], matrix.shape[1], block.decode("ascii"))
+def encode_body(message: RoundMessage) -> bytes:
+    """Serialize a message to its body bytes: header length, header, entries."""
+    if message.payload is None:
+        payload, block = "null", b""
+    else:
+        matrix = np.asarray(message.payload, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ProtocolError("payload must be a non-empty 2-D matrix")
+        if not np.isfinite(matrix).all():
+            raise ProtocolError("payload contains non-finite entries")
+        payload = '{"rows":%d,"cols":%d}' % matrix.shape
+        block = np.ascontiguousarray(matrix, dtype=_WIRE_DTYPE)
+    part = "null" if message.objective_part is None else _format_float(message.objective_part)
+    header = (
+        '{"kind":%s,"round":%d,"participant_id":%d,"objective_part":%s,'
+        '"label_owner":%s,"payload":%s}'
+        % (json.dumps(message.kind), message.round, message.participant_id, part,
+           "true" if message.label_owner else "false", payload)
+    ).encode("utf-8")
+    # join reads the array through the buffer protocol: one copy of the entries
+    return b"".join((LENGTH.pack(len(header)), header, block))
 
 
-def _decode_matrix(raw) -> np.ndarray:
+def _decode_shape(raw) -> tuple[int, int]:
     if not isinstance(raw, dict) or set(raw) != _PAYLOAD_KEYS:
-        raise ProtocolError("payload must be null or carry exactly rows, cols, f8le")
-    rows, cols, block = raw["rows"], raw["cols"], raw["f8le"]
+        raise ProtocolError("payload must be null or carry exactly rows, cols")
+    rows, cols = raw["rows"], raw["cols"]
     if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
         raise ProtocolError("payload rows and cols must be positive integers")
-    if not isinstance(block, str):
-        raise ProtocolError("payload f8le must be a base64 string")
-    try:
-        data = base64.b64decode(block, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise ProtocolError(f"payload f8le is not valid base64: {exc}") from exc
-    if len(data) != rows * cols * _WIRE_DTYPE.itemsize:
-        raise ProtocolError(
-            f"payload holds {len(data)} bytes, not {rows}x{cols} float64 entries")
-    # astype copies: frombuffer over bytes is read-only and may be
-    # foreign-endian, the result is writable native float64.
-    matrix = np.frombuffer(data, dtype=_WIRE_DTYPE).reshape(rows, cols).astype(np.float64)
-    if not np.isfinite(matrix).all():
-        raise ProtocolError("payload contains non-finite entries")
-    return matrix
-
-
-def encode_body(message: RoundMessage) -> bytes:
-    """Serialize a message to its JSON body bytes."""
-    if message.payload is None:
-        payload = "null"
-    else:
-        payload = _encode_matrix(np.asarray(message.payload, dtype=np.float64))
-    part = "null" if message.objective_part is None else _format_float(message.objective_part)
-    body = (
-        '{"kind":%s,"round":%d,"participant_id":%d,"payload":%s,"objective_part":%s}'
-        % (json.dumps(message.kind), message.round, message.participant_id, payload, part)
-    )
-    return body.encode("utf-8")
+    return rows, cols
 
 
 def decode_body(body: bytes) -> RoundMessage:
-    """Parse JSON body bytes back into a message, validating the schema.
+    """Parse body bytes back into a message, validating the schema.
 
     Any malformed body raises ``ProtocolError`` and nothing else.
     """
+    if len(body) < LENGTH.size:
+        raise ProtocolError(f"body of {len(body)} bytes has no header length")
+    (header_size,) = LENGTH.unpack_from(body)
+    start = LENGTH.size + header_size
+    if start > len(body):
+        raise ProtocolError(
+            f"header of {header_size} bytes runs past the {len(body)}-byte body")
     try:
-        raw = json.loads(body.decode("utf-8"))
+        raw = json.loads(body[LENGTH.size:start].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and over-long integer
         # literals; RecursionError covers deeply nested arrays.
-        raise ProtocolError(f"undecodable message body: {exc}") from exc
-    if not isinstance(raw, dict) or set(raw) != _BODY_KEYS:
-        raise ProtocolError("message body must carry exactly the schema keys")
+        raise ProtocolError(f"undecodable message header: {exc}") from exc
+    if not isinstance(raw, dict) or set(raw) != _HEADER_KEYS:
+        raise ProtocolError("message header must carry exactly the schema keys")
     kind = raw["kind"]
     if not isinstance(kind, str):
         raise ProtocolError("kind must be a string")
@@ -152,9 +149,8 @@ def decode_body(body: bytes) -> RoundMessage:
         raise ProtocolError("round must be an integer")
     if not _is_int(raw["participant_id"]):
         raise ProtocolError("participant_id must be an integer")
-    payload = raw["payload"]
-    if payload is not None:
-        payload = _decode_matrix(payload)
+    if not isinstance(raw["label_owner"], bool):
+        raise ProtocolError("label_owner must be a boolean")
     part = raw["objective_part"]
     if part is not None:
         if isinstance(part, bool) or not isinstance(part, (int, float)):
@@ -165,18 +161,36 @@ def decode_body(body: bytes) -> RoundMessage:
             raise ProtocolError(f"objective_part out of float range: {exc}") from exc
         if not np.isfinite(part):
             raise ProtocolError("objective_part must be finite")
+    block_size = len(body) - start
+    payload = raw["payload"]
+    if payload is None:
+        if block_size:
+            raise ProtocolError(f"{block_size} trailing bytes after a null payload")
+    else:
+        rows, cols = _decode_shape(payload)
+        if block_size != rows * cols * _WIRE_DTYPE.itemsize:
+            raise ProtocolError(
+                f"payload holds {block_size} bytes, not {rows}x{cols} float64 entries")
+        # astype copies: frombuffer over the body is read-only, maybe
+        # unaligned and maybe foreign-endian; the result is writable native
+        # float64.
+        payload = np.frombuffer(body, dtype=_WIRE_DTYPE, count=rows * cols,
+                                offset=start).reshape(rows, cols).astype(np.float64)
+        if not np.isfinite(payload).all():
+            raise ProtocolError("payload contains non-finite entries")
     return RoundMessage(kind=kind, round=raw["round"],
                         participant_id=raw["participant_id"],
-                        payload=payload, objective_part=part)
+                        payload=payload, objective_part=part,
+                        label_owner=raw["label_owner"])
 
 
 def frame(body: bytes) -> bytes:
     """Prefix a body with its 4-byte big-endian length."""
     if len(body) > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {len(body)} bytes exceeds the frame limit")
-    return HEADER.pack(len(body)) + body
+    return LENGTH.pack(len(body)) + body
 
 
 def frame_size(body: bytes) -> int:
     """Total on-wire size of a framed body."""
-    return HEADER.size + len(body)
+    return LENGTH.size + len(body)

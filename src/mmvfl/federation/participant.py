@@ -47,7 +47,7 @@ def participant_run(participant_id: int, features, labels,
     try:
         channel.send(RoundMessage(
             kind=KIND_REGISTER, round=0, participant_id=participant_id,
-            objective_part=1.0 if state.is_label_owner else 0.0))
+            label_owner=state.is_label_owner))
 
         # Answer the consensus of round r (0: the seeded one) with the
         # upload of round r + 1, until the coordinator says Converged.

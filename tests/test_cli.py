@@ -62,6 +62,8 @@ def test_federated_modes_match_reference_byte_for_byte(tmp_path):
     for mode in ("federated-inproc", "federated-tcp"):
         records = read_message_trace(os.path.join(outs[mode], "message_trace.jsonl"))
         assert records and records[0].kind == "Register"
+        owners = [(r.kind, r.participant_id) for r in records if r.label_owner]
+        assert owners == [("Register", 0)]
 
 
 def test_baseline_modes_write_their_layouts(tmp_path):

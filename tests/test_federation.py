@@ -1,7 +1,7 @@
 """Wire protocol, transports, coordinator behavior, and the privacy audit."""
 
-import base64
 import json
+import socket
 import threading
 import time
 
@@ -21,6 +21,7 @@ from mmvfl.federation import (
     ProtocolError,
     RoundMessage,
     RoundTimeoutError,
+    TcpChannel,
     TracedMessage,
     audit_trace,
     coordinator_run,
@@ -109,74 +110,187 @@ def test_encode_rejects_bad_payloads():
 
 
 def f8le(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
-def matrix_body(payload):
-    return json.dumps({"kind": "ZkUpload", "round": 1, "participant_id": 0,
-                       "payload": payload, "objective_part": 1.0}).encode("utf-8")
+def raw_body(header, block=b"", header_size=None):
+    """A body built by hand: header length, header, entries.  ``header``
+    is a dict written as JSON or the header bytes themselves;
+    ``header_size`` overrides the length field."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    size = len(text) if header_size is None else header_size
+    return size.to_bytes(4, "big") + text + block
+
+
+_GOOD_HEADER = {"kind": "ZkUpload", "round": 1, "participant_id": 0,
+                "objective_part": 1.0, "label_owner": False,
+                "payload": {"rows": 2, "cols": 2}}
+
+
+def header(drop=(), **changes):
+    fields = {**_GOOD_HEADER, **changes}
+    return {key: value for key, value in fields.items() if key not in drop}
+
+
+def null_header(**changes):
+    return header(**{"kind": "Register", "round": 0, "objective_part": None,
+                     "payload": None, **changes})
+
+
+def matrix_body(payload, block):
+    return raw_body(header(payload=payload), block)
 
 
 def test_payload_is_one_little_endian_block():
     payload = np.array([[1.5, -0.0, 3.0], [2.0 ** -1074, -7.25, 1e300]])
     body = encode_body(RoundMessage(kind="ZBroadcast", round=2, participant_id=1,
                                     payload=payload))
-    assert json.loads(body)["payload"] == {"rows": 2, "cols": 3,
-                                           "f8le": f8le(payload.ravel())}
-    decoded = decode_body(body).payload
-    assert decoded.tobytes() == payload.tobytes()
-    assert decoded.dtype == np.float64 and decoded.dtype.isnative
-    assert decoded.flags.c_contiguous and decoded.flags.writeable
+    size = int.from_bytes(body[:4], "big")
+    assert json.loads(body[4:4 + size].decode("utf-8")) == {
+        "kind": "ZBroadcast", "round": 2, "participant_id": 1,
+        "objective_part": None, "label_owner": False,
+        "payload": {"rows": 2, "cols": 3}}
+    assert body[4 + size:] == f8le(payload.ravel())
+    received = bytearray(body)  # a writable source the decoder must not alias
+    for source in (body, received):
+        decoded = decode_body(source).payload
+        assert decoded.tobytes() == payload.tobytes()
+        assert decoded.dtype == np.float64 and decoded.dtype.isnative
+        assert decoded.flags.c_contiguous and decoded.flags.writeable
+    received[-8:] = f8le([0.0])
+    assert decoded.tobytes() == payload.tobytes()  # a copy, not a view
+
+
+def test_golden_bodies():
+    upload = RoundMessage(kind="ZkUpload", round=2, participant_id=1,
+                          payload=np.array([[1.0, -2.0], [0.5, 3.0]]),
+                          objective_part=0.25)
+    assert encode_body(upload) == (
+        b"\x00\x00\x00\x78"
+        b'{"kind":"ZkUpload","round":2,"participant_id":1,"objective_part":0.25,'
+        b'"label_owner":false,"payload":{"rows":2,"cols":2}}'
+        b"\x00\x00\x00\x00\x00\x00\xf0\x3f"
+        b"\x00\x00\x00\x00\x00\x00\x00\xc0"
+        b"\x00\x00\x00\x00\x00\x00\xe0\x3f"
+        b"\x00\x00\x00\x00\x00\x00\x08\x40")
+    register = RoundMessage(kind="Register", round=0, participant_id=3, label_owner=True)
+    assert encode_body(register) == (
+        b"\x00\x00\x00\x68"
+        b'{"kind":"Register","round":0,"participant_id":3,"objective_part":null,'
+        b'"label_owner":true,"payload":null}')
+    for message in (upload, register):
+        assert encode_body(decode_body(encode_body(message))) == encode_body(message)
+
+
+def test_label_ownership_is_only_claimed_on_register():
+    decoded = decode_body(encode_body(
+        RoundMessage(kind="Register", round=0, participant_id=1, label_owner=True)))
+    assert decoded.label_owner is True and decoded.objective_part is None
+    for kind in ("ZkUpload", "ZBroadcast", "Converged", "Abort"):
+        with pytest.raises(ProtocolError):
+            RoundMessage(kind=kind, round=1, participant_id=0, label_owner=True)
 
 
 def test_decode_rejects_malformed_bodies():
-    good = encode_body(RoundMessage(kind="Register", round=0, participant_id=0))
+    good = encode_body(RoundMessage(kind="ZkUpload", round=1, participant_id=0,
+                                    payload=np.ones((2, 2)), objective_part=1.0))
+    assert good == raw_body(
+        json.dumps(_GOOD_HEADER, separators=(",", ":")).encode("utf-8"), f8le(np.ones(4)))
     decode_body(good)  # sanity
+    assert decode_body(raw_body(null_header(label_owner=True))).label_owner
+    size = int.from_bytes(good[:4], "big")
     bad_bodies = [
-        b"not json",
-        b"[1,2,3]",
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":null}',
-        good[:-1] + b',"extra":1}',
-        b'{"kind":"Gossip","round":0,"participant_id":0,"payload":null,"objective_part":null}',
-        b'{"kind":"Register","round":true,"participant_id":0,"payload":null,"objective_part":null}',
-        b'{"kind":"Register","round":0.5,"participant_id":0,"payload":null,"objective_part":null}',
-        b'{"kind":"Register","round":0,"participant_id":"0","payload":null,"objective_part":null}',
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":[1,2],"objective_part":null}',
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":[[]],"objective_part":null}',
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":[[1],[2,3]],"objective_part":null}',
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":"x"}',
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":true}',
-        b"\xff\xfe",
-        b"[" * 100000,
-        b'{"kind":"Register","round":0,"participant_id":0,"payload":null,"objective_part":'
-        + b"1" * 400 + b"}",
-        b'{"kind":"Register","round":' + b"1" * 5000
-        + b',"participant_id":0,"payload":null,"objective_part":null}',
-        matrix_body({"rows": 2, "cols": 2, "f8le": "not base64!"}),
-        matrix_body({"rows": 2, "cols": 2, "f8le": f8le([1.0, 2.0, 3.0])}),
-        matrix_body({"rows": 3, "cols": 2, "f8le": f8le([1.0, 2.0, 3.0, 4.0])}),
-        matrix_body({"rows": 0, "cols": 2, "f8le": ""}),
-        matrix_body({"rows": 2, "cols": 0, "f8le": ""}),
-        matrix_body({"rows": True, "cols": 1, "f8le": f8le([1.0])}),
-        matrix_body({"rows": 1.0, "cols": 1, "f8le": f8le([1.0])}),
-        matrix_body({"rows": 1, "cols": 1, "f8le": f8le([1.0]), "extra": 1}),
-        matrix_body({"rows": 1, "f8le": f8le([1.0])}),
-        matrix_body({"rows": 1, "cols": 1, "f8le": 5}),
-        matrix_body({"rows": 1, "cols": 2, "f8le": f8le([1.0, np.nan])}),
-        matrix_body({"rows": 1, "cols": 1, "f8le": f8le([-np.inf])}),
+        # layout
+        b"",
+        b"\x00",
+        b"\x00\x00\x00",
+        raw_body(b"", header_size=0),
+        good[:3],
+        raw_body(good[4:4 + size], header_size=size + 33),  # past the end
+        raw_body(good[4:4 + size], header_size=0xFFFFFFFF),
+        raw_body(good[4:], header_size=size - 1),  # header cut short
+        raw_body(good[4:4 + size - 1] + b"\xff}", f8le(np.ones(4))),  # invalid UTF-8
+        raw_body(json.dumps(_GOOD_HEADER).encode("utf-16"), f8le(np.ones(4))),
+        raw_body(null_header(), b"\x00"),  # trailing bytes after a null payload
+        raw_body(null_header(), f8le([1.0])),
+        good + b"\x00",
+        good[:-1],
+        # header JSON
+        raw_body(b"not json"),
+        raw_body(b"[1,2,3]"),
+        raw_body(b"\xff\xfe"),
+        raw_body(b"[" * 100000),
+        raw_body(header(drop=("label_owner",)), f8le(np.ones(4))),
+        raw_body(header(drop=("objective_part",)), f8le(np.ones(4))),
+        raw_body(header(extra=1), f8le(np.ones(4))),
+        raw_body(header(kind="Gossip"), f8le(np.ones(4))),
+        raw_body(header(kind=1), f8le(np.ones(4))),
+        raw_body(header(round=True), f8le(np.ones(4))),
+        raw_body(header(round=0.5), f8le(np.ones(4))),
+        raw_body(header(round=-1), f8le(np.ones(4))),
+        raw_body(header(participant_id="0"), f8le(np.ones(4))),
+        raw_body(header(objective_part="x"), f8le(np.ones(4))),
+        raw_body(header(objective_part=True), f8le(np.ones(4))),
+        raw_body(b'{"kind":"Register","round":0,"participant_id":0,"objective_part":'
+                 + b"1" * 400 + b',"label_owner":false,"payload":null}'),
+        raw_body(b'{"kind":"Register","round":0,"participant_id":0,"objective_part":'
+                 b'1e400,"label_owner":false,"payload":null}'),
+        raw_body(b'{"kind":"Register","round":' + b"1" * 5000
+                 + b',"participant_id":0,"objective_part":null,"label_owner":false,'
+                 b'"payload":null}'),
+        raw_body(null_header(label_owner=1)),
+        raw_body(null_header(label_owner="true")),
+        raw_body(null_header(label_owner=None)),
+        # label ownership on anything but Register
+        raw_body(header(label_owner=True), f8le(np.ones(4))),
+        raw_body(header(kind="ZBroadcast", objective_part=None, label_owner=True),
+                 f8le(np.ones(4))),
+        raw_body(null_header(kind="Abort", label_owner=True)),
+        # payload
+        raw_body(null_header(payload=[1, 2])),
+        raw_body(null_header(payload=[[]])),
+        raw_body(null_header(payload=[[1], [2, 3]])),
+        matrix_body({"rows": 2, "cols": 2}, f8le([1.0, 2.0, 3.0])),
+        matrix_body({"rows": 3, "cols": 2}, f8le([1.0, 2.0, 3.0, 4.0])),
+        matrix_body({"rows": 2, "cols": 2}, f8le(np.ones(4))[:-1]),  # off by one
+        matrix_body({"rows": 2, "cols": 2}, f8le(np.ones(4)) + b"\x00"),
+        matrix_body({"rows": 2, "cols": 2}, b""),
+        matrix_body({"rows": 0, "cols": 2}, b""),
+        matrix_body({"rows": 2, "cols": 0}, b""),
+        matrix_body({"rows": -1, "cols": -8}, f8le(np.ones(1))),
+        matrix_body({"rows": True, "cols": 1}, f8le([1.0])),
+        matrix_body({"rows": 1.0, "cols": 1}, f8le([1.0])),
+        matrix_body({"rows": 1, "cols": 1, "extra": 1}, f8le([1.0])),
+        matrix_body({"rows": 1}, f8le([1.0])),
+        matrix_body({"rows": 1, "cols": 1, "f8le": ""}, f8le([1.0])),  # the base64 layout
+        matrix_body({"rows": 1, "cols": 2}, f8le([1.0, np.nan])),
+        matrix_body({"rows": 1, "cols": 1}, f8le([-np.inf])),
+        matrix_body({"rows": 1, "cols": 1}, f8le([np.inf])),
     ]
     for body in bad_bodies:
         with pytest.raises(ProtocolError):
+            decode_body(body)
+    # layout faults are named as such, not as a JSON or shape fault
+    for body, reason in [(good[:3], "no header length"),
+                         (raw_body(good[4:4 + size], header_size=size + 33), "runs past"),
+                         (raw_body(null_header(), b"\x00"), "trailing bytes"),
+                         (good[:-1], "holds 31 bytes")]:
+        with pytest.raises(ProtocolError, match=reason):
             decode_body(body)
 
 
 _GOOD_BODY = encode_body(RoundMessage(kind="ZkUpload", round=1, participant_id=0,
                                       payload=np.ones((2, 2)), objective_part=1.0))
+_PAYLOAD_START = len(_GOOD_BODY) - 4 * 8
 
 
 @st.composite
 def mutated_good_bodies(draw):
-    start = draw(st.integers(0, len(_GOOD_BODY)))
+    """The good body with up to 8 bytes cut and up to 8 put in their place,
+    aimed at the header-length field, the JSON header or the entries."""
+    start = draw(st.one_of(st.integers(0, 3),
+                           st.integers(4, _PAYLOAD_START - 1),
+                           st.integers(_PAYLOAD_START, len(_GOOD_BODY))))
     cut = draw(st.integers(0, 8))
     return _GOOD_BODY[:start] + draw(st.binary(max_size=8)) + _GOOD_BODY[start + cut:]
 
@@ -277,6 +391,68 @@ def test_tcp_send_enforces_frame_limit(monkeypatch):
         client.close()
 
 
+def tcp_channel_and_raw_peer():
+    """A ``TcpChannel`` whose peer is a bare socket the test writes by hand."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = socket.create_connection(listener.getsockname(), timeout=5.0)
+        channel = TcpChannel(listener.accept()[0])
+    return channel, peer
+
+
+def test_tcp_channel_carries_a_full_size_matrix():
+    payload = np.random.default_rng(0).standard_normal((2000, 10))
+    message = RoundMessage(kind="ZkUpload", round=1, participant_id=0,
+                           payload=payload, objective_part=0.5)
+    (server,), (client,) = _tcp_channel_pairs(1, 0, timeout=5.0)
+    receiver = MessageChannel(server)
+    try:
+        sender = threading.Thread(target=MessageChannel(client).send,
+                                  args=(message,), daemon=True)
+        sender.start()
+        received, nbytes = receiver.recv(timeout=5.0)
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+        assert received.payload.tobytes() == payload.tobytes()
+        assert nbytes == frame_size(encode_body(message))
+    finally:
+        server.close()
+        client.close()
+
+    # the same frame trickled in pieces that split the length prefix too
+    framed = frame(encode_body(message))
+    cuts = [0, 2, 5, 4000, 70000, 150001, len(framed)]
+    server, peer = tcp_channel_and_raw_peer()
+    try:
+        def trickle():
+            for lo, hi in zip(cuts, cuts[1:]):
+                peer.sendall(framed[lo:hi])
+                time.sleep(0.02)
+
+        sender = threading.Thread(target=trickle, daemon=True)
+        sender.start()
+        received = decode_body(server.recv_bytes(timeout=5.0))
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+        assert received.payload.tobytes() == payload.tobytes()
+    finally:
+        server.close()
+        peer.close()
+
+
+@pytest.mark.parametrize("sent", [2, 4, 4 + 80000])
+def test_tcp_peer_closing_mid_frame_raises_channel_closed(sent):
+    framed = frame(encode_body(RoundMessage(
+        kind="ZBroadcast", round=0, participant_id=0, payload=np.ones((2000, 10)))))
+    server, peer = tcp_channel_and_raw_peer()
+    try:
+        peer.sendall(framed[:sent])
+        peer.close()
+        with pytest.raises(ChannelClosedError):
+            server.recv_bytes(timeout=5.0)
+    finally:
+        server.close()
+
+
 def test_message_channel_reports_framed_sizes():
     a, b = InProcessChannel.pair()
     sender, receiver = MessageChannel(a), MessageChannel(b)
@@ -362,7 +538,7 @@ def start_coordinator(config, channels):
 
 def register(channel, pid, owner=False):
     channel.send(RoundMessage(kind="Register", round=0, participant_id=pid,
-                              objective_part=1.0 if owner else 0.0))
+                              label_owner=owner))
 
 
 def test_duplicate_registration_aborts_session():
@@ -390,7 +566,7 @@ def test_two_label_owners_abort_session():
     register(sides[1], 1, owner=True)
     thread.join(timeout=10.0)
     assert isinstance(holder.get("error"), FederationAbortError)
-    assert "label owner" in str(holder["error"])
+    assert "label owner, got [0, 1]" in str(holder["error"])
 
 
 def test_round_timeout_names_the_silent_participant():
@@ -504,7 +680,8 @@ def test_traced_sizes_match_the_actual_encoding(wire):
         rebuilt = RoundMessage(kind=entry.kind, round=entry.round,
                                participant_id=entry.participant_id,
                                payload=wire[entry.kind, entry.round, entry.participant_id].payload,
-                               objective_part=entry.objective_part)
+                               objective_part=entry.objective_part,
+                               label_owner=entry.label_owner)
         assert entry.nbytes == frame_size(encode_body(rebuilt))
 
 
