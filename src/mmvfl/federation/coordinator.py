@@ -92,9 +92,13 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
 
     ``channels`` are raw byte channels, one per participant connection;
     participant identities come from their Register messages.  The rounds
-    run through ``optimizer.run_rounds``: each round broadcasts the
-    previous round's consensus (round 0: the seeded one) and collects
-    every upload, and the last consensus goes out as ``Converged``.
+    run through ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r
+    carries the consensus ``run_rounds`` chose after round r: the seeded
+    one for r = 0, the plain aggregate for r = 1, and from r = 2 on the
+    over-relaxed aggregate when it does not raise the objective, else the
+    plain one.  Every upload of round r + 1 answers it.  The last round's
+    plain aggregate, the exact consensus minimizer, goes out as
+    ``Converged``.
     Raises ``RoundTimeoutError`` when a participant misses
     ``round_timeout`` and ``FederationAbortError`` on duplicate
     registration, malformed messages, or transport failure.

@@ -13,9 +13,12 @@ its one-hot label matrix ``Y``.  The training objective is
 
 where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  Every
 block update below is the exact minimizer of its subproblem; ``W_k`` is
-fit by iteratively reweighted least squares.  ``run_reference`` executes
-the full schedule in a single process and serves as the equivalence
-oracle for the federated protocol.
+fit by iteratively reweighted least squares.  Between rounds the
+consensus that goes back to the participants may be over-relaxed past
+its minimizer, but only when the objective at it does not rise (see
+``run_rounds``); the consensus a run returns is always the minimizer.
+``run_reference`` executes the full schedule in a single process and
+serves as the equivalence oracle for the federated protocol.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ from .numerics import (
 # Absolute slack allowed before a rising objective is treated as a
 # numerical fault.
 MONOTONICITY_SLACK = 1e-9
+
+# Over-relaxation weight of the consensus broadcast (see ``run_rounds``).
+# On the HW shape 0.5 took 41 rounds where the plain schedule (0) took 87;
+# 0.9 took 77 and ended above the plain run.
+OVER_RELAXATION = 0.5
 
 # Estimated multiply-adds per round a lane needs before participants run
 # side by side.  Threads only gain while LAPACK and BLAS run without the
@@ -496,25 +504,45 @@ def run_rounds(refit, consensus, hyper: Hyperparams):
     the coordinator.
 
     In round r (from 1), ``refit(r, consensus)`` has every participant
-    refit against the consensus of round r - 1 (the seeded one in round
-    1) and returns ``(pseudo_labels, parts)`` in participant order: the
-    uploaded matrices and objective contributions.  The consensus is then
-    re-aggregated with the ``consensus_penalty`` weights and the
-    objective totalled, until its relative change
-    drops below ``outer_tol`` or ``outer_max`` rounds have run.  The
-    matrices are not checked again here: the caller built them or
-    checked them when they arrived.  Returns ``(consensus, objectives)``.
+    refit against the consensus broadcast after round r - 1 (the seeded
+    one in round 1) and returns ``(pseudo_labels, parts)`` in participant
+    order: the uploaded matrices and objective contributions.  The
+    uploads are aggregated with the ``consensus_penalty`` weights into
+    Z_agg, the exact consensus minimizer, and the objective is totalled
+    at Z_agg.  Once its relative change from the last recorded objective
+    drops below ``outer_tol``, or in round ``outer_max``, that objective
+    is recorded and Z_agg returned.
+
+    Otherwise, from round 2 on, the broadcast is over-relaxed: the
+    candidate Z_agg + ``OVER_RELAXATION`` (Z_agg - Z_agg of round r - 1)
+    goes out, with the objective totalled at it from the same uploads
+    and parts, when that objective does not exceed the last recorded
+    one; else Z_agg goes out with its own objective.  Each recorded
+    objective is the objective at the consensus actually broadcast, and
+    the trace is non-increasing as far as the participants' refits
+    descend.  The matrices are not checked again here: the caller built
+    them or checked them when they arrived.  Returns
+    ``(consensus, objectives)``.
     """
     penalties = hyper.consensus_penalty
     objectives: list[float] = []
+    previous = None
     for round_index in range(1, hyper.outer_max + 1):
         pseudo_labels, parts = refit(round_index, consensus)
-        consensus = aggregate_consensus(pseudo_labels, penalties)
-        objectives.append(round_objective(parts, pseudo_labels, penalties, consensus))
-        if len(objectives) > 1 and has_converged(objectives[-2], objectives[-1],
-                                                 hyper.outer_tol):
-            break
-    return consensus, objectives
+        aggregate = aggregate_consensus(pseudo_labels, penalties)
+        value = round_objective(parts, pseudo_labels, penalties, aggregate)
+        if round_index == hyper.outer_max or (
+                objectives and has_converged(objectives[-1], value, hyper.outer_tol)):
+            objectives.append(value)
+            return aggregate, objectives
+        consensus = aggregate
+        if previous is not None:
+            candidate = aggregate + OVER_RELAXATION * (aggregate - previous)
+            relaxed = round_objective(parts, pseudo_labels, penalties, candidate)
+            if relaxed <= objectives[-1]:
+                consensus, value = candidate, relaxed
+        objectives.append(value)
+        previous = aggregate
 
 
 def _cpu_quota() -> int | None:

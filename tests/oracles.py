@@ -147,6 +147,95 @@ def loop_total_objective(views, transforms, pseudo_labels, consensus, labels,
     return total
 
 
+def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label_penalty,
+                               eps, rtol: float = 1e-13, max_iter: int = 100000):
+    """Minimum of the full training objective with each row norm t in the
+    sparsity term replaced by t - eps*log(1 + t/eps), the smoothed penalty
+    the package's reweighted solve descends on; participant 0 owns the
+    labels.  Returns ``(value, transforms)``.
+
+    For fixed transforms the pseudo-labels and the consensus enter the
+    objective as one strictly convex quadratic that couples them entry by
+    entry, so they are eliminated by one (K+1) x (K+1) linear solve.
+    What remains is a smooth function of the transforms, with gradient
+    2 X_k^T (X_k W_k - Z_k*) and Lipschitz constant at most
+    2 max_k ||X_k||_2^2 (eliminating variables lowers curvature), plus the
+    row penalty.  FISTA (Beck & Teboulle 2009) with function-value restart
+    (O'Donoghue & Candes 2015) minimizes it.  The penalty's proximal step
+    has a closed form: a row of norm s shrinks to the positive root r of
+    r^2 + (eps - s + step*sparsity) r - s*eps = 0.  The loop stops when
+    the prox-gradient step moves no transform entry by more than ``rtol``
+    of the largest entry.
+
+    The objective a run records uses the plain row norm, which exceeds
+    the smoothed one by eps*log(1 + t/eps) per row times the sparsity
+    weight; so a recorded value is never below the returned minimum."""
+    xs = [np.asarray(v, dtype=np.float64) for v in views]
+    y = np.asarray(labels, dtype=np.float64)
+    k = len(xs)
+    zeta = np.asarray(consensus_penalty, dtype=np.float64)
+    coupling = np.zeros((k + 1, k + 1))
+    for j in range(k):
+        coupling[j, j] = 1.0 + zeta[j] + (label_penalty if j == 0 else 0.0)
+        coupling[j, k] = coupling[k, j] = -zeta[j]
+    coupling[k, k] = zeta.sum()
+    inverse = np.linalg.inv(coupling)
+    lipschitz = 2.0 * max(np.linalg.norm(x, 2) ** 2 for x in xs)
+    step = 1.0 / lipschitz
+
+    def smooth(ws):
+        projected = [x @ w for x, w in zip(xs, ws)]
+        rhs = np.stack(projected + [np.zeros_like(y)])
+        rhs[0] += label_penalty * y
+        zs = np.einsum("ij,jnc->inc", inverse, rhs)
+        value = label_penalty * float(np.sum((zs[0] - y) ** 2))
+        grads = []
+        for j in range(k):
+            residual = projected[j] - zs[j]
+            value += float(np.sum(residual ** 2)) + zeta[j] * float(np.sum((zs[j] - zs[k]) ** 2))
+            grads.append(2.0 * xs[j].T @ residual)
+        return value, grads
+
+    def penalty(ws):
+        total = 0.0
+        for w, beta in zip(ws, sparsity):
+            norms = np.sqrt(np.sum(w * w, axis=1))
+            total += beta * float(np.sum(norms - eps * np.log1p(norms / eps)))
+        return total
+
+    def prox(ws):
+        out = []
+        for w, beta in zip(ws, sparsity):
+            s = np.sqrt(np.sum(w * w, axis=1))
+            b = eps - s + step * beta
+            root = np.sqrt(b * b + 4.0 * s * eps)
+            # the two forms of the positive root, each free of cancellation
+            r = np.where(b > 0, 2.0 * s * eps / np.where(b > 0, b + root, 1.0), (root - b) / 2.0)
+            scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0)
+            out.append(w * scale[:, None])
+        return out
+
+    x = [np.zeros((v.shape[1], y.shape[1])) for v in xs]
+    value = smooth(x)[0] + penalty(x)
+    extrapolated, momentum = x, 1.0
+    for _ in range(max_iter):
+        _, grads = smooth(extrapolated)
+        nxt = prox([w - step * g for w, g in zip(extrapolated, grads)])
+        nxt_value = smooth(nxt)[0] + penalty(nxt)
+        moved = max(float(np.max(np.abs(a - b))) for a, b in zip(nxt, extrapolated))
+        size = max(float(np.max(np.abs(w))) for w in nxt)
+        if moved <= rtol * max(size, 1e-300):
+            return nxt_value, nxt
+        if nxt_value > value and momentum > 1.0:
+            # restart: drop the momentum and step again from the last iterate
+            extrapolated, momentum = x, 1.0
+            continue
+        following = (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
+        extrapolated = [a + ((momentum - 1.0) / following) * (a - b) for a, b in zip(nxt, x)]
+        x, value, momentum = nxt, nxt_value, following
+    raise RuntimeError(f"FISTA did not converge in {max_iter} iterations")
+
+
 def analytic_block_gradients(views, transforms, pseudo_labels, consensus, labels,
                              sparsity, consensus_penalty, label_penalty):
     """Analytic gradients of the full objective for each block.

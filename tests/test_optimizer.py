@@ -1,8 +1,10 @@
 """Core training math: closed-form updates, the reweighted sparse solve,
 objective bookkeeping, and the single-process reference loop."""
 
+import copy
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supmvlfl_solve
+from mmvfl.federation import run_federated
 from mmvfl.numerics import SPD_RESIDUAL_TOL
 from mmvfl.optimizer import (
     Hyperparams,
@@ -20,10 +23,12 @@ from mmvfl.optimizer import (
     check_one_hot,
     fit_sparse_transform,
     has_converged,
+    init_consensus,
     local_objective_part,
     make_states,
     one_hot,
     owner_pseudo_label_update,
+    participant_round,
     pseudo_label_update,
     round_objective,
     run_reference,
@@ -34,8 +39,10 @@ from oracles import (
     gd_quadratic_minimizer,
     grid_minimize_scalar,
     loop_reweight_diag,
+    loop_row_norms,
     loop_total_objective,
     plain_solve_minimizer,
+    smoothed_objective_optimum,
     solve_transform,
     total_objective,
 )
@@ -604,6 +611,176 @@ def test_label_attachment_tightens_with_eta():
         if previous is not None:
             assert gap < previous
         previous = gap
+
+
+# ---------------------------------------------------------------------------
+# over-relaxed consensus broadcast
+
+
+def _record_rounds(monkeypatch):
+    """Wrap ``run_rounds``'s ``refit``: per round, the consensus the
+    participants refit against, the uploads and parts, and copies of the
+    participant states after the round (in participant order)."""
+    log = {"received": [], "uploads": [], "parts": [], "states": []}
+    states = {}
+    original_round, original_rounds = optimizer.participant_round, optimizer.run_rounds
+
+    def remember(state, consensus, hyper):
+        states[state.participant_id] = state
+        return original_round(state, consensus, hyper)
+
+    def run_rounds(refit, consensus, hyper):
+        def recorded(round_index, consensus):
+            log["received"].append(consensus)
+            uploads, parts = refit(round_index, consensus)
+            log["uploads"].append(list(uploads))
+            log["parts"].append(list(parts))
+            log["states"].append([copy.copy(states[k]) for k in sorted(states)])
+            return uploads, parts
+
+        return original_rounds(recorded, consensus, hyper)
+
+    monkeypatch.setattr(optimizer, "participant_round", remember)
+    monkeypatch.setattr(optimizer, "run_rounds", run_rounds)
+    return log
+
+
+def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch):
+    views, labels = tiny_problem(21, num_samples=40, dims=(6, 9, 4))
+    hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
+                                label_penalty=100.0, outer_tol=1e-9)
+    log = _record_rounds(monkeypatch)
+    result = run_reference(views, labels, hyper, 6)
+    # round r's objective is taken at the consensus round r + 1 refits
+    # against; the last round's at the consensus the run returns
+    broadcasts = log["received"][1:] + [result.consensus]
+    assert len(log["states"]) == result.rounds > 3
+    for value, states, consensus in zip(result.objectives, log["states"], broadcasts):
+        assert value == pytest.approx(total_objective(states, consensus), rel=1e-9)
+    aggregates = [aggregate_consensus(u, hyper.consensus_penalty) for u in log["uploads"]]
+    relaxed = [not np.array_equal(z, a) for z, a in zip(broadcasts, aggregates)]
+    assert not relaxed[0] and not relaxed[-1]
+    assert sum(relaxed) >= 2
+    for r in np.flatnonzero(relaxed):
+        step = optimizer.OVER_RELAXATION * (aggregates[r] - aggregates[r - 1])
+        assert broadcasts[r].tobytes() == (aggregates[r] + step).tobytes()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_rejected_relaxation_broadcasts_the_plain_aggregate(monkeypatch, transport):
+    # a weight of 50 overshoots far enough that the objective rises at
+    # the candidate and the step is rejected
+    views, labels = tiny_problem(22, num_samples=30, dims=(5, 7, 4))
+    hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
+                                label_penalty=100.0, outer_tol=1e-9, outer_max=30)
+    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 50.0)
+    log = _record_rounds(monkeypatch)
+    reference = run_reference(views, labels, hyper, 7)
+    trace = reference.objectives
+    assert np.diff(trace).max(initial=0.0) <= 1e-9
+    penalties = hyper.consensus_penalty
+    aggregates = [aggregate_consensus(u, penalties) for u in log["uploads"]]
+    broadcasts = log["received"][1:] + [reference.consensus]
+    assert broadcasts[0].tobytes() == aggregates[0].tobytes()
+    assert broadcasts[-1].tobytes() == aggregates[-1].tobytes()
+    rejected = 0
+    for r in range(1, reference.rounds - 1):
+        candidate = aggregates[r] + 50.0 * (aggregates[r] - aggregates[r - 1])
+        uploads, parts = log["uploads"][r], log["parts"][r]
+        at_candidate = round_objective(parts, uploads, penalties, candidate)
+        if at_candidate <= trace[r - 1]:
+            assert broadcasts[r].tobytes() == candidate.tobytes()
+            assert trace[r] == at_candidate
+        else:
+            rejected += 1
+            assert broadcasts[r].tobytes() == aggregates[r].tobytes()
+            assert trace[r] == round_objective(parts, uploads, penalties, aggregates[r])
+    assert rejected >= 1
+    federated = run_federated(views, labels, hyper, seed=7, transport=transport)
+    assert federated.objectives == trace
+    assert federated.consensus.tobytes() == reference.consensus.tobytes()
+    for state, transform, pseudo in zip(federated.states, reference.transforms,
+                                        reference.pseudo_labels):
+        assert state.transform.tobytes() == transform.tobytes()
+        assert state.pseudo_labels.tobytes() == pseudo.tobytes()
+
+
+def test_zero_relaxation_is_the_plain_schedule(monkeypatch):
+    views, labels = tiny_problem(23, num_samples=40, dims=(6, 9, 4))
+    hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
+                                label_penalty=100.0, outer_tol=1e-9)
+    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 0.0)
+    result = run_reference(views, labels, hyper, 8)
+
+    states = make_states(views, labels, hyper, 8)
+    consensus = init_consensus(40, 3, 8)
+    objectives = []
+    for _ in range(hyper.outer_max):
+        parts = [participant_round(st, consensus, hyper) for st in states]
+        uploads = [st.pseudo_labels for st in states]
+        consensus = aggregate_consensus(uploads, hyper.consensus_penalty)
+        objectives.append(round_objective(parts, uploads, hyper.consensus_penalty, consensus))
+        if len(objectives) > 1 and has_converged(objectives[-2], objectives[-1],
+                                                 hyper.outer_tol):
+            break
+    assert 3 < len(objectives) < hyper.outer_max
+    assert np.asarray(result.objectives).tobytes() == np.asarray(objectives).tobytes()
+    assert result.consensus.tobytes() == consensus.tobytes()
+    for transform, st in zip(result.transforms, states):
+        assert transform.tobytes() == st.transform.tobytes()
+
+
+def optimum_problem(seed):
+    """A small seeded problem for the optimum oracle: 2 or 3 participants,
+    30-60 samples, 2-4 classes, 3-10 features per view."""
+    rng = np.random.default_rng(11000 + seed)
+    k = 2 + seed % 2
+    n, c = int(rng.integers(30, 61)), int(rng.integers(2, 5))
+    views = [rng.standard_normal((n, int(rng.integers(3, 11)))) for _ in range(k)]
+    raw = rng.integers(0, c, size=n)
+    raw[:c] = np.arange(c)
+    hyper = Hyperparams.uniform(k, sparsity=float(10.0 ** rng.uniform(-2.0, 0.5)),
+                                consensus_penalty=float(10.0 ** rng.uniform(0.0, 3.0)),
+                                label_penalty=float(10.0 ** rng.uniform(0.0, 3.0)))
+    return views, one_hot(raw, c), hyper
+
+
+def optimum_of(views, labels, hyper):
+    value, _ = smoothed_objective_optimum(views, labels, hyper.sparsity,
+                                          hyper.consensus_penalty, hyper.label_penalty,
+                                          hyper.eps)
+    return value
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_no_run_undercuts_the_optimum_and_relaxation_keeps_the_gap(monkeypatch, seed):
+    views, labels, hyper = optimum_problem(seed)
+    optimum = optimum_of(views, labels, hyper)
+    relaxed = run_reference(views, labels, hyper, seed).objectives[-1]
+    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 0.0)
+    plain = run_reference(views, labels, hyper, seed).objectives[-1]
+    # a recorded objective uses the plain row norm, which is never below
+    # the smoothed one the oracle minimizes: only rounding may undercut
+    for value in (plain, relaxed):
+        assert value >= optimum - 1e-12 * abs(optimum)
+    # relaxation may stop anywhere within one stopping tolerance of where
+    # the plain schedule stops, and no further above the optimum
+    assert relaxed - optimum <= plain - optimum + hyper.outer_tol * abs(optimum)
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_a_tightly_converged_run_attains_the_optimum(seed):
+    views, labels, hyper = optimum_problem(seed)
+    optimum = optimum_of(views, labels, hyper)
+    tight = replace(hyper, inner_tol=1e-14, outer_tol=1e-14, outer_max=1000)
+    result = run_reference(views, labels, tight, seed)
+    assert result.rounds < tight.outer_max
+    recorded = loop_total_objective(views, result.transforms, result.pseudo_labels,
+                                    result.consensus, labels, hyper.sparsity,
+                                    hyper.consensus_penalty, hyper.label_penalty)
+    smoothing = sum(beta * hyper.eps * float(np.sum(np.log1p(loop_row_norms(w) / hyper.eps)))
+                    for beta, w in zip(hyper.sparsity, result.transforms))
+    assert abs(recorded - smoothing - optimum) <= 1e-10 * abs(optimum)
 
 
 # ---------------------------------------------------------------------------
