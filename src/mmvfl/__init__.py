@@ -26,7 +26,6 @@ from .evaluation import (
     ExperimentResult,
     GridMismatchError,
     MeanAccuracy,
-    classify_eval,
     diff_table,
     mean_curves,
     read_results_csv,
@@ -39,7 +38,6 @@ from .numerics import (
     NotPositiveDefiniteError,
     derive_seed,
     frobenius_norm_sq,
-    l21_norm,
     random_orthonormal,
 )
 from .optimizer import (
@@ -72,7 +70,6 @@ __all__ = [
     "ExperimentResult",
     "GridMismatchError",
     "MeanAccuracy",
-    "classify_eval",
     "diff_table",
     "mean_curves",
     "read_results_csv",
@@ -85,7 +82,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "derive_seed",
     "frobenius_norm_sq",
-    "l21_norm",
     "random_orthonormal",
     "DimensionMismatchError",
     "Hyperparams",

@@ -1,11 +1,13 @@
 """Supervised baselines that regress features directly onto the labels.
 
-``supfl_solve`` fits one participant's transform against the one-hot
-label matrix with the same reweighted least-squares scheme the federated
-training uses, i.e. the label matrix replaces the pseudo-labels.
-``supmvlfl_solve`` is the summed multi-view variant; the objective is
-separable across participants, so the joint fit must match independent
-per-participant fits; that equivalence is pinned by tests.
+``supmvlfl_solve`` fits every view's transform against the one-hot
+label matrix with the reweighted least-squares kernel the federated
+training uses, i.e. the label matrix replaces the pseudo-labels; the
+objective is a sum of per-view terms, so the joint fit matches
+independent per-view fits, which tests pin.  ``supfl_solve`` is that
+fit for one feature block.  The CV sweep (``evaluation.run_grid``)
+runs the same kernel on the training blocks its classifier already
+holds rather than calling these entry points.
 """
 
 from __future__ import annotations
@@ -13,19 +15,19 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import ensure_matrix, frobenius_norm_sq
-from .optimizer import _irls, check_one_hot, fit_sparse_transform, gram_matrix
+from .optimizer import _irls, check_one_hot, gram_matrix
 
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
                 tol: float = 1e-6, max_iter: int = 50):
-    """Row-sparse regression of one feature block onto the labels.
+    """Row-sparse regression of one feature block onto the labels:
+    ``supmvlfl_solve`` on the single view ``[features]``.
 
     Returns ``(transform, objectives)`` with the per-iteration objective
     trace.
     """
-    labels = check_one_hot(labels)
-    transform, _, objectives = fit_sparse_transform(
-        features, labels, sparsity, eps=eps, inner_tol=tol, inner_max=max_iter)
+    [transform], objectives = supmvlfl_solve(
+        [features], labels, sparsity, eps=eps, tol=tol, max_iter=max_iter)
     return transform, objectives
 
 

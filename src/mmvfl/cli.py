@@ -37,7 +37,6 @@ from .evaluation import (
     METHODS,
     diff_table,
     mean_curves,
-    read_results_csv,
     render_diff_table,
     run_grid,
     select_best,
@@ -405,17 +404,14 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
     return outputs
 
 
-def emit_curves(results_path, out_dir, methods=METHODS) -> list[str]:
-    """Per-participant accuracy-vs-p curve files from a results CSV.
+def emit_curves(curves, out_dir, methods=METHODS) -> list[str]:
+    """Per-participant accuracy-vs-p curve files from fold-averaged curves
+    (``mean_curves``).
 
     Each file has a ``p`` column plus one accuracy column per method
     found; a requested method (one of ``methods``) missing from the
-    results produces a warning on stderr.
+    curves produces a warning on stderr.
     """
-    results = read_results_csv(results_path)
-    if not results:
-        raise ValueError(f"{results_path}: no result rows")
-    curves = mean_curves(select_best(results))
     present = sorted({c.method for c in curves}, key=METHODS.index)
     for method in methods:
         if method not in present:
@@ -456,12 +452,10 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
                 "inner_max": config.inner_max,
             })
         all_rows.extend(rows)
-    results_path = os.path.join(out_dir, "results.csv")
-    write_results_csv(all_rows, results_path)
-    outputs = ["results.csv"]
-    outputs.extend(emit_curves(results_path, out_dir, config.methods))
-
+    write_results_csv(all_rows, os.path.join(out_dir, "results.csv"))
     curves = mean_curves(select_best(all_rows))
+    outputs = ["results.csv"] + emit_curves(curves, out_dir, config.methods)
+
     by_method: dict = {}
     for curve in curves:
         by_method.setdefault(curve.method, []).append(curve)

@@ -17,7 +17,6 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 from scipy.linalg import lapack
 
-from .baselines import supfl_solve, supmvlfl_solve
 from .data import FoldPlan, MultiViewDataset
 from .featsel import score_features, select_top
 from .numerics import (
@@ -28,7 +27,7 @@ from .numerics import (
     derive_seed,
     single_blas_thread,
 )
-from .optimizer import Hyperparams, one_hot, run_reference
+from .optimizer import Hyperparams, _irls, gram_matrix, one_hot, run_reference
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
 
@@ -85,10 +84,12 @@ class _SplitScorer:
     train/validation split.
 
     The labels are checked once.  The scorer keeps the Gram of the
-    training design ``[X 1]`` (from XᵀX, the column sums and n) and
-    ``[X 1]ᵀY`` for the one-hot targets Y, so each subset costs a
-    principal submatrix, a Cholesky solve and the validation scores; no
-    design matrix is built unless the solve falls back to ``lstsq``.
+    training design ``[X 1]`` (from ``gram_matrix``'s XᵀX, the column
+    sums and n) and ``[X 1]ᵀY`` for the one-hot targets Y, so each subset
+    costs a principal submatrix, a Cholesky solve and the validation
+    scores; no design matrix is built unless the solve falls back to
+    ``lstsq``.  Their leading blocks, ``gram[:-1, :-1]`` = XᵀX and
+    ``moments[:-1]`` = XᵀY, are the training block the baselines fit on.
     """
 
     def __init__(self, train_features, train_labels, val_features, val_labels):
@@ -111,7 +112,7 @@ class _SplitScorer:
         self.val_labels = val_labels
         self.targets = one_hot(train_labels, num_classes)
         self.gram = np.empty((d + 1, d + 1))
-        self.gram[:d, :d] = train_features.T @ train_features
+        self.gram[:d, :d] = gram_matrix(train_features)
         self.gram[:d, d] = self.gram[d, :d] = train_features.sum(axis=0)
         self.gram[d, d] = n
         self.moments = np.vstack([train_features.T @ self.targets,
@@ -136,36 +137,6 @@ class _SplitScorer:
         return float(np.mean(predictions == self.val_labels))
 
 
-def classify_eval(train_features, train_labels, val_features, val_labels) -> float:
-    """Validation accuracy of a least-squares map onto one-hot targets,
-    fit on every training column.
-
-    Prediction is the argmax over class scores; ties resolve to the
-    lowest class index.  Every class must appear in the training labels.
-    """
-    scorer = _SplitScorer(train_features, train_labels, val_features, val_labels)
-    return scorer.accuracy(np.arange(scorer.train.shape[1]))
-
-
-def _fit_transforms(method: str, train: MultiViewDataset, beta: float,
-                    hyper_kwargs: dict, seed: int):
-    """Train one method on the training split; returns per-view transforms."""
-    labels = one_hot(train.labels, train.num_classes)
-    if method == "mmvfl":
-        hyper = Hyperparams.uniform(train.num_participants, sparsity=beta, **hyper_kwargs)
-        return run_reference(train.views, labels, hyper, seed).transforms
-    eps = hyper_kwargs.get("eps", 1e-6)
-    tol = hyper_kwargs.get("inner_tol", 1e-6)
-    max_iter = hyper_kwargs.get("inner_max", 50)
-    if method == "supfl":
-        return [supfl_solve(v, labels, beta, eps=eps, tol=tol, max_iter=max_iter)[0]
-                for v in train.views]
-    if method == "supmvlfl":
-        return supmvlfl_solve(train.views, labels, beta, eps=eps, tol=tol,
-                              max_iter=max_iter)[0]
-    raise ValueError(f"unknown method {method!r}")
-
-
 @single_blas_thread()
 def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
              beta_grid, p_grid, *, consensus_penalty: float = 1000.0,
@@ -175,9 +146,14 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
 
     Per cell the method is trained on the fold's training split, features
     are ranked per participant, the top p percent are kept, and the
-    selected columns are scored on the validation split by the same
-    least-squares classifier as ``classify_eval``, from one training Gram
-    per (fold, participant).  Returns one ``ExperimentResult`` per cell.
+    selected columns are scored on the validation split by ``_SplitScorer``,
+    the least-squares classifier built once per (fold, participant).  The
+    scorer's XᵀX and XᵀY are the only training blocks the sweep builds
+    for the baselines: ``supfl`` fits each view on its own block and
+    ``supmvlfl`` all views jointly, by the kernel behind ``supfl_solve``
+    and ``supmvlfl_solve``; ``mmvfl`` trains by ``run_reference``.  Every
+    method takes eps and the inner stopping controls from the one
+    ``Hyperparams`` per beta.  Returns one ``ExperimentResult`` per cell.
     BLAS runs on one thread throughout.
     """
     if method not in METHODS:
@@ -194,15 +170,26 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
 
     results = []
     for fold in range(folds.num_folds):
-        train_idx = folds.train_indices(fold)
-        val_idx = folds.val_indices(fold)
-        train = dataset.restrict(train_idx)
-        val = dataset.restrict(val_idx)
+        train = dataset.restrict(folds.train_indices(fold))
+        val = dataset.restrict(folds.val_indices(fold))
         scorers = [_SplitScorer(train.views[k], train.labels, val.views[k], val.labels)
                    for k in range(dataset.num_participants)]
+        grams = [scorer.gram[:-1, :-1] for scorer in scorers]
+        xtys = [scorer.moments[:-1] for scorer in scorers]
+        # ||Y||_F^2 of the one-hot training labels
+        n = float(train.num_samples)
         for beta_index, beta in enumerate(beta_grid):
-            run_seed = derive_seed(seed, fold, beta_index)
-            transforms = _fit_transforms(method, train, beta, kwargs, run_seed)
+            hyper = Hyperparams.uniform(dataset.num_participants, sparsity=beta, **kwargs)
+            controls = (hyper.eps, hyper.inner_tol, hyper.inner_max)
+            if method == "mmvfl":
+                # every scorer holds the same one-hot training labels
+                transforms = run_reference(train.views, scorers[0].targets, hyper,
+                                           derive_seed(seed, fold, beta_index)).transforms
+            elif method == "supfl":
+                transforms = [_irls([g], [xty], [n], [beta], *controls)[0][0]
+                              for g, xty in zip(grams, xtys)]
+            else:
+                transforms = _irls(grams, xtys, [n] * len(grams), hyper.sparsity, *controls)[0]
             for k, transform in enumerate(transforms):
                 ranking = score_features(transform)
                 for p in p_grid:
@@ -212,7 +199,7 @@ def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
                         beta=beta, accuracy=accuracy))
         # the scorers hold this fold's views: free them before the next
         # fold's split is built
-        del scorers
+        del scorers, grams, xtys
     return results
 
 

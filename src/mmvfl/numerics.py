@@ -83,11 +83,6 @@ def row_norms(m) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
 
-def l21_norm(m) -> float:
-    """Sum of row-wise Euclidean norms (the row-sparsity penalty)."""
-    return float(np.sum(row_norms(m)))
-
-
 def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
     """Solve (matrix + diag(shift)) x = b, a symmetric positive definite
     system, by Cholesky factorization and iterative refinement, so the

@@ -35,7 +35,6 @@ from .numerics import (
     check_seed,
     derive_seed,
     ensure_matrix,
-    frobenius_norm_sq,
     random_orthonormal,
     single_blas_thread,
 )
@@ -303,39 +302,6 @@ def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None, wor
     return transforms, diags, objectives
 
 
-def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
-                         inner_tol: float = 1e-6, inner_max: int = 50,
-                         init=None):
-    """Row-sparse least squares by iteratively reweighted least squares.
-
-    Alternates the reweighting diagonal and the closed-form solve until
-    the relative change of the objective drops below ``inner_tol`` or
-    ``inner_max`` iterations pass.  Starts from ``init`` when given (a
-    warm transform from the previous round), otherwise from a plain ridge
-    step.  Returns ``(transform, irls_diag, objectives)`` where
-    ``irls_diag`` is the diagonal used for the final solve, so the pair
-    satisfies the reweighted stationarity condition to solver precision.
-
-    The reported trace holds the raw objective; the internal descent
-    guard watches the smoothed penalty instead, since only that one is
-    mathematically non-increasing under reweighting (the raw row-norm
-    sum may drift up by O(eps) near convergence).
-    """
-    features = ensure_matrix(features, "features")
-    targets = ensure_matrix(targets, "targets")
-    if not sparsity > 0:
-        raise ValueError("sparsity must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if inner_max < 1:
-        raise ValueError("inner_max must be >= 1")
-    inits = None if init is None else [ensure_matrix(init, "init")]
-    [transform], [diag], objectives = _irls(
-        [gram_matrix(features)], [features.T @ targets], [frobenius_norm_sq(targets)],
-        [sparsity], eps, inner_tol, inner_max, inits)
-    return transform, diag, objectives
-
-
 def owner_pseudo_label_update(projected, consensus, labels, consensus_penalty: float,
                               label_penalty: float) -> np.ndarray:
     """Label owner's pseudo-label minimizer: weighted average of the local
@@ -428,11 +394,16 @@ def init_participant_state(participant_id: int, features, hyper: Hyperparams,
     """Build a participant's starting state from the shared seed.
     ``labels`` (label owner only) must be samples x ``num_classes``."""
     features = ensure_matrix(features, f"features[{participant_id}]")
-    n, d = features.shape
     if labels is not None:
         labels = check_one_hot(labels)
-        if labels.shape != (n, num_classes):
+        if labels.shape != (features.shape[0], num_classes):
             raise DimensionMismatchError("labels must be samples x classes")
+    return _new_state(participant_id, features, hyper, num_classes, seed, labels)
+
+
+def _new_state(participant_id, features, hyper, num_classes, seed, labels):
+    """``init_participant_state`` on inputs its caller has checked."""
+    n, d = features.shape
     return ParticipantState(
         participant_id=participant_id,
         features=features,
@@ -447,7 +418,8 @@ def init_participant_state(participant_id: int, features, hyper: Hyperparams,
 
 
 def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantState]:
-    """States for all participants; the first one owns the labels."""
+    """States for all participants; the first one owns the labels.  Each
+    view and the labels are checked once, here."""
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
     labels = check_one_hot(labels)
     if len(views) != len(hyper.sparsity):
@@ -462,8 +434,7 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
     num_classes = labels.shape[1]
     ProblemShape(len(views), num_classes, n, tuple(v.shape[1] for v in views))
     return [
-        init_participant_state(k, view, hyper, num_classes, seed,
-                               labels=labels if k == 0 else None)
+        _new_state(k, view, hyper, num_classes, seed, labels if k == 0 else None)
         for k, view in enumerate(views)
     ]
 

@@ -4,11 +4,11 @@ Everything here is deliberately naive and shares no code with the
 package under test: explicit Python loops, plain np.linalg.solve or
 grid/first-order search instead of the package's factorizations and
 closed forms.  Frozen constants in the tests were produced by these
-functions.  The exceptions, ``solve_transform``, ``solve_spd`` and
-``total_objective``, are marked below: they are the package's own
-kernels behind a plain signature, which the tests hold against these
-oracles.  ``lstsq_accuracy`` is the package's former classifier, kept
-as it was to hold the Gram-based one against.
+functions.  The exceptions, ``solve_transform``, ``solve_spd``,
+``fit_sparse_transform`` and ``total_objective``, are marked below: they
+are the package's own kernels behind a plain signature, which the tests
+hold against these oracles.  ``lstsq_accuracy`` is the package's former
+classifier, kept as it was to hold the Gram-based one against.
 """
 
 from __future__ import annotations
@@ -76,6 +76,26 @@ def solve_spd(a, b) -> np.ndarray:
 
     a = np.asarray(a, dtype=np.float64)
     return _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64), a)
+
+
+def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
+                         inner_tol: float = 1e-6, inner_max: int = 50, init=None):
+    """Row-sparse least squares of one block by the package's reweighted
+    least-squares kernel (not an oracle: it runs ``optimizer._irls``).
+
+    Starts from ``init`` when given, else from a plain ridge step.
+    Returns ``(transform, irls_diag, objectives)``: ``irls_diag`` is the
+    diagonal of the final solve, so the pair is stationary for the
+    reweighted problem, and ``objectives`` is the raw objective trace."""
+    from mmvfl.optimizer import _irls, gram_matrix
+
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    inits = None if init is None else [np.asarray(init, dtype=np.float64)]
+    [transform], [diag], objectives = _irls(
+        [gram_matrix(features)], [features.T @ targets], [float(np.sum(targets * targets))],
+        [sparsity], eps, inner_tol, inner_max, inits)
+    return transform, diag, objectives
 
 
 def total_objective(states, consensus) -> float:

@@ -28,7 +28,6 @@ from mmvfl.federation import audit_trace, run_federated
 from mmvfl.optimizer import (
     Hyperparams,
     aggregate_consensus,
-    fit_sparse_transform,
     make_states,
     one_hot,
     owner_pseudo_label_update,
@@ -39,6 +38,7 @@ from mmvfl.optimizer import (
 from oracles import (
     analytic_block_gradients,
     finite_difference_gradient,
+    fit_sparse_transform,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
     loop_reweight_diag,

@@ -5,13 +5,9 @@ import pytest
 
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
-from mmvfl.optimizer import (
-    NonDecreasingObjectiveError,
-    fit_sparse_transform,
-    one_hot,
-)
+from mmvfl.optimizer import NonDecreasingObjectiveError, one_hot
 
-from oracles import fit_objective
+from oracles import fit_objective, fit_sparse_transform
 
 
 def random_instance(seed, max_views=4):

