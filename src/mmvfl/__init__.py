@@ -28,7 +28,6 @@ from .evaluation import (
     MeanAccuracy,
     diff_table,
     mean_curves,
-    read_results_csv,
     run_grid,
     select_best,
     write_results_csv,
@@ -72,7 +71,6 @@ __all__ = [
     "MeanAccuracy",
     "diff_table",
     "mean_curves",
-    "read_results_csv",
     "run_grid",
     "select_best",
     "write_results_csv",

@@ -121,6 +121,13 @@ class RunConfig:
             raise ConfigError("audit mode requires --trace")
         if self.trace is not None and not os.path.isfile(self.trace):
             raise ConfigError(f"trace file not found: {self.trace}")
+        try:
+            # the solver controls, within the bounds training enforces
+            Hyperparams.uniform(1, eps=self.eps, inner_tol=self.inner_tol,
+                                inner_max=self.inner_max, outer_tol=self.outer_tol,
+                                outer_max=self.outer_max)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solver controls: {exc}") from None
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -359,6 +366,14 @@ def _write_training_outputs(out_dir, transforms, consensus, objectives):
     return list(matrices) + ["objective_trace.csv"]
 
 
+def warn_unless_converged(converged: bool, config: RunConfig):
+    """One stderr line when training stopped at ``outer_max``."""
+    if not converged:
+        print(f"warning: training stopped at outer_max={config.outer_max} rounds "
+              f"before its objective changed by less than outer_tol={config.outer_tol!r}",
+              file=sys.stderr)
+
+
 def run_training_mode(config: RunConfig, out_dir) -> list[str]:
     dataset = obtain_dataset(config)
     labels = one_hot(dataset.labels, dataset.num_classes)
@@ -366,6 +381,7 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
 
     if config.mode == "reference":
         result = run_reference(dataset.views, labels, hyper, config.seed)
+        warn_unless_converged(result.converged, config)
         outputs = _write_training_outputs(
             out_dir, result.transforms, result.consensus, result.objectives)
     elif config.mode in ("federated-inproc", "federated-tcp"):
@@ -374,6 +390,7 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
             dataset.views, labels, hyper, config.seed,
             transport=transport, round_timeout=config.round_timeout,
             port=config.transport_port)
+        warn_unless_converged(result.converged, config)
         outputs = _write_training_outputs(
             out_dir, [st.transform for st in result.states],
             result.consensus, result.objectives)

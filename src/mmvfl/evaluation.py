@@ -303,22 +303,3 @@ def write_results_csv(results, path):
                 format(row.p, ".17g"), row.fold,
                 format(row.beta, ".17g"), format(row.accuracy, ".17g"),
             ])
-
-
-def read_results_csv(path) -> list[ExperimentResult]:
-    """Load experiment rows written by ``write_results_csv``."""
-    results = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RESULT_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(RESULT_FIELDS)}")
-        for record in reader:
-            results.append(ExperimentResult(
-                method=record["method"],
-                participant=int(record["participant"]),
-                p=float(record["p"]),
-                fold=int(record["fold"]),
-                beta=float(record["beta"]),
-                accuracy=float(record["accuracy"]),
-            ))
-    return results

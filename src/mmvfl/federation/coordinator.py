@@ -71,11 +71,14 @@ class TracedMessage:
 
 @dataclass
 class CoordinatorResult:
-    """Final consensus, per-round objectives, and the message trace."""
+    """Final consensus, per-round objectives, the message trace, and
+    whether the run stopped on ``outer_tol`` rather than at
+    ``outer_max``."""
 
     consensus: np.ndarray
     objectives: list[float]
     trace: list[TracedMessage]
+    converged: bool
 
 
 def _trace_entry(direction: str, message: RoundMessage, nbytes: int) -> TracedMessage:
@@ -95,10 +98,10 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     run through ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r
     carries the consensus ``run_rounds`` chose after round r: the seeded
     one for r = 0, the plain aggregate for r = 1, and from r = 2 on the
-    over-relaxed aggregate when it does not raise the objective, else the
-    plain one.  Every upload of round r + 1 answers it.  The last round's
-    plain aggregate, the exact consensus minimizer, goes out as
-    ``Converged``.
+    Anderson-extrapolated aggregate when it does not raise the objective,
+    else the plain one.  Every upload of round r + 1 answers it.  The
+    last round's plain aggregate, the exact consensus minimizer, goes out
+    as ``Converged``.
     Raises ``RoundTimeoutError`` when a participant misses
     ``round_timeout`` and ``FederationAbortError`` on duplicate
     registration, malformed messages, or transport failure.
@@ -175,10 +178,11 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
         if len(owners) != 1:
             abort_all(f"need exactly one label owner, got {sorted(owners)}")
 
-        consensus, objectives = run_rounds(
+        consensus, objectives, converged = run_rounds(
             refit, init_consensus(*matrix_shape, config.seed), config.hyper)
         broadcast(KIND_CONVERGED, len(objectives), consensus)
     finally:
         for ch in channels:
             ch.close()
-    return CoordinatorResult(consensus=consensus, objectives=objectives, trace=trace)
+    return CoordinatorResult(consensus=consensus, objectives=objectives, trace=trace,
+                             converged=converged)

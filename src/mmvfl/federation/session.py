@@ -31,12 +31,14 @@ _JOIN_GRACE = 30.0
 
 @dataclass
 class FederatedResult:
-    """Per-participant final states plus the coordinator's outputs."""
+    """Per-participant final states plus the coordinator's outputs;
+    ``converged`` is False when the run stopped at ``outer_max``."""
 
     states: list[ParticipantState]
     consensus: np.ndarray
     objectives: list[float]
     trace: list[TracedMessage]
+    converged: bool
 
 
 class _Worker(threading.Thread):
@@ -143,4 +145,5 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
         consensus=coordinator_result.consensus,
         objectives=coordinator_result.objectives,
         trace=coordinator_result.trace,
+        converged=coordinator_result.converged,
     )

@@ -83,7 +83,7 @@ def row_norms(m) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
 
-def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
+def _cholesky_solve_in_place(work, b, matrix, shift=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve (matrix + diag(shift)) x = b, a symmetric positive definite
     system, by Cholesky factorization and iterative refinement, so the
     relative residual ||A x - b||_F / ||b||_F stays within
@@ -91,19 +91,22 @@ def _cholesky_solve_in_place(work, b, matrix, shift=None) -> np.ndarray:
 
     ``work`` holds that system in Fortran order and is overwritten by its
     Cholesky factor; refinement residuals come from ``matrix`` and
-    ``shift``, so no second copy of the system is kept."""
+    ``shift``, so no second copy of the system is kept.  Returns
+    ``(x, matrix @ x)``: the refinement needs the product anyway."""
     _cholesky_factor_in_place(work)
     x = _cholesky_solve(work, b)
+    product = matrix @ x
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
-            residual = b - matrix @ x
+            residual = b - product
             if shift is not None:
                 residual -= shift[:, None] * x
             if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
                 break
             x = x + _cholesky_solve(work, residual)
-    return x
+            product = matrix @ x
+    return x, product
 
 
 # ---------------------------------------------------------------------------

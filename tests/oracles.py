@@ -8,11 +8,13 @@ functions.  The exceptions, ``solve_transform``, ``solve_spd``,
 ``fit_sparse_transform`` and ``total_objective``, are marked below: they
 are the package's own kernels behind a plain signature, which the tests
 hold against these oracles.  ``lstsq_accuracy`` is the package's former
-classifier, kept as it was to hold the Gram-based one against.
+classifier, kept as it was to hold the Gram-based one against, and
+``read_results_csv`` reads back the sweep's ``results.csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -65,7 +67,8 @@ def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray
     irls_diag = np.asarray(irls_diag, dtype=np.float64)
     gram = gram_matrix(features)
     work = np.empty(gram.shape, order="F")
-    return _penalized_solve(gram, features.T @ targets, irls_diag, sparsity, work)
+    transform, _ = _penalized_solve(gram, features.T @ targets, irls_diag, sparsity, work)
+    return transform
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -75,7 +78,8 @@ def solve_spd(a, b) -> np.ndarray:
     from mmvfl.numerics import _cholesky_solve_in_place
 
     a = np.asarray(a, dtype=np.float64)
-    return _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64), a)
+    x, _ = _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64), a)
+    return x
 
 
 def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
@@ -372,3 +376,24 @@ def lstsq_accuracy(train_features, train_labels, val_features, val_labels) -> fl
     scores = val_design @ coef
     predictions = np.argmax(scores, axis=1)
     return float(np.mean(predictions == val_labels))
+
+
+def read_results_csv(path):
+    """Experiment rows from a file ``evaluation.write_results_csv`` wrote."""
+    from mmvfl.evaluation import RESULT_FIELDS, ExperimentResult
+
+    results = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != RESULT_FIELDS:
+            raise ValueError(f"{path}: expected header {','.join(RESULT_FIELDS)}")
+        for record in reader:
+            results.append(ExperimentResult(
+                method=record["method"],
+                participant=int(record["participant"]),
+                p=float(record["p"]),
+                fold=int(record["fold"]),
+                beta=float(record["beta"]),
+                accuracy=float(record["accuracy"]),
+            ))
+    return results

@@ -112,7 +112,8 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     def sabotage(gram, xty, diag, sparsity, work):
         calls["n"] += 1
         if calls["n"] > len(views):
-            return np.full((gram.shape[0], xty.shape[1]), 50.0)
+            broken = np.full((gram.shape[0], xty.shape[1]), 50.0)
+            return broken, gram @ broken
         return good(gram, xty, diag, sparsity, work)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)

@@ -261,3 +261,32 @@ def test_module_is_runnable_as_a_script():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_solver_controls_are_config_errors(tmp_path, capsys):
+    # rejected before any data is loaded or output written
+    for mode in ("reference", "supfl", "sweep"):
+        for control, value in (("eps", 0.01), ("eps", 0.0), ("inner_tol", 0.0),
+                               ("inner_max", 0), ("outer_tol", -1e-5), ("outer_max", 0),
+                               ("eps", "small")):
+            config = write_config(tmp_path, **{control: value})
+            out = tmp_path / f"{mode}_{control}"
+            assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: solver controls:"), (mode, control, err)
+            assert not out.exists()
+
+
+def test_a_run_stopped_at_outer_max_warns_on_stderr_only(tmp_path, capsys):
+    for outer_max, warned in ((2, True), (100, False)):
+        config = write_config(tmp_path, outer_max=outer_max)
+        for mode in ("reference", "federated-inproc", "federated-tcp"):
+            out = tmp_path / f"{mode}_{outer_max}"
+            assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            warning = (f"warning: training stopped at outer_max={outer_max} rounds "
+                       "before its objective changed by less than outer_tol=1e-05\n")
+            assert captured.err == (warning if warned else ""), (mode, captured.err)
+            assert captured.out.startswith("wrote ")
+            for name in os.listdir(out):
+                assert b"converged" not in read_bytes(out, name), name

@@ -20,7 +20,6 @@ from mmvfl.evaluation import (
     diff_table,
     format_cell,
     mean_curves,
-    read_results_csv,
     render_diff_table,
     run_grid,
     select_best,
@@ -30,7 +29,7 @@ from mmvfl.evaluation import (
 from mmvfl.featsel import score_features, select_top
 from mmvfl.optimizer import one_hot
 
-from oracles import lstsq_accuracy
+from oracles import lstsq_accuracy, read_results_csv
 
 
 def small_dataset(seed=0):

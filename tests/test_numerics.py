@@ -153,9 +153,10 @@ def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, see
     assert _bits(work) == _bits(factor)
     assert _bits(_cholesky_solve(work, b)) == _bits(cho_solve((factor, True), b))
 
-    ours = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+    ours, product = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
     theirs = _scipy_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
     assert _bits(ours) == _bits(theirs)
+    assert _bits(product) == _bits(matrix @ theirs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 40])

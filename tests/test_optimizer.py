@@ -247,7 +247,8 @@ def test_fit_sparse_transform_guard_fires_on_broken_solver(monkeypatch):
     def sabotage(gram, xty, diag, sparsity, work):
         calls["n"] += 1
         if calls["n"] >= 2:
-            return np.full((gram.shape[0], xty.shape[1]), 100.0)
+            broken = np.full((gram.shape[0], xty.shape[1]), 100.0)
+            return broken, gram @ broken
         return good(gram, xty, diag, sparsity, work)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
@@ -266,13 +267,13 @@ def test_fit_sparse_transform_deterministic():
 
 
 def _record_solves(monkeypatch):
-    """Wrap the kernel's solve step; returns the list of (args, result)."""
+    """Wrap the kernel's solve step; returns the list of (args, W, G W)."""
     solves = []
     original = optimizer._penalized_solve
 
     def record(gram, xty, irls_diag, sparsity, work):
         result = original(gram, xty, irls_diag, sparsity, work)
-        solves.append(((gram, xty, irls_diag, sparsity), result))
+        solves.append(((gram, xty, irls_diag, sparsity), *result))
         return result
 
     monkeypatch.setattr(optimizer, "_penalized_solve", record)
@@ -296,7 +297,7 @@ def test_gram_form_objective_matches_residual_form_at_every_iterate(
         solves = _record_solves(patch)
         _, _, trace = fit_sparse_transform(x, t, sparsity, eps=eps, init=init, inner_max=8)
     gram, xty, t_sq = optimizer.gram_matrix(x), x.T @ t, float(np.sum(t * t))
-    iterates = [init] + [w for _, w in solves]
+    iterates = [init] + [w for _, w, _ in solves]
     assert len(trace) == len(iterates)
     for value, w in zip(trace, iterates):
         # the Gram form cancels terms of this size, so its rounding error
@@ -327,7 +328,7 @@ def test_descent_guard_holds_on_ill_conditioned_block(seed):
     assert len(trace) == len(solves) >= 2
     smoothed = [float(np.sum((x @ w - t) ** 2))
                 + sparsity * optimizer.smoothed_row_penalty(np.linalg.norm(w, axis=1), 1e-6)
-                for _, w in solves]
+                for _, w, _ in solves]
     for before, after in zip(smoothed, smoothed[1:]):
         assert after <= before + optimizer.MONOTONICITY_SLACK * max(1.0, abs(before))
 
@@ -345,9 +346,11 @@ def test_every_kernel_solve_meets_the_residual_promise(monkeypatch):
     views, labels = tiny_problem(16)
     run_reference(views, labels, Hyperparams.uniform(2, sparsity=0.1), 16)
     assert len(solves) > 100
-    for (gram, xty, irls_diag, sparsity), w in solves:
+    for (gram, xty, irls_diag, sparsity), w, product in solves:
         a = gram + np.diag(sparsity * irls_diag)
         assert np.linalg.norm(a @ w - xty) <= SPD_RESIDUAL_TOL * np.linalg.norm(xty)
+        # the product the kernel's objective reads is G W itself
+        assert product.tobytes() == (gram @ w).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +617,7 @@ def test_label_attachment_tightens_with_eta():
 
 
 # ---------------------------------------------------------------------------
-# over-relaxed consensus broadcast
+# Anderson-extrapolated consensus broadcast
 
 
 def _record_rounds(monkeypatch):
@@ -645,6 +648,39 @@ def _record_rounds(monkeypatch):
     return log
 
 
+def _anderson_candidates(log, objectives, hyper):
+    """The plain aggregates of a logged run and, per round, the candidate
+    the step-limited Anderson rule tries (None where it tries none),
+    recomputed from the logged broadcasts and uploads by a least-squares
+    fit over stacked difference columns."""
+    penalties = hyper.consensus_penalty
+    memory, cap = optimizer.ANDERSON_MEMORY, optimizer.ANDERSON_STEP
+    aggregates = [aggregate_consensus(u, penalties) for u in log["uploads"]]
+    residuals = [a - b for a, b in zip(aggregates, log["received"])]
+    candidates = [None] * len(aggregates)
+    for r in range(1, len(aggregates) - 1):  # the last round returns
+        plain = round_objective(log["parts"][r], log["uploads"][r], penalties, aggregates[r])
+        pairs = range(max(0, r - memory), r)
+        if not pairs or not plain < objectives[r - 1]:
+            continue
+        d_res = np.stack([(residuals[j + 1] - residuals[j]).ravel() for j in pairs], axis=1)
+        d_agg = np.stack([(aggregates[j + 1] - aggregates[j]).ravel() for j in pairs], axis=1)
+        normal = d_res.T @ d_res
+        normal += 1e-10 * np.trace(normal) / len(pairs) * np.eye(len(pairs))
+        gamma = np.linalg.solve(normal, d_res.T @ residuals[r].ravel())
+        step = -(d_agg @ gamma).reshape(aggregates[r].shape)
+        spread = sum(penalties) * float(np.sum(step * step))
+        candidates[r] = aggregates[r] + min(
+            1.0, cap * np.sqrt((objectives[r - 1] - plain) / spread)) * step
+    return aggregates, candidates
+
+
+def _close_to_candidate(broadcast, candidate, aggregate):
+    # the loop and the stacked fit round the normal equations differently
+    return (np.max(np.abs(broadcast - candidate))
+            <= 1e-7 * np.max(np.abs(candidate - aggregate)))
+
+
 def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch):
     views, labels = tiny_problem(21, num_samples=40, dims=(6, 9, 4))
     hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
@@ -657,47 +693,53 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
     assert len(log["states"]) == result.rounds > 3
     for value, states, consensus in zip(result.objectives, log["states"], broadcasts):
         assert value == pytest.approx(total_objective(states, consensus), rel=1e-9)
-    aggregates = [aggregate_consensus(u, hyper.consensus_penalty) for u in log["uploads"]]
-    relaxed = [not np.array_equal(z, a) for z, a in zip(broadcasts, aggregates)]
-    assert not relaxed[0] and not relaxed[-1]
-    assert sum(relaxed) >= 2
-    for r in np.flatnonzero(relaxed):
-        step = optimizer.OVER_RELAXATION * (aggregates[r] - aggregates[r - 1])
-        assert broadcasts[r].tobytes() == (aggregates[r] + step).tobytes()
+    aggregates, candidates = _anderson_candidates(log, result.objectives, hyper)
+    extrapolated = [not np.array_equal(z, a) for z, a in zip(broadcasts, aggregates)]
+    assert not extrapolated[0] and not extrapolated[-1]
+    assert sum(extrapolated) >= 2
+    for r, candidate in enumerate(candidates):
+        if candidate is None:
+            assert broadcasts[r].tobytes() == aggregates[r].tobytes()
+        else:
+            # the cap keeps the candidate below the last objective, so
+            # the rule accepts every one it tries
+            assert extrapolated[r]
+            assert _close_to_candidate(broadcasts[r], candidate, aggregates[r])
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
-def test_rejected_relaxation_broadcasts_the_plain_aggregate(monkeypatch, transport):
-    # a weight of 50 overshoots far enough that the objective rises at
-    # the candidate and the step is rejected
+def test_rejected_extrapolation_broadcasts_the_plain_aggregate(monkeypatch, transport):
+    # a step cap of 50 takes the full Anderson step, which overshoots far
+    # enough that the objective rises at some candidates and they are
+    # rejected
     views, labels = tiny_problem(22, num_samples=30, dims=(5, 7, 4))
     hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
                                 label_penalty=100.0, outer_tol=1e-9, outer_max=30)
-    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 50.0)
+    monkeypatch.setattr(optimizer, "ANDERSON_STEP", 50.0)
     log = _record_rounds(monkeypatch)
     reference = run_reference(views, labels, hyper, 7)
     trace = reference.objectives
     assert np.diff(trace).max(initial=0.0) <= 1e-9
     penalties = hyper.consensus_penalty
-    aggregates = [aggregate_consensus(u, penalties) for u in log["uploads"]]
+    aggregates, candidates = _anderson_candidates(log, trace, hyper)
     broadcasts = log["received"][1:] + [reference.consensus]
-    assert broadcasts[0].tobytes() == aggregates[0].tobytes()
-    assert broadcasts[-1].tobytes() == aggregates[-1].tobytes()
     rejected = 0
-    for r in range(1, reference.rounds - 1):
-        candidate = aggregates[r] + 50.0 * (aggregates[r] - aggregates[r - 1])
+    for r in range(reference.rounds):
         uploads, parts = log["uploads"][r], log["parts"][r]
-        at_candidate = round_objective(parts, uploads, penalties, candidate)
-        if at_candidate <= trace[r - 1]:
-            assert broadcasts[r].tobytes() == candidate.tobytes()
-            assert trace[r] == at_candidate
-        else:
+        if not np.array_equal(broadcasts[r], aggregates[r]):
+            assert _close_to_candidate(broadcasts[r], candidates[r], aggregates[r])
+            assert trace[r] == round_objective(parts, uploads, penalties, broadcasts[r])
+            assert trace[r] <= trace[r - 1]
+            continue
+        assert broadcasts[r].tobytes() == aggregates[r].tobytes()
+        assert trace[r] == round_objective(parts, uploads, penalties, aggregates[r])
+        if candidates[r] is not None:
+            assert round_objective(parts, uploads, penalties, candidates[r]) > trace[r - 1]
             rejected += 1
-            assert broadcasts[r].tobytes() == aggregates[r].tobytes()
-            assert trace[r] == round_objective(parts, uploads, penalties, aggregates[r])
     assert rejected >= 1
     federated = run_federated(views, labels, hyper, seed=7, transport=transport)
     assert federated.objectives == trace
+    assert federated.converged == reference.converged
     assert federated.consensus.tobytes() == reference.consensus.tobytes()
     for state, transform, pseudo in zip(federated.states, reference.transforms,
                                         reference.pseudo_labels):
@@ -705,11 +747,11 @@ def test_rejected_relaxation_broadcasts_the_plain_aggregate(monkeypatch, transpo
         assert state.pseudo_labels.tobytes() == pseudo.tobytes()
 
 
-def test_zero_relaxation_is_the_plain_schedule(monkeypatch):
+def test_zero_memory_is_the_plain_schedule(monkeypatch):
     views, labels = tiny_problem(23, num_samples=40, dims=(6, 9, 4))
     hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
                                 label_penalty=100.0, outer_tol=1e-9)
-    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 0.0)
+    monkeypatch.setattr(optimizer, "ANDERSON_MEMORY", 0)
     result = run_reference(views, labels, hyper, 8)
 
     states = make_states(views, labels, hyper, 8)
@@ -724,6 +766,7 @@ def test_zero_relaxation_is_the_plain_schedule(monkeypatch):
                                                  hyper.outer_tol):
             break
     assert 3 < len(objectives) < hyper.outer_max
+    assert result.converged
     assert np.asarray(result.objectives).tobytes() == np.asarray(objectives).tobytes()
     assert result.consensus.tobytes() == consensus.tobytes()
     for transform, st in zip(result.transforms, states):
@@ -756,16 +799,26 @@ def optimum_of(views, labels, hyper):
 def test_no_run_undercuts_the_optimum_and_relaxation_keeps_the_gap(monkeypatch, seed):
     views, labels, hyper = optimum_problem(seed)
     optimum = optimum_of(views, labels, hyper)
-    relaxed = run_reference(views, labels, hyper, seed).objectives[-1]
-    monkeypatch.setattr(optimizer, "OVER_RELAXATION", 0.0)
+    extrapolated = run_reference(views, labels, hyper, seed).objectives[-1]
+    monkeypatch.setattr(optimizer, "ANDERSON_MEMORY", 0)
     plain = run_reference(views, labels, hyper, seed).objectives[-1]
     # a recorded objective uses the plain row norm, which is never below
     # the smoothed one the oracle minimizes: only rounding may undercut
-    for value in (plain, relaxed):
+    for value in (plain, extrapolated):
         assert value >= optimum - 1e-12 * abs(optimum)
-    # relaxation may stop anywhere within one stopping tolerance of where
-    # the plain schedule stops, and no further above the optimum
-    assert relaxed - optimum <= plain - optimum + hyper.outer_tol * abs(optimum)
+    # extrapolation may stop anywhere within one stopping tolerance of
+    # where the plain schedule stops, and no further above the optimum
+    assert extrapolated - optimum <= plain - optimum + hyper.outer_tol * abs(optimum)
+
+
+def test_extrapolation_reaches_the_optimum_where_the_plain_schedule_stalls():
+    # a label penalty of 1.8 against a consensus penalty of 459: the plain
+    # schedule creeps and stops at outer_max 55% above the optimum
+    views, labels, hyper = optimum_problem(4)
+    optimum = optimum_of(views, labels, hyper)
+    result = run_reference(views, labels, hyper, 4)
+    assert result.converged and result.rounds < hyper.outer_max
+    assert result.objectives[-1] - optimum <= 1e-4 * abs(optimum)
 
 
 @pytest.mark.parametrize("seed", [0, 8])
@@ -818,7 +871,7 @@ def test_run_reference_is_bitwise_the_same_on_any_lane_count(monkeypatch):
         assert sorted(threads) == list(range(6))
         assert all(len(idents) == 1 for idents in threads.values())
         assert len(set().union(*threads.values())) == lanes
-    assert runs[1].rounds == 12
+    assert runs[1].rounds == 12 and not runs[1].converged
     assert _bits(runs[1]) == _bits(runs[3])
 
 
