@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import ensure_matrix, frobenius_norm_sq
-from .optimizer import _irls, check_one_hot, gram_matrix
+from .optimizer import _irls, check_one_hot, check_solver_controls, gram_matrix
 
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
@@ -49,10 +49,7 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
         raise ValueError("one sparsity weight per view required")
     if any(not b > 0 for b in sparsity):
         raise ValueError("sparsity weights must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_solver_controls(eps, (tol,), (max_iter,))
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")

@@ -16,6 +16,7 @@ missing files, bad grids), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from .baselines import supfl_solve, supmvlfl_solve
 from .data import (
     FLOAT_FORMAT,
     MultiViewDataset,
+    check_synth_shape,
     load_csv,
     make_folds,
     save_csv,
@@ -44,7 +46,7 @@ from .evaluation import (
 )
 from .federation import TracedMessage, audit_trace, run_federated
 from .numerics import numerics_report, single_blas_thread
-from .optimizer import Hyperparams, one_hot, run_reference
+from .optimizer import Hyperparams, check_solver_controls, one_hot, run_reference
 
 MODES = ("reference", "federated-inproc", "federated-tcp", "supfl",
          "supmvlfl", "sweep", "synth", "audit")
@@ -122,21 +124,26 @@ class RunConfig:
         if self.trace is not None and not os.path.isfile(self.trace):
             raise ConfigError(f"trace file not found: {self.trace}")
         try:
-            # the solver controls, within the bounds training enforces
-            Hyperparams.uniform(1, eps=self.eps, inner_tol=self.inner_tol,
-                                inner_max=self.inner_max, outer_tol=self.outer_tol,
-                                outer_max=self.outer_max)
+            check_solver_controls(self.eps, (self.inner_tol, self.outer_tol),
+                                  (self.inner_max, self.outer_max))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver controls: {exc}") from None
+        try:
+            check_synth_shape(self.synth_participants, self.synth_classes,
+                              self.synth_samples, self.synth_dims,
+                              self.synth_informative, self.synth_noise)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"synthetic data: {exc}") from None
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 _TUPLE_FIELDS = {"views", "beta_grid", "p_grid", "methods", "synth_dims"}
 
 
+@functools.cache
 def version_string() -> str:
     """Version from git when run inside a checkout, else the package
-    version."""
+    version; computed once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--tags", "--always", "--dirty"],
@@ -253,18 +260,7 @@ def write_message_trace(path, trace):
     """One JSON object per message; payload contents stay out of the log."""
     with open(path, "w", encoding="utf-8") as handle:
         for entry in trace:
-            shape = entry.payload_shape
-            record = {
-                "direction": entry.direction,
-                "kind": entry.kind,
-                "round": entry.round,
-                "participant_id": entry.participant_id,
-                "nbytes": entry.nbytes,
-                "payload_shape": list(shape) if shape is not None else None,
-                "objective_part": entry.objective_part,
-                "label_owner": entry.label_owner,
-            }
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps(asdict(entry)) + "\n")
 
 
 def read_message_trace(path) -> list[TracedMessage]:
@@ -314,11 +310,10 @@ def write_manifest(config: RunConfig, out_dir, dataset_facts, outputs):
 # Dataset plumbing
 
 
-def obtain_dataset(config: RunConfig):
-    """Load the configured CSVs, or fall back to the seeded synthetic."""
-    if config.views is not None:
-        return load_csv(config.views, config.labels)
-    dataset, _ = synth_planted(
+def synth_dataset(config: RunConfig):
+    """The seeded synthetic dataset the ``synth_*`` fields describe, with
+    its planted columns per view."""
+    return synth_planted(
         num_participants=config.synth_participants,
         num_classes=config.synth_classes,
         num_samples=config.synth_samples,
@@ -326,7 +321,13 @@ def obtain_dataset(config: RunConfig):
         n_informative=config.synth_informative,
         noise=config.synth_noise,
         seed=config.seed)
-    return dataset
+
+
+def obtain_dataset(config: RunConfig):
+    """Load the configured CSVs, or fall back to the seeded synthetic."""
+    if config.views is not None:
+        return load_csv(config.views, config.labels)
+    return synth_dataset(config)[0]
 
 
 def dataset_facts(dataset: MultiViewDataset) -> dict:
@@ -457,20 +458,11 @@ def emit_curves(curves, out_dir, methods=METHODS) -> list[str]:
 def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
     dataset = obtain_dataset(config)
     folds = make_folds(dataset, config.folds, config.seed)
-    all_rows = []
-    for method in config.methods:
-        rows = run_grid(
-            method, dataset, folds, config.beta_grid, config.p_grid,
-            consensus_penalty=config.zeta, label_penalty=config.eta,
-            seed=config.seed,
-            hyper_kwargs={
-                "eps": config.eps,
-                "inner_tol": config.inner_tol,
-                "inner_max": config.inner_max,
-            })
-        all_rows.extend(rows)
-    write_results_csv(all_rows, os.path.join(out_dir, "results.csv"))
-    curves = mean_curves(select_best(all_rows))
+    rows = run_grid(config.methods, dataset, folds, config.beta_grid, config.p_grid,
+                    training_hyper(config, dataset.num_participants), config.seed)
+    warn_unless_converged(all(row.converged for row in rows), config)
+    write_results_csv(rows, os.path.join(out_dir, "results.csv"))
+    curves = mean_curves(select_best(rows))
     outputs = ["results.csv"] + emit_curves(curves, out_dir, config.methods)
 
     by_method: dict = {}
@@ -491,14 +483,7 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
 
 
 def run_synth_mode(config: RunConfig, out_dir) -> list[str]:
-    dataset, informative = synth_planted(
-        num_participants=config.synth_participants,
-        num_classes=config.synth_classes,
-        num_samples=config.synth_samples,
-        dims=config.synth_dims,
-        n_informative=config.synth_informative,
-        noise=config.synth_noise,
-        seed=config.seed)
+    dataset, informative = synth_dataset(config)
     view_names = [f"view_{k + 1}.csv" for k in range(dataset.num_participants)]
     save_csv(dataset, [os.path.join(out_dir, n) for n in view_names],
              os.path.join(out_dir, "labels.csv"))

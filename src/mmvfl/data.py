@@ -248,6 +248,25 @@ def make_folds(dataset: MultiViewDataset, num_folds: int = 5, seed=0) -> FoldPla
     return FoldPlan(assignments=assignments, num_folds=num_folds, seed=seed)
 
 
+def check_synth_shape(num_participants, num_classes, num_samples, dims,
+                      n_informative, noise):
+    """Raise ValueError unless ``synth_planted`` can build this shape."""
+    if num_participants < 1:
+        raise ValueError("need at least one participant")
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
+    if num_samples < num_classes:
+        raise ValueError("need at least one sample per class")
+    if len(dims) != num_participants:
+        raise ValueError("dims must list one feature count per participant")
+    if any(n_informative > d for d in dims):
+        raise ValueError("n_informative exceeds a view's feature count")
+    if n_informative < 0:
+        raise ValueError("n_informative must be >= 0")
+    if noise < 0:
+        raise ValueError("noise must be >= 0")
+
+
 def synth_planted(num_participants: int = 3, num_classes: int = 3,
                   num_samples: int = 300, dims: tuple[int, ...] = (30, 30, 30),
                   n_informative: int = 5, noise: float = 0.5, seed=0):
@@ -264,21 +283,9 @@ def synth_planted(num_participants: int = 3, num_classes: int = 3,
     ``(dataset, informative)`` where ``informative[k]`` lists view k's
     planted column indices, sorted.
     """
-    if num_participants < 1:
-        raise ValueError("need at least one participant")
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    if num_samples < num_classes:
-        raise ValueError("need at least one sample per class")
     dims = tuple(int(d) for d in dims)
-    if len(dims) != num_participants:
-        raise ValueError("dims must list one feature count per participant")
-    if any(n_informative > d for d in dims):
-        raise ValueError("n_informative exceeds a view's feature count")
-    if n_informative < 0:
-        raise ValueError("n_informative must be >= 0")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    check_synth_shape(num_participants, num_classes, num_samples, dims,
+                      n_informative, noise)
     rng = np.random.default_rng(check_seed(seed))
 
     labels = np.arange(num_samples, dtype=np.int64) % num_classes

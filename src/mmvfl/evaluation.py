@@ -11,7 +11,7 @@ the best weight per fold and average over folds.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -44,7 +44,8 @@ class GridMismatchError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Accuracy of one (method, participant, p, fold, beta) cell."""
+    """Accuracy of one (method, participant, p, fold, beta) cell; ``converged``
+    (never written out) is False when ``mmvfl`` training stopped at ``outer_max``."""
 
     method: str
     participant: int
@@ -52,6 +53,7 @@ class ExperimentResult:
     fold: int
     beta: float
     accuracy: float
+    converged: bool = True
 
 
 # A cell's Gram is solved by Cholesky only while LAPACK's estimate of its
@@ -138,69 +140,68 @@ class _SplitScorer:
 
 
 @single_blas_thread()
-def run_grid(method: str, dataset: MultiViewDataset, folds: FoldPlan,
-             beta_grid, p_grid, *, consensus_penalty: float = 1000.0,
-             label_penalty: float = 1000.0, seed=0,
-             hyper_kwargs: dict | None = None) -> list[ExperimentResult]:
-    """Evaluate one method over every (fold, beta, participant, p) cell.
+def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_grid,
+             hyper: Hyperparams, seed=0) -> list[ExperimentResult]:
+    """Evaluate every method over every (fold, beta, participant, p) cell.
 
-    Per cell the method is trained on the fold's training split, features
-    are ranked per participant, the top p percent are kept, and the
-    selected columns are scored on the validation split by ``_SplitScorer``,
-    the least-squares classifier built once per (fold, participant).  The
-    scorer's XᵀX and XᵀY are the only training blocks the sweep builds
-    for the baselines: ``supfl`` fits each view on its own block and
-    ``supmvlfl`` all views jointly, by the kernel behind ``supfl_solve``
-    and ``supmvlfl_solve``; ``mmvfl`` trains by ``run_reference``.  Every
-    method takes eps and the inner stopping controls from the one
-    ``Hyperparams`` per beta.  Returns one ``ExperimentResult`` per cell.
-    BLAS runs on one thread throughout.
+    Each cell trains on the fold's training split with ``hyper``, every
+    sparsity weight set to beta; features are ranked per participant, the
+    top p percent kept, and those columns scored on the validation split
+    by ``_SplitScorer``, the least-squares classifier built once per
+    (fold, participant) and shared by every method.  Its XᵀX and XᵀY are
+    the only training blocks the baselines use: ``supfl`` fits each view
+    alone and ``supmvlfl`` all views jointly, by the kernel behind
+    ``supfl_solve`` and ``supmvlfl_solve``; ``mmvfl`` trains by
+    ``run_reference`` seeded ``derive_seed(seed, fold, beta_index)``.
+    Returns one ``ExperimentResult`` per cell, method by method in
+    ``methods`` order.  BLAS runs on one thread throughout.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    methods = tuple(methods)
+    if not methods or any(m not in METHODS for m in methods):
+        raise ValueError(f"methods must be drawn from {METHODS}, got {methods!r}")
     beta_grid = [float(b) for b in beta_grid]
     p_grid = [float(p) for p in p_grid]
     if not beta_grid or not p_grid:
         raise ValueError("beta_grid and p_grid must be non-empty")
     seed = check_seed(seed)
-    kwargs = dict(hyper_kwargs or {})
-    if method == "mmvfl":
-        kwargs.setdefault("consensus_penalty", consensus_penalty)
-        kwargs.setdefault("label_penalty", label_penalty)
+    num_participants = dataset.num_participants
+    cells = [replace(hyper, sparsity=(beta,) * num_participants) for beta in beta_grid]
 
-    results = []
+    results: list[list[ExperimentResult]] = [[] for _ in methods]
     for fold in range(folds.num_folds):
         train = dataset.restrict(folds.train_indices(fold))
         val = dataset.restrict(folds.val_indices(fold))
         scorers = [_SplitScorer(train.views[k], train.labels, val.views[k], val.labels)
-                   for k in range(dataset.num_participants)]
+                   for k in range(num_participants)]
         grams = [scorer.gram[:-1, :-1] for scorer in scorers]
         xtys = [scorer.moments[:-1] for scorer in scorers]
         # ||Y||_F^2 of the one-hot training labels
         n = float(train.num_samples)
-        for beta_index, beta in enumerate(beta_grid):
-            hyper = Hyperparams.uniform(dataset.num_participants, sparsity=beta, **kwargs)
-            controls = (hyper.eps, hyper.inner_tol, hyper.inner_max)
-            if method == "mmvfl":
-                # every scorer holds the same one-hot training labels
-                transforms = run_reference(train.views, scorers[0].targets, hyper,
-                                           derive_seed(seed, fold, beta_index)).transforms
-            elif method == "supfl":
-                transforms = [_irls([g], [xty], [n], [beta], *controls)[0][0]
-                              for g, xty in zip(grams, xtys)]
-            else:
-                transforms = _irls(grams, xtys, [n] * len(grams), hyper.sparsity, *controls)[0]
-            for k, transform in enumerate(transforms):
-                ranking = score_features(transform)
-                for p in p_grid:
-                    accuracy = scorers[k].accuracy(select_top(ranking, p))
-                    results.append(ExperimentResult(
-                        method=method, participant=k, p=p, fold=fold,
-                        beta=beta, accuracy=accuracy))
-        # the scorers hold this fold's views: free them before the next
-        # fold's split is built
-        del scorers, grams, xtys
-    return results
+        for rows, method in zip(results, methods):
+            for beta_index, (beta, cell) in enumerate(zip(beta_grid, cells)):
+                controls = (cell.eps, cell.inner_tol, cell.inner_max)
+                converged = True
+                if method == "mmvfl":
+                    # every scorer holds the same one-hot training labels
+                    trained = run_reference(train.views, scorers[0].targets, cell,
+                                            derive_seed(seed, fold, beta_index))
+                    transforms, converged = trained.transforms, trained.converged
+                elif method == "supfl":
+                    transforms = [_irls([g], [xty], [n], [beta], *controls)[0][0]
+                                  for g, xty in zip(grams, xtys)]
+                else:
+                    transforms = _irls(grams, xtys, [n] * len(grams), cell.sparsity,
+                                       *controls)[0]
+                for k, transform in enumerate(transforms):
+                    ranking = score_features(transform)
+                    for p in p_grid:
+                        rows.append(ExperimentResult(
+                            method=method, participant=k, p=p, fold=fold, beta=beta,
+                            accuracy=scorers[k].accuracy(select_top(ranking, p)),
+                            converged=converged))
+        # free this fold's views before the next fold's split is built
+        del train, val, scorers, grams, xtys
+    return [row for rows in results for row in rows]
 
 
 def select_best(results) -> list[ExperimentResult]:

@@ -31,8 +31,8 @@ MAX_SEED = 2**64 - 1
 # count keeps floating-point reduction order, hence results, fixed.
 BLAS_THREADS = 1
 
-# Residual target for the positive-definite solver, relative to ||b||_F.
-SPD_RESIDUAL_TOL = 1e-10
+# The SPD solver's refinement stops once ||A x - b||_F <= this * ||b||_F.
+SPD_RESIDUAL_TOL = 1e-13
 
 
 class NotPositiveDefiniteError(Exception):
@@ -85,9 +85,9 @@ def row_norms(m) -> np.ndarray:
 
 def _cholesky_solve_in_place(work, b, matrix, shift=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve (matrix + diag(shift)) x = b, a symmetric positive definite
-    system, by Cholesky factorization and iterative refinement, so the
-    relative residual ||A x - b||_F / ||b||_F stays within
-    SPD_RESIDUAL_TOL even for poorly scaled systems.  Nothing is checked.
+    system, by Cholesky factorization and at most three steps of iterative
+    refinement, which stop once the residual ||A x - b||_F is within
+    SPD_RESIDUAL_TOL ||b||_F.  Nothing is checked.
 
     ``work`` holds that system in Fortran order and is overwritten by its
     Cholesky factor; refinement residuals come from ``matrix`` and
@@ -102,7 +102,7 @@ def _cholesky_solve_in_place(work, b, matrix, shift=None) -> tuple[np.ndarray, n
             residual = b - product
             if shift is not None:
                 residual -= shift[:, None] * x
-            if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
+            if float(np.linalg.norm(residual)) <= SPD_RESIDUAL_TOL * b_norm:
                 break
             x = x + _cholesky_solve(work, residual)
             product = matrix @ x

@@ -114,6 +114,17 @@ class ProblemShape:
             raise ValueError("every participant needs at least one feature")
 
 
+def check_solver_controls(eps, tolerances, limits):
+    """Bounds every solver's controls keep: eps in (0, 1e-3], positive
+    tolerances and iteration limits of at least 1."""
+    if not 0 < eps <= 1e-3:
+        raise ValueError("eps must be in (0, 1e-3]")
+    if not all(tol > 0 for tol in tolerances):
+        raise ValueError("tolerances must be positive")
+    if any(limit < 1 for limit in limits):
+        raise ValueError("iteration limits must be >= 1")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Penalty weights and stopping controls for a training run.
@@ -140,12 +151,8 @@ class Hyperparams:
             raise ValueError("consensus penalties must be positive")
         if not self.label_penalty > 0:
             raise ValueError("label penalty must be positive")
-        if not 0 < self.eps <= 1e-3:
-            raise ValueError("eps must be in (0, 1e-3]")
-        if not (self.inner_tol > 0 and self.outer_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.inner_max < 1 or self.outer_max < 1:
-            raise ValueError("iteration limits must be >= 1")
+        check_solver_controls(self.eps, (self.inner_tol, self.outer_tol),
+                              (self.inner_max, self.outer_max))
 
     @classmethod
     def uniform(cls, num_participants: int, *, sparsity: float = 0.1,

@@ -409,10 +409,10 @@ def test_real_data_trend():
     for name, (view_paths, label_path) in sorted(archives.items()):
         dataset = load_csv(view_paths, label_path)
         folds = make_folds(dataset, 5, seed=0)
-        curves = {}
-        for method in ("mmvfl", "supfl"):
-            rows = run_grid(method, dataset, folds, beta_grid, p_grid, seed=0)
-            curves[method] = mean_curves(select_best(rows))
+        rows = run_grid(("mmvfl", "supfl"), dataset, folds, beta_grid, p_grid,
+                        Hyperparams.uniform(dataset.num_participants), seed=0)
+        curves = {method: mean_curves(select_best(r for r in rows if r.method == method))
+                  for method in ("mmvfl", "supfl")}
         table = diff_table(curves["mmvfl"], curves["supfl"])
         if abs(table.average) > 5.0:
             problems.append(f"{name}: mean gap {table.average:.2f} points")

@@ -5,7 +5,7 @@ import pytest
 
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
-from mmvfl.optimizer import NonDecreasingObjectiveError, one_hot
+from mmvfl.optimizer import Hyperparams, NonDecreasingObjectiveError, one_hot
 
 from oracles import fit_objective, fit_sparse_transform
 
@@ -131,3 +131,17 @@ def test_supmvlfl_input_validation():
         supmvlfl_solve(views, labels, -1.0)
     with pytest.raises(ValueError):
         supmvlfl_solve([rng.standard_normal((9, 3))], labels, 0.1)  # row mismatch
+
+
+@pytest.mark.parametrize("eps, tol, max_iter", [
+    (0.01, 1e-6, 50), (0.0, 1e-6, 50), (1e-6, 0.0, 50), (1e-6, -1.0, 50), (1e-6, 1e-6, 0)])
+def test_solver_controls_share_the_training_bounds(eps, tol, max_iter):
+    views, labels, beta = random_instance(24)
+    with pytest.raises(ValueError):
+        Hyperparams.uniform(len(views), eps=eps, inner_tol=tol, inner_max=max_iter)
+    with pytest.raises(ValueError):
+        supfl_solve(views[0], labels, beta, eps=eps, tol=tol, max_iter=max_iter)
+    with pytest.raises(ValueError):
+        supmvlfl_solve(views, labels, beta, eps=eps, tol=tol, max_iter=max_iter)
+    # the largest eps training accepts is accepted here too
+    supfl_solve(views[0], labels, beta, eps=1e-3)

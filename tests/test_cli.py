@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import mmvfl.evaluation as evaluation
 from mmvfl.cli import emit_curves, main, read_message_trace, version_string
 from mmvfl.evaluation import ExperimentResult, mean_curves, select_best
 
@@ -290,3 +291,44 @@ def test_a_run_stopped_at_outer_max_warns_on_stderr_only(tmp_path, capsys):
             assert captured.out.startswith("wrote ")
             for name in os.listdir(out):
                 assert b"converged" not in read_bytes(out, name), name
+
+
+def test_a_sweep_config_outer_max_reaches_every_mmvfl_cell(tmp_path, capsys, monkeypatch):
+    rounds = []
+    run_reference = evaluation.run_reference
+
+    def counted(*args):
+        result = run_reference(*args)
+        rounds.append(result.rounds)
+        return result
+
+    monkeypatch.setattr(evaluation, "run_reference", counted)
+    config = write_config(tmp_path, outer_max=1)
+    out = tmp_path / "sweep"
+    assert main(["--mode", "sweep", "--config", config, "--out", str(out),
+                 "--beta-grid", "0.01,0.1", "--p-grid", "100", "--folds", "3"]) == 0
+    assert rounds == [1] * 3 * 2  # folds x betas
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: training stopped at outer_max=1 rounds before its "
+                            "objective changed by less than outer_tol=1e-05\n")
+    for name in os.listdir(out):
+        assert b"converged" not in read_bytes(out, name), name
+
+
+def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):
+    # the default three participants against two feature counts
+    two_dims = tmp_path / "two_dims.json"
+    two_dims.write_text('{"synth_dims": [4, 5]}')
+    configs = [str(two_dims)] + [
+        write_config(tmp_path, name=f"{key}.json", **{key: value})
+        for key, value in (("synth_participants", 3), ("synth_classes", 1),
+                           ("synth_samples", 2), ("synth_informative", 5),
+                           ("synth_informative", -1), ("synth_noise", -0.5),
+                           ("synth_dims", ["a", "b"]))]
+    for mode in ("synth", "reference", "sweep"):
+        for config in configs:
+            out = tmp_path / "out"
+            assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: synthetic data:"), (mode, config, err)
+            assert not out.exists()

@@ -1,6 +1,7 @@
 """Validation protocol: classifier, grid runner, reductions, tables."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from mmvfl.evaluation import (
     _SplitScorer,
 )
 from mmvfl.featsel import score_features, select_top
-from mmvfl.optimizer import one_hot
+from mmvfl.numerics import derive_seed
+from mmvfl.optimizer import Hyperparams, one_hot
 
 from oracles import lstsq_accuracy, read_results_csv
 
@@ -37,6 +39,10 @@ def small_dataset(seed=0):
                                num_samples=60, dims=(6, 5),
                                n_informative=2, noise=0.5, seed=seed)
     return dataset
+
+
+def default_hyper(dataset, **kwargs):
+    return Hyperparams.uniform(dataset.num_participants, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,8 @@ def test_run_grid_accuracies_equal_the_lstsq_oracle():
                         expected.append(lstsq_accuracy(
                             train.views[k][:, selected], train.labels,
                             val.views[k][:, selected], val.labels))
-        rows = run_grid(method, dataset, folds, beta_grid, p_grid, seed=0)
+        rows = run_grid((method,), dataset, folds, beta_grid, p_grid,
+                        default_hyper(dataset), seed=0)
         assert [row.accuracy for row in rows] == expected
 
 
@@ -221,17 +228,23 @@ def test_run_grid_row_count_and_determinism():
     folds = make_folds(dataset, 3, seed=0)
     beta_grid = [0.01, 0.1]
     p_grid = [20.0, 50.0, 100.0]
-    rows = run_grid("supmvlfl", dataset, folds, beta_grid, p_grid, seed=0)
+    hyper = default_hyper(dataset)
+    rows = run_grid(("supmvlfl",), dataset, folds, beta_grid, p_grid, hyper, seed=0)
     assert len(rows) == 3 * 2 * 2 * 3  # folds x betas x participants x p
-    again = run_grid("supmvlfl", dataset, folds, beta_grid, p_grid, seed=0)
+    again = run_grid(("supmvlfl",), dataset, folds, beta_grid, p_grid, hyper, seed=0)
     assert rows == again
     for row in rows:
         assert row.method == "supmvlfl"
         assert 0.0 <= row.accuracy <= 1.0
 
 
-@pytest.mark.parametrize("method", ["supfl", "supmvlfl"])
-def test_run_grid_builds_one_gram_per_fold_and_view(method, monkeypatch):
+@pytest.mark.parametrize("methods", [
+    pytest.param(("supfl",), id="supfl"),
+    pytest.param(("supmvlfl",), id="supmvlfl"),
+    # every method shares each fold's splits and scorers
+    pytest.param(("supfl", "supmvlfl"), id="supfl,supmvlfl"),
+])
+def test_run_grid_builds_one_gram_per_fold_and_view(methods, monkeypatch):
     dataset = small_dataset(seed=3)
     folds = make_folds(dataset, 3, seed=0)
     builds = []
@@ -250,15 +263,25 @@ def test_run_grid_builds_one_gram_per_fold_and_view(method, monkeypatch):
     for module in (baselines, evaluation):
         for name in ("supfl_solve", "supmvlfl_solve"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    rows = run_grid(method, dataset, folds, [0.01, 0.1], [50.0, 100.0], seed=0)
-    assert len(rows) == 3 * 2 * 2 * 2
+    restricts = []
+    restrict = type(dataset).restrict
+
+    def counted_restrict(self, indices):
+        restricts.append(len(indices))
+        return restrict(self, indices)
+
+    monkeypatch.setattr(type(dataset), "restrict", counted_restrict)
+    rows = run_grid(methods, dataset, folds, [0.01, 0.1], [50.0, 100.0],
+                    default_hyper(dataset), seed=0)
+    assert len(rows) == len(methods) * 3 * 2 * 2 * 2
     assert len(builds) == folds.num_folds * dataset.num_participants
+    assert len(restricts) == 2 * folds.num_folds
 
 
 def test_run_grid_singleton_grids():
     dataset = small_dataset(seed=4)
     folds = make_folds(dataset, 3, seed=1)
-    rows = run_grid("supfl", dataset, folds, [0.1], [100.0], seed=0)
+    rows = run_grid(("supfl",), dataset, folds, [0.1], [100.0], default_hyper(dataset), seed=0)
     assert len(rows) == 3 * 1 * 2 * 1
     assert {row.p for row in rows} == {100.0}
 
@@ -266,14 +289,57 @@ def test_run_grid_singleton_grids():
 def test_run_grid_covers_all_methods():
     dataset = small_dataset(seed=5)
     folds = make_folds(dataset, 3, seed=2)
-    for method in ("mmvfl", "supfl", "supmvlfl"):
-        rows = run_grid(method, dataset, folds, [0.1], [50.0], seed=0,
-                        hyper_kwargs={"outer_max": 5} if method == "mmvfl" else None)
-        assert len(rows) == 6
+    hyper = default_hyper(dataset, outer_max=5)
+    rows = run_grid(("mmvfl", "supfl", "supmvlfl"), dataset, folds, [0.1], [50.0], hyper)
+    assert [row.method for row in rows] == ["mmvfl"] * 6 + ["supfl"] * 6 + ["supmvlfl"] * 6
+    for methods in (("ridge",), ("supfl", "ridge"), ()):
+        with pytest.raises(ValueError):
+            run_grid(methods, dataset, folds, [0.1], [50.0], hyper)
     with pytest.raises(ValueError):
-        run_grid("ridge", dataset, folds, [0.1], [50.0])
+        run_grid(("supfl",), dataset, folds, [], [50.0], hyper)
     with pytest.raises(ValueError):
-        run_grid("supfl", dataset, folds, [], [50.0])
+        # one consensus penalty per participant
+        run_grid(("supfl",), dataset, folds, [0.1], [50.0], Hyperparams.uniform(3))
+
+
+def test_run_grid_rows_are_method_major_and_match_one_method_runs():
+    dataset = small_dataset(seed=8)
+    folds = make_folds(dataset, 3, seed=5)
+    hyper = default_hyper(dataset, consensus_penalty=10.0, outer_max=8)
+    methods = ("supmvlfl", "mmvfl", "supfl")
+    rows = run_grid(methods, dataset, folds, [0.01, 1.0], [50.0, 100.0], hyper, seed=3)
+    alone = [row for method in methods
+             for row in run_grid((method,), dataset, folds, [0.01, 1.0], [50.0, 100.0],
+                                 hyper, seed=3)]
+    assert rows == alone
+
+
+def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
+    dataset = small_dataset(seed=9)
+    folds = make_folds(dataset, 3, seed=6)
+    hyper = default_hyper(dataset, consensus_penalty=50.0, label_penalty=20.0,
+                          eps=1e-4, inner_tol=1e-5, inner_max=7, outer_tol=1e-3,
+                          outer_max=1)
+    seen = []
+    run_reference = evaluation.run_reference
+
+    def recorded(views, labels, cell, seed):
+        seen.append((cell, seed))
+        result = run_reference(views, labels, cell, seed)
+        assert result.rounds == 1
+        return result
+
+    monkeypatch.setattr(evaluation, "run_reference", recorded)
+    beta_grid = [0.01, 1.0]
+    rows = run_grid(("mmvfl", "supfl"), dataset, folds, beta_grid, [50.0], hyper, seed=4)
+    assert [seed for _, seed in seen] == [derive_seed(4, fold, b)
+                                          for fold in range(3) for b in range(2)]
+    assert [cell for cell, _ in seen] == [replace(hyper, sparsity=(beta,) * 2)
+                                          for _ in range(3) for beta in beta_grid]
+    # outer_tol compares two rounds' objectives, so a one-round run stops
+    # at outer_max; the baselines have no outer loop
+    assert {row.converged for row in rows if row.method == "mmvfl"} == {False}
+    assert {row.converged for row in rows if row.method == "supfl"} == {True}
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +367,8 @@ def test_select_best_tie_keeps_first_listed_weight():
 def test_select_best_dominates_every_grid_point():
     dataset = small_dataset(seed=6)
     folds = make_folds(dataset, 3, seed=3)
-    rows = run_grid("supfl", dataset, folds, [1e-3, 0.1, 10.0], [50.0, 100.0], seed=0)
+    rows = run_grid(("supfl",), dataset, folds, [1e-3, 0.1, 10.0], [50.0, 100.0],
+                    default_hyper(dataset), seed=0)
     best = {(r.participant, r.p, r.fold): r.accuracy for r in select_best(rows)}
     for r in rows:
         assert best[(r.participant, r.p, r.fold)] >= r.accuracy
