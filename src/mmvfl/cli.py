@@ -119,6 +119,9 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods listed more than once: {', '.join(repeated)}")
         if self.mode == "audit" and self.trace is None:
             raise ConfigError("audit mode requires --trace")
         if self.trace is not None and not os.path.isfile(self.trace):

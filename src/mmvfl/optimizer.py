@@ -25,16 +25,16 @@ serves as the equivalence oracle for the federated protocol.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .numerics import (
+    MAX_LANES,
     _cholesky_solve_in_place,
+    _usable_cpus,
     check_seed,
     derive_seed,
     ensure_matrix,
@@ -66,16 +66,6 @@ _ANDERSON_REGULARIZATION = 1e-10
 # 1e7 of estimated work (see ``_lane_count``) took 1.2-2.6x as long on
 # two lanes as on one, and rounds of 1.5e7-4e7 took 0.65-1.1x.
 LANE_WORK = 8_000_000
-
-# At most this many lanes: only one and two have been measured (on a
-# 2-core machine), so wider hosts keep to two until more are.
-MAX_LANES = 2
-
-# CPU quota of the process's own cgroup, as a container sees it: cgroup v2
-# ``cpu.max`` ("<quota|max> <period>"), else the cgroup v1 quota and
-# period (quota -1 when there is none).
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-_CFS_QUOTA = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 # Stream tags for seed derivation; every randomly initialized block gets
 # its own child seed so federated and single-process runs agree bitwise.
@@ -573,31 +563,6 @@ def run_rounds(refit, consensus, hyper: Hyperparams):
                 if extrapolated <= objectives[-1]:
                     consensus, value = step, extrapolated
         objectives.append(value)
-
-
-def _cpu_quota() -> int | None:
-    """Whole CPUs the cgroup CPU quota allows (rounded up), or None when
-    there is no quota or it cannot be read."""
-    try:
-        try:
-            quota, period = Path(_CPU_MAX).read_text().split()
-        except FileNotFoundError:
-            quota, period = (Path(name).read_text().strip() for name in _CFS_QUOTA)
-        if quota in ("max", "-1"):
-            return None
-        return max(1, -(-int(quota) // int(period)))
-    except (OSError, ValueError, ZeroDivisionError):
-        return None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its CPU affinity, capped by the
-    cgroup CPU quota, which affinity does not show."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _cpu_quota() or cpus)
 
 
 def _lane_count(num_samples: int, num_classes: int, dims) -> int:

@@ -244,6 +244,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_method_listed_twice_is_a_config_error(tmp_path, capsys):
+    # rejected before any data is loaded or output written
+    config = write_config(tmp_path)
+    for methods in ("supfl,supfl", "mmvfl,supfl,mmvfl"):
+        out = tmp_path / methods.replace(",", "_")
+        assert main(["--mode", "sweep", "--config", config, "--methods", methods,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: methods listed more than once:" in err, err
+        assert not out.exists()
+
+
 def test_bad_flags_exit_2():
     assert main(["--mode", "warp-drive"]) == 2
     assert main(["--no-such-flag"]) == 2

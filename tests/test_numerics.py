@@ -1,6 +1,7 @@
 """Low-level numeric helpers: norms, seeded RNG streams, SPD solving,
 BLAS thread pinning."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -14,9 +15,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 import mmvfl
 import mmvfl.optimizer
-from mmvfl import Hyperparams, one_hot, run_reference, synth_planted
+from mmvfl import Hyperparams, numerics, one_hot, run_reference, synth_planted
 from mmvfl.federation import run_federated
 from mmvfl.numerics import (
+    CHOLESKY_TILE,
+    SPD_RESIDUAL_TOL,
     NotPositiveDefiniteError,
     _cholesky_factor_in_place,
     _cholesky_solve,
@@ -134,19 +137,23 @@ def _scipy_solve_in_place(a, b, matrix, shift):
     return x
 
 
-@settings(max_examples=80, deadline=None)
-@given(d=st.integers(1, 300), nrhs=st.integers(1, 12), rank_gap=st.integers(-3, 3),
-       shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
-def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, seed):
-    # X^T X (singular when X has fewer rows than columns) plus a positive
-    # diagonal shift: the systems the kernel solves
+def _spd_system(d, nrhs, rank_gap, shift, seed):
+    """X^T X (singular when X has fewer rows than columns) plus a positive
+    diagonal shift, and a right-hand side: the systems the kernel solves.
+    Returns ``(matrix, shifts, system, b)``."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((max(1, d + rank_gap), d))
     matrix = x.T @ x
     shifts = shift * rng.uniform(0.5, 2.0, d)
-    system = matrix + np.diag(shifts)
-    b = rng.standard_normal((d, nrhs))
+    return matrix, shifts, matrix + np.diag(shifts), rng.standard_normal((d, nrhs))
 
+
+# an order up to one tile is one dpotrf call, the very call scipy makes
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, CHOLESKY_TILE), nrhs=st.integers(1, 12), rank_gap=st.integers(-3, 3),
+       shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, seed):
+    matrix, shifts, system, b = _spd_system(d, nrhs, rank_gap, shift, seed)
     work = np.array(system, order="F")
     _cholesky_factor_in_place(work)
     factor, _ = cho_factor(system, lower=True, check_finite=False)
@@ -159,7 +166,107 @@ def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, see
     assert _bits(product) == _bits(matrix @ theirs)
 
 
-@pytest.mark.parametrize("d", [1, 2, 40])
+# The tiled factor's forward error against scipy's one-call factor.  It
+# grows like sqrt(cond) times the unit roundoff; these systems reach
+# cond ~ 1e10, and the largest difference seen in 40 draws was 1.1e-12.
+TILED_FACTOR_RTOL = 1e-10
+
+
+def _factor_in_scope(system, cpus=None):
+    """Factor inside an entry-point scope, with ``cpus`` usable CPUs
+    (None: as many as this process has).  Returns the factor and whether
+    the scope had a tile helper."""
+    work = np.array(system, order="F")
+    with pytest.MonkeyPatch.context() as patch:
+        if cpus is not None:
+            patch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        with single_blas_thread():
+            _cholesky_factor_in_place(work)
+            helped = numerics._PIN.helper is not None
+    return work, helped
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(CHOLESKY_TILE + 1, 3 * CHOLESKY_TILE), nrhs=st.integers(1, 12),
+       rank_gap=st.integers(-3, 3), shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_tiled_cholesky_is_accurate_and_the_same_on_any_cpu_count(d, nrhs, rank_gap, shift, seed):
+    matrix, shifts, system, b = _spd_system(d, nrhs, rank_gap, shift, seed)
+    helped, helped_flag = _factor_in_scope(system)
+    alone, alone_flag = _factor_in_scope(system, cpus=1)
+    assert helped_flag == (numerics._usable_cpus() >= 2) and not alone_flag
+    assert _bits(helped) == _bits(alone)
+    assert _bits(helped) == _bits(_factor_in_scope(system, cpus=2)[0])
+    # the upper triangle is left as it was
+    assert np.array_equal(np.triu(helped, 1), np.triu(system, 1))
+    factor = np.tril(helped)
+    reference = np.tril(cho_factor(system, lower=True, check_finite=False)[0])
+    assert np.linalg.norm(factor - reference) <= TILED_FACTOR_RTOL * np.linalg.norm(reference)
+
+    with single_blas_thread():
+        x, product = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+        assert _bits(product) == _bits(matrix @ x)
+    # refinement meets SPD_RESIDUAL_TOL as a normwise backward error; on
+    # an ill-conditioned draw the residual cannot get below rounding in
+    # A x, and the one-call factor stalls above SPD_RESIDUAL_TOL ||b|| too
+    residual = np.linalg.norm(matrix @ x + shifts[:, None] * x - b)
+    scale = np.linalg.norm(b) + np.linalg.norm(system) * np.linalg.norm(x)
+    assert residual <= SPD_RESIDUAL_TOL * scale
+
+
+def test_a_batch_runs_every_task_exactly_once_across_racing_threads():
+    runs = [0] * 20000
+
+    def task(index):
+        runs[index] += 1
+
+    batch = numerics._Batch([functools.partial(task, index) for index in range(len(runs))])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=batch.work) for _ in range(8)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert batch.finished.is_set() and batch.error is None
+    assert runs == [1] * len(runs)
+
+
+def test_concurrent_wide_factors_share_the_helper_and_keep_their_bits():
+    # more factoring threads than cores post batches to the one helper
+    # while the interpreter switches threads as often as it can: a task
+    # claimed twice or never, or a lost completion, changes a factor's
+    # bits or hangs a thread
+    systems = [_spd_system(2 * CHOLESKY_TILE + 40 + 16 * k, 1, 0, 1.0, k)[2] for k in range(6)]
+    expected = [_bits(_factor_in_scope(system, cpus=1)[0]) for system in systems]
+    mismatches = []
+
+    def worker(k):
+        for _ in range(3):
+            work = np.array(systems[k], order="F")
+            _cholesky_factor_in_place(work)
+            if _bits(work) != expected[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with single_blas_thread():
+            workers = [threading.Thread(target=worker, args=(k,)) for k in range(len(systems))]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 40, CHOLESKY_TILE + 1, 2 * CHOLESKY_TILE + 5])
 def test_lapack_cholesky_rejects_non_positive_definite(d):
     indefinite = np.eye(d, order="F")
     indefinite[d - 1, d - 1] = -1.0

@@ -4,6 +4,7 @@ objective bookkeeping, and the single-process reference loop."""
 import copy
 import os
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmvfl.numerics as numerics
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supmvlfl_solve
 from mmvfl.federation import run_federated
-from mmvfl.numerics import SPD_RESIDUAL_TOL
+from mmvfl.numerics import CHOLESKY_TILE, SPD_RESIDUAL_TOL
 from mmvfl.optimizer import (
     Hyperparams,
     NonDecreasingObjectiveError,
@@ -902,19 +904,19 @@ def test_cpu_quota_reads_cgroup_v2_then_v1(tmp_path, monkeypatch, v2, v1, cpus):
     for name, text in zip(names, [v2, *(v1 or (None, None))]):
         if text is not None:
             name.write_text(text)
-    monkeypatch.setattr(optimizer, "_CPU_MAX", str(names[0]))
-    monkeypatch.setattr(optimizer, "_CFS_QUOTA", (str(names[1]), str(names[2])))
-    assert optimizer._cpu_quota() == cpus
+    monkeypatch.setattr(numerics, "_CPU_MAX", str(names[0]))
+    monkeypatch.setattr(numerics, "_CFS_QUOTA", (str(names[1]), str(names[2])))
+    assert numerics._cpu_quota() == cpus
 
 
 def test_usable_cpus_are_capped_by_the_cpu_quota(monkeypatch):
     affinity = os.sched_getaffinity(0)
-    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: None)
-    assert optimizer._usable_cpus() == len(affinity)
-    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: 1)
-    assert optimizer._usable_cpus() == 1
-    monkeypatch.setattr(optimizer, "_cpu_quota", lambda: len(affinity) + 5)
-    assert optimizer._usable_cpus() == len(affinity)
+    monkeypatch.setattr(numerics, "_cpu_quota", lambda: None)
+    assert numerics._usable_cpus() == len(affinity)
+    monkeypatch.setattr(numerics, "_cpu_quota", lambda: 1)
+    assert numerics._usable_cpus() == 1
+    monkeypatch.setattr(numerics, "_cpu_quota", lambda: len(affinity) + 5)
+    assert numerics._usable_cpus() == len(affinity)
 
 
 def test_lanes_balance_feature_counts_widest_first():
@@ -960,6 +962,68 @@ def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, faili
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         run_reference(views, labels, hyper, 2)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def _wide_problem():
+    """One block wider than two Cholesky tiles, so its factor shares the
+    tasks of every step with the tile helper, beside two narrow ones."""
+    views, labels = tiny_problem(11, num_samples=120, dims=(2 * CHOLESKY_TILE + 88, 7, 5))
+    return views, labels, Hyperparams.uniform(3, sparsity=0.1, outer_max=3, inner_max=8)
+
+
+def _federated_bits(result):
+    return _bits(optimizer.TrainingResult(
+        transforms=[st.transform for st in result.states],
+        pseudo_labels=[st.pseudo_labels for st in result.states],
+        consensus=result.consensus, objectives=result.objectives,
+        converged=result.converged))
+
+
+def test_a_wide_block_trains_to_the_same_bits_on_any_cpu_count(monkeypatch):
+    views, labels, hyper = _wide_problem()
+    threads = set()
+    for name in ("_dtrsm", "_dsyrk", "_dgemm"):
+        def record(*args, original=getattr(numerics, name)):
+            threads.add(threading.current_thread().name)
+            return original(*args)
+
+        monkeypatch.setattr(numerics, name, record)
+    before = threading.active_count()
+    helped = run_reference(views, labels, hyper, 3)
+    assert threading.active_count() == before
+    assert ("mmvfl-tiles" in threads) == (numerics._usable_cpus() >= 2)
+    federated = run_federated(views, labels, hyper, 3, transport="in_process")
+    assert threading.active_count() == before
+    with monkeypatch.context() as patch:
+        # lanes and the tile helper both see one CPU
+        patch.setattr(numerics, "_usable_cpus", lambda: 1)
+        patch.setattr(optimizer, "_usable_cpus", lambda: 1)
+        threads.clear()
+        alone = run_reference(views, labels, hyper, 3)
+        assert threads == {threading.current_thread().name}
+    assert threading.active_count() == before
+    assert _bits(helped) == _bits(alone) == _federated_bits(federated)
+
+
+@pytest.mark.skipif(numerics._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_a_failing_tile_task_raises_its_error_and_leaves_no_thread(monkeypatch):
+    views, labels, hyper = _wide_problem()
+    error = RuntimeError("a tile update failed on the helper")
+    original = numerics._dsyrk
+
+    def dsyrk(*args):
+        if threading.current_thread().name == "mmvfl-tiles":
+            raise error
+        # let the helper claim a task of this phase
+        time.sleep(0.01)
+        return original(*args)
+
+    monkeypatch.setattr(numerics, "_dsyrk", dsyrk)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        run_reference(views, labels, hyper, 3)
     assert raised.value is error
     assert threading.active_count() == before
 
