@@ -8,11 +8,12 @@ only the Cholesky kernels write to an argument, their work matrix.
 ``single_blas_thread`` pins every loaded OpenBLAS build to one thread
 for the duration of an entry-point call, so results do not depend on
 the caller's BLAS thread setting.  The scope also owns the one helper
-thread that factors the tiles of a wide Cholesky beside the calling
-thread (see ``_cholesky_factor_in_place``).  It runs only when at least
-two CPUs are usable, and from the outermost scope's entry to its exit.
-A factor depends only on its order and ``CHOLESKY_TILE``, never on which
-thread computed a tile or how many CPUs there are.
+thread that claims independent tasks beside the calling thread (see
+``_run_tasks``): the participant refits of a large round and the tiles
+of a wide Cholesky (see ``_cholesky_factor_in_place``).  It runs only
+when at least two CPUs are usable, and from the outermost scope's entry
+to its exit.  A factor depends only on its order and ``CHOLESKY_TILE``,
+never on which thread computed a tile or how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ BLAS_THREADS = 1
 # took 0.101 s as one call and 0.060 s in 256-wide tiles.
 CHOLESKY_TILE = 256
 
-# At most this many threads work at once, as participant lanes or as the
-# factoring thread plus its helper: only one and two have been measured
-# (on a 2-core machine), so wider hosts keep to two until more are.
+# At most this many threads claim the tasks of a batch, the posting thread
+# and the scope's helper: only one and two have been measured (on a 2-core
+# machine), so wider hosts keep to two until more are.
 MAX_LANES = 2
 
 # CPU quota of the process's own cgroup, as a container sees it: cgroup v2
@@ -339,8 +340,8 @@ class _Batch:
 
 
 class _TileHelper:
-    """A thread that claims the tasks of posted batches beside the
-    threads that post them."""
+    """A thread that claims the tasks of posted batches (participant
+    refits, Cholesky tiles) beside the threads that post them."""
 
     def __init__(self):
         self.batches: queue.SimpleQueue = queue.SimpleQueue()
@@ -358,9 +359,12 @@ class _TileHelper:
 
 def _run_tasks(tasks) -> None:
     """Run independent tasks, sharing them with the scope's helper thread
-    when there is more than one.  The caller claims tasks too, so it
-    never waits for a helper busy elsewhere, only for a task the helper
-    has already claimed."""
+    when there is more than one, and raise a task's error once all have
+    run.  The caller claims tasks too, so it never waits for a helper
+    busy elsewhere, only for a task the helper has already claimed.  A
+    task may post a batch of its own (a refit's wide factor does): the
+    thread running the task claims that batch's tasks like any poster,
+    so nested batches cannot deadlock."""
     if len(tasks) > 1 and (helper := _PIN.helper) is not None:
         batch = _Batch(tasks)
         helper.batches.put(batch)
@@ -476,14 +480,14 @@ def single_blas_thread():
     sets it, the last to leave restores it, also on an exception.  A
     no-op when no OpenBLAS is loaded.
 
-    The scopes also share the tile helper thread of the Cholesky factor:
-    the first to enter starts it when ``_usable_cpus()`` and ``MAX_LANES``
-    are both at least 2, and the last to leave stops and joins it, so no
-    thread outlives the outermost scope.  It starts before the threads
-    the body starts (participant lanes, federated parties): glibc hands
-    an exiting thread's malloc arena to the next new thread, so a helper
-    started on the first wide factor took the previous run's lane arena
-    and left both arenas grown (C7 peak RSS 198 -> 208 MB over 3 fits).
+    The scopes also share the helper thread of ``_run_tasks``: the first
+    to enter starts it when ``_usable_cpus()`` and ``MAX_LANES`` are both
+    at least 2, and the last to leave stops and joins it, so no thread
+    outlives the outermost scope.  It starts before the threads the body
+    starts (federated parties): glibc hands an exiting thread's malloc
+    arena to the next new thread, so a helper started on the first wide
+    factor took the arena of a thread the previous run had ended and
+    left both arenas grown (C7 peak RSS 198 -> 208 MB over 3 fits).
     """
     with _PIN.lock:
         if _PIN.depth == 0:

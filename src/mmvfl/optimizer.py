@@ -24,17 +24,16 @@ serves as the equivalence oracle for the federated protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import (
-    MAX_LANES,
     _cholesky_solve_in_place,
-    _usable_cpus,
+    _run_tasks,
     check_seed,
     derive_seed,
     ensure_matrix,
@@ -59,12 +58,13 @@ ANDERSON_STEP = 0.9
 # mean diagonal entry.
 _ANDERSON_REGULARIZATION = 1e-10
 
-# Estimated multiply-adds per round a lane needs before participants run
-# side by side.  Threads only gain while LAPACK and BLAS run without the
-# interpreter lock; on small blocks the lock hand-offs between numpy calls
-# cost more than that overlap saves.  Measured on 2 cores, rounds under
-# 1e7 of estimated work (see ``_lane_count``) took 1.2-2.6x as long on
-# two lanes as on one, and rounds of 1.5e7-4e7 took 0.65-1.1x.
+# Estimated multiply-adds a round needs before its participant refits are
+# shared with the scope's helper thread (see ``_share_refits``).  Threads
+# only gain while LAPACK and BLAS run without the interpreter lock; on
+# small blocks the lock hand-offs between numpy calls cost more than that
+# overlap saves.  Measured on 2 cores, rounds under 1e7 of estimated work
+# took 1.2-2.6x as long on two threads as on one, and rounds of 1.5e7-4e7
+# took 0.65-1.1x.
 LANE_WORK = 8_000_000
 
 # Stream tags for seed derivation; every randomly initialized block gets
@@ -168,6 +168,10 @@ class ParticipantState:
 
     participant_id: int
     features: np.ndarray
+    gram: np.ndarray = field(repr=False)
+    # Fortran-order d x d buffer for the factor of the gram plus its
+    # diagonal, reused by every solve of the participant's refits
+    work: np.ndarray = field(repr=False)
     transform: np.ndarray
     pseudo_labels: np.ndarray
     sparsity: float
@@ -175,10 +179,6 @@ class ParticipantState:
     is_label_owner: bool = False
     labels: np.ndarray | None = None
     label_penalty: float | None = None
-    gram: np.ndarray | None = field(default=None, repr=False)
-    # Fortran-order d x d buffer for the factor of the gram plus its
-    # diagonal; participants that never run at the same time may share one
-    work: np.ndarray | None = field(default=None, repr=False)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -411,11 +411,15 @@ def init_participant_state(participant_id: int, features, hyper: Hyperparams,
 
 
 def _new_state(participant_id, features, hyper, num_classes, seed, labels):
-    """``init_participant_state`` on inputs its caller has checked."""
+    """``init_participant_state`` on inputs its caller has checked.  The
+    Gram and the factor buffer are built here, on the thread that builds
+    the state: a thread's freed blocks stay in its own malloc arena."""
     n, d = features.shape
     return ParticipantState(
         participant_id=participant_id,
         features=features,
+        gram=gram_matrix(features),
+        work=np.empty((d, d), order="F"),
         transform=init_transform(d, num_classes, seed, participant_id),
         pseudo_labels=init_pseudo_labels(n, num_classes, seed, participant_id),
         sparsity=hyper.sparsity[participant_id],
@@ -458,10 +462,6 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     consensus, and return the local objective contribution (the only
     scalar that leaves the participant).  The state's features were
     checked when it was built, so they are not checked again here."""
-    if state.gram is None:
-        state.gram = gram_matrix(state.features)
-    if state.work is None:
-        state.work = np.empty(state.gram.shape, order="F")
     targets = state.pseudo_labels
     [transform], _, _ = _irls(
         [state.gram], [state.features.T @ targets], [_sum_sq(targets)],
@@ -565,26 +565,13 @@ def run_rounds(refit, consensus, hyper: Hyperparams):
         objectives.append(value)
 
 
-def _lane_count(num_samples: int, num_classes: int, dims) -> int:
-    """Lanes for a round: one per usable CPU, at most one per participant,
-    at most ``MAX_LANES``, and at most one per ``LANE_WORK`` of estimated
-    round work, sum_k d_k (n c + d_k^2) multiply-adds (X^T Z and X W, one
-    Cholesky)."""
+def _share_refits(num_samples: int, num_classes: int, dims) -> bool:
+    """Whether a round's participant refits are shared with the scope's
+    helper thread: at least two participants and at least ``LANE_WORK``
+    of estimated round work, sum_k d_k (n c + d_k^2) multiply-adds (X^T Z
+    and X W, one Cholesky)."""
     work = sum(d * (num_samples * num_classes + d * d) for d in dims)
-    return max(1, min(len(dims), _usable_cpus(), MAX_LANES, work // LANE_WORK))
-
-
-def _assign_lanes(dims, lanes: int) -> list[list[int]]:
-    """Participants (by index) per lane, greedily by feature count: the
-    widest unassigned participant goes to the lane with the fewest
-    features so far (ties to the lower lane).  Lane 0 gets the widest."""
-    assigned: list[list[int]] = [[] for _ in range(lanes)]
-    loads = [0] * lanes
-    for k in sorted(range(len(dims)), key=lambda k: (-dims[k], k)):
-        lane = min(range(lanes), key=lambda j: (loads[j], j))
-        assigned[lane].append(k)
-        loads[lane] += dims[k]
-    return assigned
+    return len(dims) >= 2 and work >= LANE_WORK
 
 
 @dataclass
@@ -613,47 +600,35 @@ def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
     recorded.  BLAS runs on one thread throughout.
 
     A participant's round reads only its own state and the consensus, so
-    the participants of a round run side by side on up to min(P, usable
-    CPUs, ``MAX_LANES``) lanes when the round is large enough (see
-    ``_lane_count``).  The calling thread runs lane 0, one worker thread
-    runs each other lane, and a participant stays on one lane for the
-    whole run, where it shares one factor buffer with the lane's other
-    participants.  Parts are gathered and aggregated in participant
-    order, so the result is the same bit for bit for any lane count.
+    when the round is large enough (see ``_share_refits``) its refits are
+    one batch of ``numerics._run_tasks``: the calling thread and the
+    scope's helper thread claim them, widest block first.  Each part is
+    stored at its participant's index and aggregated in participant
+    order, so the result is the same bit for bit however the refits were
+    shared, and on one CPU, where there is no helper.
     """
     seed = check_seed(seed)
     states = make_states(views, labels, hyper, seed)
     n, num_classes = states[0].pseudo_labels.shape
     dims = [st.features.shape[1] for st in states]
-    lanes = _assign_lanes(dims, _lane_count(n, num_classes, dims))
-    for lane in lanes:
-        # the participants of a lane run one at a time: one factor buffer
-        shared = np.empty(max(dims[k] for k in lane) ** 2)
-        for k in lane:
-            states[k].work = shared[:dims[k] ** 2].reshape((dims[k], dims[k]), order="F")
-    workers = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"mmvfl-lane{j}")
-               for j in range(1, len(lanes))]
+    widest_first = sorted(range(len(states)), key=lambda k: -dims[k])
+    share = _share_refits(n, num_classes, dims)
+    parts = [0.0] * len(states)
 
-    def run_lane(lane, consensus):
-        return [(k, participant_round(states[k], consensus, hyper)) for k in lane]
+    def refit_one(k, consensus):
+        parts[k] = participant_round(states[k], consensus, hyper)
 
     def refit(_, consensus):
-        futures = [worker.submit(run_lane, lane, consensus)
-                   for worker, lane in zip(workers, lanes[1:])]
-        try:
-            done = run_lane(lanes[0], consensus)
-        finally:
-            wait(futures)
-        for future in futures:
-            done += future.result()
-        return [st.pseudo_labels for st in states], [part for _, part in sorted(done)]
+        tasks = [functools.partial(refit_one, k, consensus) for k in widest_first]
+        if share:
+            _run_tasks(tasks)
+        else:
+            for task in tasks:
+                task()
+        return [st.pseudo_labels for st in states], list(parts)
 
-    try:
-        consensus, objectives, converged = run_rounds(
-            refit, init_consensus(n, num_classes, seed), hyper)
-    finally:
-        for worker in workers:
-            worker.shutdown()
+    consensus, objectives, converged = run_rounds(
+        refit, init_consensus(n, num_classes, seed), hyper)
     return TrainingResult(
         transforms=[st.transform for st in states],
         pseudo_labels=[st.pseudo_labels for st in states],

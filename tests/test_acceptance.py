@@ -81,10 +81,12 @@ _FEDERATED_SESSIONS: list = []
 
 
 def test_monotone_convergence():
-    """Objective traces never rise beyond 1e-9 absolute slack."""
+    """Objective traces never rise beyond 1e-9 absolute slack, and every
+    run but the one known slow problem stops on ``outer_tol``."""
     started = time.monotonic()
     worst_rise = 0.0
     checked = 0
+    stopped_at_outer_max = set()
     for index in range(50):
         rng = np.random.default_rng(1000 + index)
         k = (2, 3, 5)[index % 3]
@@ -96,10 +98,15 @@ def test_monotone_convergence():
             worst_rise = max(worst_rise, current - previous)
         checked += len(trace)
         assert len(trace) <= hyper.outer_max
+        if not result.converged:
+            stopped_at_outer_max.add(index)
     elapsed = time.monotonic() - started
-    ok = worst_rise <= 1e-9 and elapsed < 60.0
+    # problem 23 is slow, not stuck: it stops 2% above its optimum at
+    # outer_max and converges in 231 rounds
+    ok = worst_rise <= 1e-9 and elapsed < 60.0 and stopped_at_outer_max == {23}
     report("monotone-convergence", ok,
-           f"50 instances, worst rise {worst_rise:.3e}, {elapsed:.1f}s")
+           f"50 instances, worst rise {worst_rise:.3e}, "
+           f"stopped at outer_max: {sorted(stopped_at_outer_max)}, {elapsed:.1f}s")
 
 
 def test_closed_form_updates_match_oracles():

@@ -1,6 +1,7 @@
 """Validation protocol: classifier, grid runner, reductions, tables."""
 
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import mmvfl.baselines as baselines
 import mmvfl.evaluation as evaluation
+import mmvfl.numerics as numerics
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.data import make_folds, synth_planted
@@ -340,6 +342,47 @@ def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
     # at outer_max; the baselines have no outer loop
     assert {row.converged for row in rows if row.method == "mmvfl"} == {False}
     assert {row.converged for row in rows if row.method == "supfl"} == {True}
+
+
+def test_run_grid_mmvfl_cells_are_the_same_on_one_cpu_and_start_no_thread(monkeypatch):
+    # training splits large enough that each round's refits are shared
+    # with the helper thread of run_grid's scope
+    dataset, _ = synth_planted(num_participants=2, num_classes=3, num_samples=400,
+                               dims=(240, 200), n_informative=4, seed=12)
+    folds = make_folds(dataset, 2, seed=3)
+    assert optimizer._share_refits(200, 3, (240, 200))
+    hyper = default_hyper(dataset, outer_max=4)
+    trained = []
+    run_reference = evaluation.run_reference
+
+    def recorded(*args):
+        result = run_reference(*args)
+        trained.append([w.tobytes() for w in result.transforms])
+        return result
+
+    refit_threads = set()
+    participant_round = optimizer.participant_round
+
+    def refit(*args):
+        refit_threads.add(threading.current_thread().name)
+        return participant_round(*args)
+
+    monkeypatch.setattr(evaluation, "run_reference", recorded)
+    monkeypatch.setattr(optimizer, "participant_round", refit)
+    before = threading.active_count()
+    sweeps = []
+    for cpus in (None, 1):
+        with monkeypatch.context() as patch:
+            if cpus is not None:
+                patch.setattr(numerics, "_usable_cpus", lambda: cpus)
+            rows = run_grid(("mmvfl",), dataset, folds, [0.01, 0.1], [25.0, 50.0], hyper, seed=2)
+        assert threading.active_count() == before
+        sweeps.append(([repr(row) for row in rows], trained[:]))
+        trained.clear()
+    assert len(sweeps[0][1]) == 2 * 2
+    assert sweeps[0] == sweeps[1]
+    # every refit ran on the calling thread or on the scope's one helper
+    assert refit_threads <= {threading.current_thread().name, "mmvfl-tiles"}
 
 
 # ---------------------------------------------------------------------------

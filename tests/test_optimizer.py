@@ -839,7 +839,7 @@ def test_a_tightly_converged_run_attains_the_optimum(seed):
 
 
 # ---------------------------------------------------------------------------
-# participant lanes
+# shared refits and the helper thread
 
 
 def _bits(result):
@@ -849,7 +849,17 @@ def _bits(result):
             result.consensus.tobytes(), np.asarray(result.objectives).tobytes())
 
 
-def test_run_reference_is_bitwise_the_same_on_any_lane_count(monkeypatch):
+def _wide_problem():
+    """Two blocks wider than two Cholesky tiles, so each factor shares the
+    tasks of every step with the helper thread and, when a round's refits
+    are shared, the helper factors one of them itself, beside a narrow
+    block."""
+    views, labels = tiny_problem(
+        11, num_samples=120, dims=(2 * CHOLESKY_TILE + 88, 2 * CHOLESKY_TILE + 24, 5))
+    return views, labels, Hyperparams.uniform(3, sparsity=0.1, outer_max=3, inner_max=8)
+
+
+def test_run_reference_is_bitwise_the_same_serial_or_shared(monkeypatch):
     dims = (5, 9, 3, 7, 11, 4)
     views, labels = tiny_problem(8, num_samples=30, dims=dims)
     # unequal weights, so parts aggregated out of participant order would
@@ -857,35 +867,43 @@ def test_run_reference_is_bitwise_the_same_on_any_lane_count(monkeypatch):
     hyper = Hyperparams(sparsity=tuple(0.01 * (k + 1) for k in range(6)),
                         consensus_penalty=tuple(10.0 ** (k % 3) for k in range(6)),
                         label_penalty=50.0, outer_tol=1e-12, outer_max=12)
+    wide_views, wide_labels, wide_hyper = _wide_problem()
+    helper = numerics._usable_cpus() >= 2
+    barrier = threading.Barrier(2, timeout=10)
+    wide_refits = {}
     original = optimizer.participant_round
+
+    def meet(state, consensus, hyper):
+        if state.features.shape[1] > 2 * CHOLESKY_TILE:
+            first = state.participant_id not in wide_refits
+            wide_refits.setdefault(state.participant_id, threading.current_thread().name)
+            if first and helper:
+                # the two wide refits of the first round run at once, so the
+                # helper factors one of them and posts its tiles
+                barrier.wait()
+        return original(state, consensus, hyper)
+
     runs = {}
-    for lanes in (1, 3):
-        threads = {}
-
-        def record(state, consensus, hyper):
-            threads.setdefault(state.participant_id, set()).add(threading.get_ident())
-            return original(state, consensus, hyper)
-
-        monkeypatch.setattr(optimizer, "participant_round", record)
-        monkeypatch.setattr(optimizer, "_lane_count", lambda *args, lanes=lanes: lanes)
-        runs[lanes] = run_reference(views, labels, hyper, 4)
-        # each participant stays on one thread, and there is one per lane
-        assert sorted(threads) == list(range(6))
-        assert all(len(idents) == 1 for idents in threads.values())
-        assert len(set().union(*threads.values())) == lanes
-    assert runs[1].rounds == 12 and not runs[1].converged
-    assert _bits(runs[1]) == _bits(runs[3])
+    for shared in (False, True):
+        monkeypatch.setattr(optimizer, "_share_refits", lambda *args, shared=shared: shared)
+        runs[shared] = run_reference(views, labels, hyper, 4)
+        if shared:
+            monkeypatch.setattr(optimizer, "participant_round", meet)
+        runs["wide", shared] = run_reference(wide_views, wide_labels, wide_hyper, 3)
+    assert runs[False].rounds == 12 and not runs[False].converged
+    assert _bits(runs[False]) == _bits(runs[True])
+    assert _bits(runs["wide", False]) == _bits(runs["wide", True])
+    assert ("mmvfl-tiles" in wide_refits.values()) == helper
 
 
-def test_lane_count_follows_cpus_participants_and_round_work(monkeypatch):
+def test_refits_are_shared_only_with_two_participants_and_enough_work():
     hw = (240, 76, 216, 47, 64, 6)  # 3.77e7 estimated work per round
-    for cpus, lanes in ((1, 1), (2, 2), (3, 2), (64, 2)):  # never more than MAX_LANES
-        monkeypatch.setattr(optimizer, "_usable_cpus", lambda cpus=cpus: cpus)
-        assert optimizer._lane_count(2000, 10, hw) == lanes
-    assert optimizer._lane_count(2000, 10, (5000,)) == 1      # one lane per participant
-    assert optimizer._lane_count(300, 5, (64,) * 5) == 1       # too little work to share
-    monkeypatch.setattr(optimizer, "MAX_LANES", 8)
-    assert optimizer._lane_count(2000, 10, hw) == 4            # work allows 4 of 64 CPUs
+    assert optimizer._share_refits(2000, 10, hw)
+    assert not optimizer._share_refits(2000, 10, (5000,))   # one participant
+    assert not optimizer._share_refits(300, 5, (64,) * 5)   # too little work to share
+    # 2 * 100 * (2 n + 100^2) against LANE_WORK = 8e6: n = 15000 is the edge
+    assert optimizer._share_refits(15000, 2, (100, 100))
+    assert not optimizer._share_refits(14999, 2, (100, 100))
 
 
 @pytest.mark.parametrize("v2, v1, cpus", [
@@ -919,15 +937,9 @@ def test_usable_cpus_are_capped_by_the_cpu_quota(monkeypatch):
     assert numerics._usable_cpus() == len(affinity)
 
 
-def test_lanes_balance_feature_counts_widest_first():
-    assert optimizer._assign_lanes([240, 76, 216, 47, 64, 6], 2) == [[0, 4, 5], [2, 1, 3]]
-    assert optimizer._assign_lanes([48, 40, 254, 1984, 512, 928], 3) == [[3], [5], [4, 2, 0, 1]]
-    assert optimizer._assign_lanes([3, 3], 1) == [[0, 1]]
-
-
-@pytest.mark.skipif(optimizer._usable_cpus() < 2, reason="needs two usable CPUs")
+@pytest.mark.skipif(numerics._usable_cpus() < 2, reason="needs two usable CPUs")
 def test_participants_of_a_round_run_at_the_same_time(monkeypatch):
-    # large enough for two lanes; every round both participants must meet
+    # large enough to share the refits; every round both participants must meet
     # at the barrier, which times out if they run one after the other
     rng = np.random.default_rng(5)
     views = [rng.standard_normal((2000, 200)) for _ in range(2)]
@@ -944,33 +956,32 @@ def test_participants_of_a_round_run_at_the_same_time(monkeypatch):
     assert result.rounds == 2
 
 
-@pytest.mark.parametrize("failing", ["worker lane", "calling thread"])
-def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
+@pytest.mark.parametrize("failing", [
+    pytest.param("helper thread", marks=pytest.mark.skipif(
+        numerics._usable_cpus() < 2, reason="needs two usable CPUs")),
+    "calling thread",
+])
+def test_a_failing_refit_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
     views, labels = tiny_problem(9, num_samples=20, dims=(4, 6, 5))
-    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5)
+    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5, inner_max=3)
     error = RuntimeError(f"solve failed on the {failing}")
     original = optimizer._penalized_solve
 
     def solve(*args):
-        on_main = threading.current_thread() is threading.main_thread()
-        if on_main == (failing == "calling thread"):
+        on_helper = threading.current_thread().name == "mmvfl-tiles"
+        if on_helper == (failing == "helper thread"):
             raise error
+        # let the other thread claim a refit of this round
+        time.sleep(0.01)
         return original(*args)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", solve)
-    monkeypatch.setattr(optimizer, "_lane_count", lambda *args: 3)
+    monkeypatch.setattr(optimizer, "_share_refits", lambda *args: True)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         run_reference(views, labels, hyper, 2)
     assert raised.value is error
     assert threading.active_count() == before
-
-
-def _wide_problem():
-    """One block wider than two Cholesky tiles, so its factor shares the
-    tasks of every step with the tile helper, beside two narrow ones."""
-    views, labels = tiny_problem(11, num_samples=120, dims=(2 * CHOLESKY_TILE + 88, 7, 5))
-    return views, labels, Hyperparams.uniform(3, sparsity=0.1, outer_max=3, inner_max=8)
 
 
 def _federated_bits(result):
@@ -997,9 +1008,8 @@ def test_a_wide_block_trains_to_the_same_bits_on_any_cpu_count(monkeypatch):
     federated = run_federated(views, labels, hyper, 3, transport="in_process")
     assert threading.active_count() == before
     with monkeypatch.context() as patch:
-        # lanes and the tile helper both see one CPU
+        # the scope starts no helper: every refit and tile on this thread
         patch.setattr(numerics, "_usable_cpus", lambda: 1)
-        patch.setattr(optimizer, "_usable_cpus", lambda: 1)
         threads.clear()
         alone = run_reference(views, labels, hyper, 3)
         assert threads == {threading.current_thread().name}
