@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
@@ -45,7 +46,7 @@ from .evaluation import (
     write_results_csv,
 )
 from .federation import TracedMessage, audit_trace, run_federated
-from .numerics import numerics_report, single_blas_thread
+from .numerics import check_seed, numerics_report, single_blas_thread
 from .optimizer import Hyperparams, check_solver_controls, one_hot, run_reference
 
 MODES = ("reference", "federated-inproc", "federated-tcp", "supfl",
@@ -84,6 +85,9 @@ class RunConfig:
     methods: tuple[str, ...] = METHODS
     trace: str | None = None
     eps: float = 1e-6
+    # stopping controls of the baselines' reweighted fits (supfl, supmvlfl
+    # and their sweep cells); mmvfl training makes one reweighted step per
+    # participant round and reads neither
     inner_tol: float = 1e-6
     inner_max: int = 50
     outer_tol: float = 1e-5
@@ -112,10 +116,19 @@ class RunConfig:
             raise ConfigError("--p-grid values must lie in (0, 100]")
         if not self.zeta > 0 or not self.eta > 0:
             raise ConfigError("--zeta and --eta must be positive")
-        if self.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        if self.folds < 2:
-            raise ConfigError("--folds must be at least 2")
+        try:
+            self.seed = check_seed(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--seed: {exc}") from None
+        if not isinstance(self.folds, int) or self.folds < 2:
+            raise ConfigError("--folds must be an integer of at least 2")
+        if (not isinstance(self.transport_port, int) or isinstance(self.transport_port, bool)
+                or not 0 <= self.transport_port <= 65535):
+            raise ConfigError("--transport-port must be an integer in [0, 65535]")
+        # the longest wait the threading and socket timeouts accept
+        if not 0 < self.round_timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"round_timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")
@@ -242,9 +255,10 @@ def resolve_config(argv) -> RunConfig:
         overrides["methods"] = _parse_list(args.methods, str)
     try:
         config = RunConfig(**overrides)
+        config.validate()
     except TypeError as exc:
+        # a value of the wrong type, such as a string where a number goes
         raise ConfigError(str(exc)) from None
-    config.validate()
     return config
 
 

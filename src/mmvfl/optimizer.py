@@ -11,9 +11,12 @@ its one-hot label matrix ``Y``.  The training objective is
          + consensus_penalty_k * ||Z_k - Z||_F^2
     + label_penalty * ||Z_owner - Y||_F^2
 
-where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  Every
-block update below is the exact minimizer of its subproblem; ``W_k`` is
-fit by iteratively reweighted least squares.  Between rounds the
+where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  The
+pseudo-label and consensus updates below are the exact minimizers of
+their subproblems.  ``W_k`` takes one reweighted least-squares step per
+round, from its current value (see ``participant_round``), so a round is
+one block coordinate descent sweep on a jointly convex form of the
+objective, with no inner loop.  Between rounds the
 consensus that goes back to the participants may be extrapolated past
 its minimizer by a step-limited Anderson step, but only when the
 objective at it does not rise (see ``run_rounds``); the consensus a run
@@ -62,9 +65,11 @@ _ANDERSON_REGULARIZATION = 1e-10
 # shared with the scope's helper thread (see ``_share_refits``).  Threads
 # only gain while LAPACK and BLAS run without the interpreter lock; on
 # small blocks the lock hand-offs between numpy calls cost more than that
-# overlap saves.  Measured on 2 cores, rounds under 1e7 of estimated work
-# took 1.2-2.6x as long on two threads as on one, and rounds of 1.5e7-4e7
-# took 0.65-1.1x.
+# overlap saves.  Measured on 2 cores with one reweighted step per
+# participant round (10 alternating pairs of 10-round runs per shape),
+# two threads against one took a median 1.71x as long at 1.8e6 of
+# estimated work, 1.03x and 0.99x at 6e6 and 8e6, 0.82-0.87x at
+# 1e7-1.5e7, 0.74x on the HW shape (3.8e7) and 0.82x on C7 (8.8e9).
 LANE_WORK = 8_000_000
 
 # Stream tags for seed derivation; every randomly initialized block gets
@@ -121,6 +126,10 @@ class Hyperparams:
 
     ``sparsity`` and ``consensus_penalty`` carry one value per
     participant; ``label_penalty`` applies only to the label owner.
+    ``inner_tol`` and ``inner_max`` stop the baselines' reweighted fits
+    (``supfl_solve``, ``supmvlfl_solve`` and the sweep's baseline cells);
+    mmvfl training makes one reweighted step per participant round and
+    reads neither.  ``outer_tol`` and ``outer_max`` stop the rounds.
     """
 
     sparsity: tuple[float, ...]
@@ -457,16 +466,26 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
 
 
 def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) -> float:
-    """One local round: refit the transform against the current
-    pseudo-labels, refresh the pseudo-labels against the broadcast
-    consensus, and return the local objective contribution (the only
-    scalar that leaves the participant).  The state's features were
-    checked when it was built, so they are not checked again here."""
+    """One local round: one reweighted step of the transform from its
+    current value against the current pseudo-labels, a refresh of the
+    pseudo-labels against the broadcast consensus, and the local
+    objective contribution (the only scalar that leaves the participant).
+
+    The step is one ``_penalized_solve`` with the diagonal
+    1/(2(||w_i|| + eps)) of the current rows, under ``_irls``'s descent
+    guard: the exact minimizer of the fit plus the eta-variational form
+    of the penalty, sum_i (||w_i||^2 / eta_i + eta_i) / 2, at eta_i =
+    ||w_i|| + eps (Bach, Jenatton, Mairal & Obozinski 2012, section 5.1).
+    That form is jointly convex, so the rounds are block coordinate
+    descent on it and need no inner stopping rule: with one iteration
+    ``tol`` decides nothing, and ``inner_tol`` and ``inner_max`` are not
+    read.  The state's features were checked when it was built, so they
+    are not checked again here."""
     targets = state.pseudo_labels
     [transform], _, _ = _irls(
         [state.gram], [state.features.T @ targets], [_sum_sq(targets)],
-        [state.sparsity], hyper.eps, hyper.inner_tol, hyper.inner_max, [state.transform],
-        [state.work])
+        [state.sparsity], hyper.eps, tol=0.0, max_iter=1, inits=[state.transform],
+        works=[state.work])
     state.transform = transform
     projected = state.features @ transform
     if state.is_label_owner:

@@ -42,6 +42,7 @@ from oracles import (
     gd_quadratic_minimizer,
     grid_minimize_scalar,
     loop_reweight_diag,
+    smoothed_objective_optimum,
     solve_transform,
     total_objective,
 )
@@ -80,6 +81,15 @@ def random_hyper(rng, num_participants, **overrides):
 _FEDERATED_SESSIONS: list = []
 
 
+def monotone_problem(index):
+    """Problem ``index`` of the 50 seeded monotone-convergence problems:
+    ``(views, labels, hyper)`` with 2, 3 or 5 participants."""
+    rng = np.random.default_rng(1000 + index)
+    k = (2, 3, 5)[index % 3]
+    views, labels = random_problem(rng, k)
+    return views, labels, random_hyper(rng, k)
+
+
 def test_monotone_convergence():
     """Objective traces never rise beyond 1e-9 absolute slack, and every
     run but the one known slow problem stops on ``outer_tol``."""
@@ -88,10 +98,7 @@ def test_monotone_convergence():
     checked = 0
     stopped_at_outer_max = set()
     for index in range(50):
-        rng = np.random.default_rng(1000 + index)
-        k = (2, 3, 5)[index % 3]
-        views, labels = random_problem(rng, k)
-        hyper = random_hyper(rng, k)
+        views, labels, hyper = monotone_problem(index)
         result = run_reference(views, labels, hyper, seed=index)
         trace = result.objectives
         for previous, current in zip(trace, trace[1:]):
@@ -102,11 +109,52 @@ def test_monotone_convergence():
             stopped_at_outer_max.add(index)
     elapsed = time.monotonic() - started
     # problem 23 is slow, not stuck: it stops 2% above its optimum at
-    # outer_max and converges in 231 rounds
+    # outer_max and converges in 236 rounds
     ok = worst_rise <= 1e-9 and elapsed < 60.0 and stopped_at_outer_max == {23}
     report("monotone-convergence", ok,
            f"50 instances, worst rise {worst_rise:.3e}, "
            f"stopped at outer_max: {sorted(stopped_at_outer_max)}, {elapsed:.1f}s")
+
+
+def test_converged_runs_stop_near_the_optimum():
+    """Every monotone-convergence run but problem 46 that stops on
+    ``outer_tol`` ends within 20 ``outer_tol`` (relative) of the optimum
+    FISTA finds; problem 23, the one run that stops at ``outer_max``, is
+    reported by name with its excess."""
+    # A run that contracts linearly at rate rho per round and stops on a
+    # relative change of outer_tol = 1e-5 sits about 1e-5 / (1 - rho)
+    # above the optimum, so the bound allows rho up to 0.95.  Measured
+    # worst converged excess: 1.01e-4 (problem 7, 35 rounds) with one
+    # reweighted step per participant round; 6.5e-5 (16 rounds) when each
+    # round solved its transform subproblem to inner_tol.
+    started = time.monotonic()
+    worst, worst_index = 0.0, None
+    stopped_at_outer_max = {}
+    for index in range(50):
+        if index == 46:
+            # FISTA takes about 35 s on it, against about 6 s for the
+            # other 49 together; the monotone test still runs it
+            continue
+        views, labels, hyper = monotone_problem(index)
+        result = run_reference(views, labels, hyper, seed=index)
+        optimum, _ = smoothed_objective_optimum(
+            views, labels, hyper.sparsity, hyper.consensus_penalty, hyper.label_penalty,
+            hyper.eps, rtol=1e-10)
+        excess = (result.objectives[-1] - optimum) / abs(optimum)
+        if not result.converged:
+            stopped_at_outer_max[index] = excess
+        elif excess > worst:
+            worst, worst_index = excess, index
+    bound = 20 * hyper.outer_tol
+    # a run that stops at outer_max escapes the bound, so the known one is
+    # named and any other fails the gate
+    ok = worst <= bound and set(stopped_at_outer_max) == {23}
+    stopped = ", ".join(f"problem {index}, {excess:.2e} above the optimum"
+                        for index, excess in sorted(stopped_at_outer_max.items()))
+    report("optimality-gap", ok,
+           f"49 instances, worst converged excess {worst:.2e} (problem {worst_index}) "
+           f"<= {bound:.0e}; stopped at outer_max: {stopped}; "
+           f"{time.monotonic() - started:.1f}s")
 
 
 def test_closed_form_updates_match_oracles():

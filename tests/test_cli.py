@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import mmvfl.evaluation as evaluation
 from mmvfl.cli import emit_curves, main, read_message_trace, version_string
 from mmvfl.evaluation import ExperimentResult, mean_curves, select_best
@@ -288,6 +290,33 @@ def test_solver_controls_are_config_errors(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("config error: solver controls:"), (mode, control, err)
             assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, fields", [
+    pytest.param(["--seed", "18446744073709551616"], {}, id="seed-2**64"),
+    pytest.param(["--seed", "-1"], {}, id="seed-negative"),
+    pytest.param([], {"seed": 1.5}, id="seed-float"),
+    pytest.param([], {"seed": True}, id="seed-bool"),
+    pytest.param([], {"round_timeout": 0}, id="timeout-zero"),
+    pytest.param([], {"round_timeout": 1e300}, id="timeout-huge"),
+    pytest.param([], {"round_timeout": "long"}, id="timeout-text"),
+    pytest.param(["--transport-port", "70000"], {}, id="port-70000"),
+    pytest.param([], {"transport_port": -1}, id="port-negative"),
+    pytest.param([], {"folds": 2.5}, id="folds-float"),
+    pytest.param([], {"folds": 1}, id="folds-one"),
+    pytest.param([], {"beta": "x"}, id="beta-text"),
+    pytest.param([], {"zeta": None}, id="zeta-null"),
+    pytest.param([], {"p_grid": ["a"]}, id="p-grid-text"),
+])
+def test_bad_run_controls_are_config_errors(tmp_path, capsys, flags, fields):
+    # out of range or of the wrong type; a federated-tcp run would read
+    # every one of them but folds, which a sweep reads
+    config = write_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main(["--mode", "federated-tcp", "--config", config, "--out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_a_run_stopped_at_outer_max_warns_on_stderr_only(tmp_path, capsys):

@@ -589,6 +589,25 @@ def test_run_reference_is_deterministic():
     assert not np.array_equal(a.consensus, different.consensus)
 
 
+def test_training_reads_no_inner_stopping_control():
+    # a participant round makes one reweighted step, so the inner
+    # controls, which stop only the baselines' fits, change no bit of a
+    # run, in one process or federated
+    views, labels = tiny_problem(24, num_samples=40, dims=(6, 9, 4))
+    base = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
+                               label_penalty=100.0)
+    runs = []
+    for inner_max in (1, 50):
+        for inner_tol in (1e-6, 1e-1):
+            hyper = replace(base, inner_max=inner_max, inner_tol=inner_tol)
+            reference = run_reference(views, labels, hyper, 5)
+            assert reference.converged and reference.rounds > 3
+            runs.append(_bits(reference))
+            runs.append(_federated_bits(
+                run_federated(views, labels, hyper, 5, transport="in_process")))
+    assert all(bits == runs[0] for bits in runs)
+
+
 def test_run_reference_agreement_improves_with_penalties():
     from mmvfl.data import synth_planted
     dataset, _ = synth_planted(num_participants=2, num_samples=60,
@@ -827,7 +846,7 @@ def test_extrapolation_reaches_the_optimum_where_the_plain_schedule_stalls():
 def test_a_tightly_converged_run_attains_the_optimum(seed):
     views, labels, hyper = optimum_problem(seed)
     optimum = optimum_of(views, labels, hyper)
-    tight = replace(hyper, inner_tol=1e-14, outer_tol=1e-14, outer_max=1000)
+    tight = replace(hyper, outer_tol=1e-14, outer_max=1000)
     result = run_reference(views, labels, tight, seed)
     assert result.rounds < tight.outer_max
     recorded = loop_total_objective(views, result.transforms, result.pseudo_labels,
@@ -856,7 +875,7 @@ def _wide_problem():
     block."""
     views, labels = tiny_problem(
         11, num_samples=120, dims=(2 * CHOLESKY_TILE + 88, 2 * CHOLESKY_TILE + 24, 5))
-    return views, labels, Hyperparams.uniform(3, sparsity=0.1, outer_max=3, inner_max=8)
+    return views, labels, Hyperparams.uniform(3, sparsity=0.1, outer_max=3)
 
 
 def test_run_reference_is_bitwise_the_same_serial_or_shared(monkeypatch):
@@ -963,7 +982,7 @@ def test_participants_of_a_round_run_at_the_same_time(monkeypatch):
 ])
 def test_a_failing_refit_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
     views, labels = tiny_problem(9, num_samples=20, dims=(4, 6, 5))
-    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5, inner_max=3)
+    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5)
     error = RuntimeError(f"solve failed on the {failing}")
     original = optimizer._penalized_solve
 
