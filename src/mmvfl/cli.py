@@ -201,8 +201,11 @@ def load_config_file(path) -> dict:
             continue
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        if key in _TUPLE_FIELDS and value is not None:
-            value = tuple(value)
+        if key in _TUPLE_FIELDS:
+            if isinstance(value, list):
+                value = tuple(value)
+            elif not (key == "views" and value is None):
+                raise ConfigError(f"config {path}: {key} must be a JSON list")
         overrides[key] = value
     return overrides
 
@@ -280,9 +283,20 @@ def write_message_trace(path, trace):
             handle.write(json.dumps(asdict(entry)) + "\n")
 
 
+# The JSON types of a message trace line's fields, which are exactly
+# ``TracedMessage``'s; a JSON boolean counts only where bool is listed.
+_TRACE_TYPES = {
+    "direction": str, "kind": str, "round": int, "participant_id": int, "nbytes": int,
+    "payload_shape": (list, type(None)), "objective_part": (float, int, type(None)),
+    "label_owner": bool,
+}
+
+
 def read_message_trace(path) -> list[TracedMessage]:
     """Trace entries back from a log (kinds, rounds, sizes and payload
-    shapes; payloads are never logged)."""
+    shapes; payloads are never logged).  A line that is not a JSON object
+    with exactly ``TracedMessage``'s fields and their JSON types raises
+    ``ValueError`` naming the path and line."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -293,17 +307,19 @@ def read_message_trace(path) -> list[TracedMessage]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from None
-            shape = raw.get("payload_shape")
-            records.append(TracedMessage(
-                direction=str(raw.get("direction", "")),
-                kind=str(raw.get("kind", "")),
-                round=int(raw.get("round", 0)),
-                participant_id=int(raw.get("participant_id", -1)),
-                nbytes=int(raw.get("nbytes", 0)),
-                payload_shape=tuple(shape) if shape is not None else None,
-                objective_part=raw.get("objective_part"),
-                label_owner=bool(raw.get("label_owner", False)),
-            ))
+            if not isinstance(raw, dict) or raw.keys() != _TRACE_TYPES.keys():
+                raise ValueError(f"{path}:{line_no}: a trace line holds exactly the "
+                                 f"fields {', '.join(_TRACE_TYPES)}")
+            for key, types in _TRACE_TYPES.items():
+                if (not isinstance(raw[key], types)
+                        or isinstance(raw[key], bool) != (types is bool)):
+                    raise ValueError(f"{path}:{line_no}: bad {key} {raw[key]!r}")
+            shape = raw["payload_shape"]
+            if shape is not None:
+                if len(shape) != 2 or not all(type(size) is int for size in shape):
+                    raise ValueError(f"{path}:{line_no}: bad payload_shape {shape!r}")
+                raw["payload_shape"] = tuple(shape)
+            records.append(TracedMessage(**raw))
     return records
 
 

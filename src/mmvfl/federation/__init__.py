@@ -1,13 +1,8 @@
-"""Round-based federation: wire protocol, transports, actors, audit."""
+"""Round-based federation: wire protocol, one channel over a stream socket,
+actors, audit."""
 
 from .audit import PrivacyReport, audit_trace
-from .channels import (
-    ChannelClosedError,
-    ChannelTimeoutError,
-    InProcessChannel,
-    MessageChannel,
-    TcpChannel,
-)
+from .channels import ChannelClosedError, ChannelTimeoutError, TcpChannel
 from .coordinator import (
     CoordinatorResult,
     FederationAbortError,
@@ -39,8 +34,6 @@ __all__ = [
     "audit_trace",
     "ChannelClosedError",
     "ChannelTimeoutError",
-    "InProcessChannel",
-    "MessageChannel",
     "TcpChannel",
     "CoordinatorResult",
     "FederationAbortError",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..optimizer import Hyperparams, ProblemShape, init_consensus, run_rounds
-from .channels import ChannelClosedError, ChannelTimeoutError, MessageChannel
+from .channels import ChannelClosedError, ChannelTimeoutError, TcpChannel
 from .messages import (
     KIND_ABORT,
     KIND_CONVERGED,
@@ -93,7 +93,7 @@ def _trace_entry(direction: str, message: RoundMessage, nbytes: int) -> TracedMe
 def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     """Drive one full training session over already-connected channels.
 
-    ``channels`` are raw byte channels, one per participant connection;
+    ``channels`` are connected ``TcpChannel``s, one per participant;
     participant identities come from their Register messages.  The rounds
     run through ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r
     carries the consensus ``run_rounds`` chose after round r: the seeded
@@ -106,14 +106,12 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     ``round_timeout`` and ``FederationAbortError`` on duplicate
     registration, malformed messages, or transport failure.
     """
-    channels = [ch if isinstance(ch, MessageChannel) else MessageChannel(ch)
-                for ch in channels]
     expected = config.shape.num_participants
     if len(channels) != expected:
         raise ValueError(f"need {expected} channels, got {len(channels)}")
     matrix_shape = (config.shape.num_samples, config.shape.num_classes)
     trace: list[TracedMessage] = []
-    by_id: dict[int, MessageChannel] = {}
+    by_id: dict[int, TcpChannel] = {}
 
     def abort_all(reason: str):
         notice = RoundMessage(kind=KIND_ABORT, round=0, participant_id=0)
@@ -125,7 +123,7 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
             trace.append(_trace_entry("sent", notice, nbytes))
         raise FederationAbortError(reason)
 
-    def receive(ch: MessageChannel, who, failure: str) -> RoundMessage:
+    def receive(ch: TcpChannel, who, failure: str) -> RoundMessage:
         try:
             message, nbytes = ch.recv(timeout=config.round_timeout)
         except ChannelTimeoutError as exc:

@@ -14,7 +14,6 @@ from ..optimizer import (
     init_participant_state,
     participant_round,
 )
-from .channels import MessageChannel
 from .coordinator import FederationAbortError, FederationConfig
 from .messages import (
     KIND_ABORT,
@@ -33,18 +32,18 @@ def participant_run(participant_id: int, features, labels,
     ``labels`` is the one-hot label matrix for the label owner and None
     for everyone else.  Initialization is a pure function of
     ``config.seed`` and ``participant_id``, so a federated session and
-    the single-process reference start from identical blocks.
+    the single-process reference start from identical blocks.  The
+    channel is closed on every exit, a failed set-up included, so the
+    coordinator learns of a failure at once rather than at its deadline.
     """
-    channel = channel if isinstance(channel, MessageChannel) else MessageChannel(channel)
-    state = init_participant_state(
-        participant_id, features, config.hyper, config.shape.num_classes,
-        config.seed, labels=labels)
-
     matrix_shape = (config.shape.num_samples, config.shape.num_classes)
-    if state.features.shape[0] != matrix_shape[0]:
-        raise DimensionMismatchError("feature rows disagree with the session shape")
-
     try:
+        state = init_participant_state(
+            participant_id, features, config.hyper, config.shape.num_classes,
+            config.seed, labels=labels)
+        if state.features.shape[0] != matrix_shape[0]:
+            raise DimensionMismatchError("feature rows disagree with the session shape")
+
         channel.send(RoundMessage(
             kind=KIND_REGISTER, round=0, participant_id=participant_id,
             label_owner=state.is_label_owner))

@@ -1,7 +1,7 @@
 """One-call federated training session over either transport.
 
 Spawns the coordinator and one thread per participant, wires them
-together with in-process queues or loopback TCP sockets, and collects
+together with socket pairs or loopback TCP connections, and collects
 everything a run produces.  Given the same seed and inputs the result is
 bit-identical to ``optimizer.run_reference`` regardless of transport.
 """
@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ensure_matrix, single_blas_thread
-from ..optimizer import Hyperparams, ParticipantState, ProblemShape, check_one_hot
-from .channels import InProcessChannel, TcpChannel
+from ..numerics import check_seed, single_blas_thread
+from ..optimizer import Hyperparams, ParticipantState, _check_inputs
+from .channels import ChannelClosedError, ChannelTimeoutError, TcpChannel
 from .coordinator import (
     CoordinatorResult,
+    FederationAbortError,
     FederationConfig,
     TracedMessage,
     coordinator_run,
@@ -27,6 +28,10 @@ from .participant import participant_run
 
 # Generous join allowance on top of the protocol's own timeouts.
 _JOIN_GRACE = 30.0
+
+# What a participant raises when the session fails around it; any other
+# participant error is the failure itself.
+_SESSION_ERRORS = (FederationAbortError, ChannelClosedError, ChannelTimeoutError)
 
 
 @dataclass
@@ -74,6 +79,8 @@ def _tcp_channel_pairs(count: int, port: int, timeout: float):
         server_sockets = [listener.accept()[0] for _ in range(count)]
     finally:
         listener.close()
+    for sock in server_sockets + client_sockets:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return ([TcpChannel(s) for s in server_sockets],
             [TcpChannel(s) for s in client_sockets])
 
@@ -85,25 +92,23 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
     """Train over the federated protocol and return all final blocks.
 
     The first participant owns the labels.  ``transport`` selects
-    in-process queues or loopback TCP; ``port`` 0 lets the OS pick one.
-    BLAS is pinned to one thread for the whole session, so the
-    participant threads' solves do not oversubscribe the cores.
+    in-process socket pairs or loopback TCP; ``port`` 0 lets the OS pick
+    one.  The inputs are checked as ``run_reference`` checks them, with
+    the same errors, before any thread starts.  When a participant
+    fails, the session raises that participant's own exception rather
+    than the abort it caused.  BLAS is pinned to one thread for the whole
+    session, so the participant threads' solves do not oversubscribe the
+    cores.
     """
-    views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
-    labels = check_one_hot(labels)
-    shape = ProblemShape(
-        num_participants=len(views),
-        num_classes=labels.shape[1],
-        num_samples=views[0].shape[0],
-        dims=tuple(v.shape[1] for v in views),
-    )
+    seed = check_seed(seed)
+    views, labels, shape = _check_inputs(views, labels, hyper)
     config = FederationConfig(shape=shape, hyper=hyper, seed=seed,
                               round_timeout=round_timeout)
 
     if transport == "in_process":
-        pairs = [InProcessChannel.pair() for _ in views]
-        coordinator_side = [a for a, _ in pairs]
-        participant_side = [b for _, b in pairs]
+        pairs = [socket.socketpair() for _ in views]
+        coordinator_side = [TcpChannel(a) for a, _ in pairs]
+        participant_side = [TcpChannel(b) for _, b in pairs]
     elif transport == "tcp":
         coordinator_side, participant_side = _tcp_channel_pairs(
             len(views), port, round_timeout)
@@ -132,6 +137,9 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
     for worker in workers:
         worker.join(timeout=deadline)
     if coordinator_error is not None:
+        for worker in workers:
+            if worker.error is not None and not isinstance(worker.error, _SESSION_ERRORS):
+                raise worker.error
         raise coordinator_error
     for worker in workers:
         if worker.is_alive():

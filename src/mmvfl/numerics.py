@@ -46,11 +46,6 @@ BLAS_THREADS = 1
 # took 0.101 s as one call and 0.060 s in 256-wide tiles.
 CHOLESKY_TILE = 256
 
-# At most this many threads claim the tasks of a batch, the posting thread
-# and the scope's helper: only one and two have been measured (on a 2-core
-# machine), so wider hosts keep to two until more are.
-MAX_LANES = 2
-
 # CPU quota of the process's own cgroup, as a container sees it: cgroup v2
 # ``cpu.max`` ("<quota|max> <period>"), else the cgroup v1 quota and
 # period (quota -1 when there is none).
@@ -341,7 +336,11 @@ class _Batch:
 
 class _TileHelper:
     """A thread that claims the tasks of posted batches (participant
-    refits, Cholesky tiles) beside the threads that post them."""
+    refits, Cholesky tiles) beside the threads that post them.
+
+    There is one helper on any host: only one and two threads per batch
+    were measured, on 2 cores, so wider hosts keep to two until more are.
+    """
 
     def __init__(self):
         self.batches: queue.SimpleQueue = queue.SimpleQueue()
@@ -481,13 +480,13 @@ def single_blas_thread():
     no-op when no OpenBLAS is loaded.
 
     The scopes also share the helper thread of ``_run_tasks``: the first
-    to enter starts it when ``_usable_cpus()`` and ``MAX_LANES`` are both
-    at least 2, and the last to leave stops and joins it, so no thread
-    outlives the outermost scope.  It starts before the threads the body
-    starts (federated parties): glibc hands an exiting thread's malloc
-    arena to the next new thread, so a helper started on the first wide
-    factor took the arena of a thread the previous run had ended and
-    left both arenas grown (C7 peak RSS 198 -> 208 MB over 3 fits).
+    to enter starts it when ``_usable_cpus()`` is at least 2, and the
+    last to leave stops and joins it, so no thread outlives the outermost
+    scope.  It starts before the threads the body starts (federated
+    parties): glibc hands an exiting thread's malloc arena to the next
+    new thread, so a helper started on the first wide factor took the
+    arena of a thread the previous run had ended and left both arenas
+    grown (C7 peak RSS 198 -> 208 MB over 3 fits).
     """
     with _PIN.lock:
         if _PIN.depth == 0:
@@ -495,7 +494,7 @@ def single_blas_thread():
             _PIN.saved = [(lib, lib.threads()) for lib in libraries]
             for lib in libraries:
                 lib.set_threads(BLAS_THREADS)
-            if min(_usable_cpus(), MAX_LANES) >= 2:
+            if _usable_cpus() >= 2:
                 _PIN.helper = _TileHelper()
         _PIN.depth += 1
     try:

@@ -439,9 +439,10 @@ def _new_state(participant_id, features, hyper, num_classes, seed, labels):
     )
 
 
-def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantState]:
-    """States for all participants; the first one owns the labels.  Each
-    view and the labels are checked once, here."""
+def _check_inputs(views, labels, hyper: Hyperparams):
+    """The views and one-hot labels checked against each other and
+    ``hyper``, with their ``ProblemShape``: the one input check of
+    ``make_states`` and ``federation.run_federated``."""
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
     labels = check_one_hot(labels)
     if len(views) != len(hyper.sparsity):
@@ -453,10 +454,16 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
                 f"view {k} has {view.shape[0]} rows, expected {n}")
     if labels.shape[0] != n:
         raise DimensionMismatchError("label rows must match sample count")
-    num_classes = labels.shape[1]
-    ProblemShape(len(views), num_classes, n, tuple(v.shape[1] for v in views))
+    shape = ProblemShape(len(views), labels.shape[1], n, tuple(v.shape[1] for v in views))
+    return views, labels, shape
+
+
+def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantState]:
+    """States for all participants; the first one owns the labels.  Each
+    view and the labels are checked once, by ``_check_inputs``."""
+    views, labels, shape = _check_inputs(views, labels, hyper)
     return [
-        _new_state(k, view, hyper, num_classes, seed, labels if k == 0 else None)
+        _new_state(k, view, hyper, shape.num_classes, seed, labels if k == 0 else None)
         for k, view in enumerate(views)
     ]
 

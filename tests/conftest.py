@@ -10,7 +10,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from mmvfl.federation import MessageChannel
+from mmvfl.federation import TcpChannel
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -18,18 +18,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture
 def wire(monkeypatch):
-    """Every message sent through a ``MessageChannel`` while the test runs,
+    """Every message sent through a ``TcpChannel`` while the test runs,
     by the coordinator and the participants alike, keyed by (kind, round,
     participant_id).  The coordinator's trace keeps only payload shapes,
     so tests that look at what a payload holds read it here; clear the
     dict between sessions."""
     sent = {}
-    original = MessageChannel.send
+    original = TcpChannel.send
 
     def send(self, message):
         nbytes = original(self, message)
         sent[(message.kind, message.round, message.participant_id)] = message
         return nbytes
 
-    monkeypatch.setattr(MessageChannel, "send", send)
+    monkeypatch.setattr(TcpChannel, "send", send)
     return sent

@@ -212,7 +212,7 @@ def test_audit_mode_rejects_a_tampered_trace(tmp_path, capsys):
     trace_path = os.path.join(tampered_dir, "message_trace.jsonl")
     leak = {"direction": "recv", "kind": "ZkUpload", "round": 1,
             "participant_id": 1, "nbytes": 999,
-            "payload_shape": [5, 3], "objective_part": 1.0}
+            "payload_shape": [5, 3], "objective_part": 1.0, "label_owner": False}
     with open(trace_path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(leak) + "\n")
     capsys.readouterr()
@@ -223,6 +223,36 @@ def test_audit_mode_rejects_a_tampered_trace(tmp_path, capsys):
     assert "audit violation" in captured.err
     with open(tmp_path / "audit2" / "privacy_report.json") as handle:
         assert json.load(handle)["ok"] is False
+
+
+def test_audit_mode_rejects_a_trace_line_with_missing_or_mistyped_fields(tmp_path, capsys):
+    config = write_config(tmp_path)
+    run_dir = str(tmp_path / "fed")
+    assert main(["--mode", "federated-inproc", "--config", config,
+                 "--out", run_dir]) == 0
+    with open(os.path.join(run_dir, "message_trace.jsonl"), encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    shutil.copy(os.path.join(run_dir, "run_manifest.json"), tmp_path / "run_manifest.json")
+    spoils = [
+        ("nbytes-missing", lambda line: line.pop("nbytes")),
+        ("kind-missing", lambda line: line.pop("kind")),
+        ("extra-field", lambda line: line.update(payload=[1.0])),
+        ("nbytes-text", lambda line: line.update(nbytes="160145")),
+        ("round-bool", lambda line: line.update(round=True)),
+        ("label-owner-number", lambda line: line.update(label_owner=0)),
+        ("shape-three-sizes", lambda line: line.update(payload_shape=[30, 3, 1])),
+    ]
+    for name, spoil in spoils:
+        spoiled = [dict(line) for line in lines]
+        spoil(spoiled[2])
+        trace_path = tmp_path / f"{name}.jsonl"
+        trace_path.write_text("".join(json.dumps(line) + "\n" for line in spoiled))
+        capsys.readouterr()
+        assert main(["--mode", "audit", "--trace", str(trace_path),
+                     "--out", str(tmp_path / f"audit_{name}")]) == 1, name
+        captured = capsys.readouterr()
+        assert f"{trace_path}:3: " in captured.err, (name, captured.err)
+        assert "audit ok" not in captured.out
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -307,6 +337,10 @@ def test_solver_controls_are_config_errors(tmp_path, capsys):
     pytest.param([], {"beta": "x"}, id="beta-text"),
     pytest.param([], {"zeta": None}, id="zeta-null"),
     pytest.param([], {"p_grid": ["a"]}, id="p-grid-text"),
+    pytest.param([], {"methods": "mmvfl"}, id="methods-string"),
+    pytest.param([], {"views": "a.csv", "labels": "y.csv"}, id="views-string"),
+    pytest.param([], {"beta_grid": "0.1"}, id="beta-grid-string"),
+    pytest.param([], {"synth_dims": 30}, id="synth-dims-number"),
 ])
 def test_bad_run_controls_are_config_errors(tmp_path, capsys, flags, fields):
     # out of range or of the wrong type; a federated-tcp run would read

@@ -16,8 +16,6 @@ from mmvfl.federation import (
     ChannelTimeoutError,
     FederationAbortError,
     FederationConfig,
-    InProcessChannel,
-    MessageChannel,
     ProtocolError,
     RoundMessage,
     RoundTimeoutError,
@@ -32,6 +30,7 @@ from mmvfl.federation import (
     run_federated,
 )
 from mmvfl.federation import messages as messages_module
+from mmvfl.federation import participant as participant_module
 from mmvfl.federation.session import _tcp_channel_pairs
 from mmvfl.optimizer import (
     Hyperparams,
@@ -344,43 +343,48 @@ def test_frame_rejects_oversized_body(monkeypatch):
 # channels
 
 
-def test_in_process_channel_fifo_close_timeout():
-    a, b = InProcessChannel.pair()
-    a.send_bytes(b"one")
-    a.send_bytes(b"two")
-    assert b.recv_bytes(timeout=1.0) == b"one"
-    assert b.recv_bytes(timeout=1.0) == b"two"
-    with pytest.raises(ChannelTimeoutError):
-        b.recv_bytes(timeout=0.05)
-    a.close()
-    with pytest.raises(ChannelClosedError):
-        b.recv_bytes(timeout=1.0)
-    with pytest.raises(ChannelClosedError):
-        b.recv_bytes(timeout=1.0)  # marker stays visible
-    with pytest.raises(ChannelClosedError):
-        a.send_bytes(b"three")
+def socketpair_channels():
+    return tuple(TcpChannel(s) for s in socket.socketpair())
 
 
-def test_tcp_channel_framing_and_errors():
+def tcp_channels():
     (server,), (client,) = _tcp_channel_pairs(1, 0, timeout=5.0)
+    return client, server
+
+
+# The in-process and the loopback TCP pairing of ``run_federated``.
+PAIRINGS = [pytest.param(socketpair_channels, id="socketpair"),
+            pytest.param(tcp_channels, id="tcp")]
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_channel_fifo_framing_close_timeout(pairing):
+    a, b = pairing()
     try:
-        client.send_bytes(b"hello")
-        client.send_bytes(b"x" * 70000)  # spans several segments
-        assert server.recv_bytes(timeout=2.0) == b"hello"
-        assert server.recv_bytes(timeout=2.0) == b"x" * 70000
+        a.send_bytes(b"one")
+        a.send_bytes(b"two")
+        a.send_bytes(b"x" * 70000)  # spans several segments
+        assert b.recv_bytes(timeout=1.0) == b"one"
+        assert b.recv_bytes(timeout=1.0) == b"two"
+        assert b.recv_bytes(timeout=2.0) == b"x" * 70000
         with pytest.raises(ChannelTimeoutError):
-            server.recv_bytes(timeout=0.05)
-        client.close()
+            b.recv_bytes(timeout=0.05)
+        a.close()
         with pytest.raises(ChannelClosedError):
-            server.recv_bytes(timeout=2.0)
+            b.recv_bytes(timeout=1.0)
+        with pytest.raises(ChannelClosedError):
+            b.recv_bytes(timeout=1.0)  # the close stays visible
+        with pytest.raises(ChannelClosedError):
+            a.send_bytes(b"three")
     finally:
-        server.close()
-        client.close()
+        a.close()
+        b.close()
 
 
-def test_tcp_send_enforces_frame_limit(monkeypatch):
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_tcp_send_enforces_frame_limit(monkeypatch, pairing):
     monkeypatch.setattr(messages_module, "MAX_BODY_BYTES", 10)
-    (server,), (client,) = _tcp_channel_pairs(1, 0, timeout=5.0)
+    client, server = pairing()
     try:
         with pytest.raises(ProtocolError):
             client.send_bytes(b"x" * 11)
@@ -404,12 +408,10 @@ def test_tcp_channel_carries_a_full_size_matrix():
     message = RoundMessage(kind="ZkUpload", round=1, participant_id=0,
                            payload=payload, objective_part=0.5)
     (server,), (client,) = _tcp_channel_pairs(1, 0, timeout=5.0)
-    receiver = MessageChannel(server)
     try:
-        sender = threading.Thread(target=MessageChannel(client).send,
-                                  args=(message,), daemon=True)
+        sender = threading.Thread(target=client.send, args=(message,), daemon=True)
         sender.start()
-        received, nbytes = receiver.recv(timeout=5.0)
+        received, nbytes = server.recv(timeout=5.0)
         sender.join(timeout=5.0)
         assert not sender.is_alive()
         assert received.payload.tobytes() == payload.tobytes()
@@ -454,12 +456,15 @@ def test_tcp_peer_closing_mid_frame_raises_channel_closed(sent):
 
 
 def test_message_channel_reports_framed_sizes():
-    a, b = InProcessChannel.pair()
-    sender, receiver = MessageChannel(a), MessageChannel(b)
+    sender, receiver = socketpair_channels()
     message = RoundMessage(kind="ZBroadcast", round=1, participant_id=0,
                            payload=np.ones((2, 2)))
-    sent = sender.send(message)
-    received, got = receiver.recv(timeout=1.0)
+    try:
+        sent = sender.send(message)
+        received, got = receiver.recv(timeout=1.0)
+    finally:
+        sender.close()
+        receiver.close()
     assert sent == got == frame_size(encode_body(message))
     assert received.payload.tobytes() == message.payload.tobytes()
 
@@ -522,6 +527,79 @@ def test_federated_matches_reference_bitwise(transport, dims):
         assert state.pseudo_labels.tobytes() == pseudo.tobytes()
 
 
+BAD_INPUTS = [
+    pytest.param(lambda v, y, h, s: ([v[0], v[1][:-1]], y, h, s), id="view-one-row-short"),
+    pytest.param(lambda v, y, h, s: (v, y[:-1], h, s), id="labels-one-row-short"),
+    pytest.param(lambda v, y, h, s: (v, y, h, -1), id="seed-negative"),
+    pytest.param(lambda v, y, h, s: (v, y, Hyperparams.uniform(3, sparsity=0.1), s),
+                 id="hyperparams-too-long"),
+]
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("spoil", BAD_INPUTS)
+def test_bad_inputs_raise_what_the_reference_raises(transport, spoil):
+    views, labels = tiny_problem(2)
+    args = spoil(views, labels, Hyperparams.uniform(2, sparsity=0.1), 0)
+    with pytest.raises(Exception) as expected:
+        run_reference(*args)
+    threads = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(Exception) as raised:
+        run_federated(*args, transport=transport, round_timeout=5.0)
+    # checked before any thread starts, not found at the round deadline
+    assert time.monotonic() - started < 1.0
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    assert threading.active_count() == threads
+
+
+def fail_refit_of_participant_1(monkeypatch, failure):
+    def refit(state, consensus, hyper):
+        if state.participant_id == 1:
+            raise failure
+        return participant_round(state, consensus, hyper)
+
+    monkeypatch.setattr(participant_module, "participant_round", refit)
+
+
+def fail_set_up_of_participant_1(monkeypatch, failure):
+    def set_up(participant_id, *args, **kwargs):
+        if participant_id == 1:
+            raise failure
+        return init_participant_state(participant_id, *args, **kwargs)
+
+    monkeypatch.setattr(participant_module, "init_participant_state", set_up)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("inject", [fail_refit_of_participant_1, fail_set_up_of_participant_1])
+def test_a_participant_failure_comes_out_as_itself(monkeypatch, transport, inject):
+    failure = RuntimeError("participant 1 failed")
+    inject(monkeypatch, failure)
+    views, labels = tiny_problem(2, dims=(3, 4, 5))
+    hyper = Hyperparams.uniform(3, sparsity=0.1)
+    threads = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(RuntimeError) as raised:
+        run_federated(views, labels, hyper, seed=0, transport=transport, round_timeout=5.0)
+    # the failing party closes its channel, so no one waits for a deadline
+    assert time.monotonic() - started < 2.5
+    assert raised.value is failure
+    assert threading.active_count() == threads
+
+
+@pytest.fixture
+def pairs():
+    """Two (coordinator side, participant side) channel pairs over
+    ``socket.socketpair()``, closed when the test ends."""
+    made = [socketpair_channels() for _ in range(2)]
+    yield made
+    for pair in made:
+        for channel in pair:
+            channel.close()
+
+
 def start_coordinator(config, channels):
     holder = {}
 
@@ -541,11 +619,10 @@ def register(channel, pid, owner=False):
                               label_owner=owner))
 
 
-def test_duplicate_registration_aborts_session():
+def test_duplicate_registration_aborts_session(pairs):
     config = tiny_config()
-    pairs = [InProcessChannel.pair() for _ in range(2)]
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
-    sides = [MessageChannel(b) for _, b in pairs]
+    sides = [b for _, b in pairs]
     register(sides[0], 0, owner=True)
     register(sides[1], 0)  # same id again
     thread.join(timeout=10.0)
@@ -557,11 +634,10 @@ def test_duplicate_registration_aborts_session():
     assert message.kind == "Abort"
 
 
-def test_two_label_owners_abort_session():
+def test_two_label_owners_abort_session(pairs):
     config = tiny_config()
-    pairs = [InProcessChannel.pair() for _ in range(2)]
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
-    sides = [MessageChannel(b) for _, b in pairs]
+    sides = [b for _, b in pairs]
     register(sides[0], 0, owner=True)
     register(sides[1], 1, owner=True)
     thread.join(timeout=10.0)
@@ -569,13 +645,12 @@ def test_two_label_owners_abort_session():
     assert "label owner, got [0, 1]" in str(holder["error"])
 
 
-def test_round_timeout_names_the_silent_participant():
+def test_round_timeout_names_the_silent_participant(pairs):
     config = tiny_config(outer_max=3)
     config = FederationConfig(shape=config.shape, hyper=config.hyper, seed=0,
                               round_timeout=0.2)
-    pairs = [InProcessChannel.pair() for _ in range(2)]
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
-    sides = [MessageChannel(b) for _, b in pairs]
+    sides = [b for _, b in pairs]
     register(sides[0], 0, owner=True)
     register(sides[1], 1)
     for side in sides:
@@ -592,13 +667,12 @@ def test_round_timeout_names_the_silent_participant():
     assert "participant 1" in str(error)
 
 
-def test_registration_timeout_names_the_channel():
+def test_registration_timeout_names_the_channel(pairs):
     config = FederationConfig(shape=tiny_config().shape,
                               hyper=tiny_config().hyper, seed=0,
                               round_timeout=0.2)
-    pairs = [InProcessChannel.pair() for _ in range(2)]
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
-    register(MessageChannel(pairs[0][1]), 0, owner=True)
+    register(pairs[0][1], 0, owner=True)
     # second channel stays completely silent
     thread.join(timeout=10.0)
     error = holder.get("error")
@@ -624,14 +698,13 @@ def scripted_participant(side, pid, owner, payload, delay=0.0):
             return
 
 
-def test_slow_but_alive_participant_completes():
+def test_slow_but_alive_participant_completes(pairs):
     config = FederationConfig(shape=tiny_config().shape,
                               hyper=tiny_config().hyper, seed=0,
                               round_timeout=1.0)
-    pairs = [InProcessChannel.pair() for _ in range(2)]
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
     payload = np.ones((config.shape.num_samples, config.shape.num_classes))
-    sides = [MessageChannel(b) for _, b in pairs]
+    sides = [b for _, b in pairs]
     runners = [
         threading.Thread(target=scripted_participant,
                          args=(sides[0], 0, True, payload, 0.3), daemon=True),
