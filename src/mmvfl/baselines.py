@@ -6,8 +6,8 @@ training uses, i.e. the label matrix replaces the pseudo-labels; the
 objective is a sum of per-view terms, so the joint fit matches
 independent per-view fits, which tests pin.  ``supfl_solve`` is that
 fit for one feature block.  The CV sweep (``evaluation.run_grid``)
-runs the same kernel on the training blocks its classifier already
-holds rather than calling these entry points.
+runs their fit, ``_fit_blocks``, on the training blocks its classifier
+already holds.  Only this module sets when a baseline fit stops.
 """
 
 from __future__ import annotations
@@ -17,9 +17,21 @@ import numpy as np
 from .numerics import ensure_matrix, frobenius_norm_sq
 from .optimizer import _irls, check_one_hot, check_solver_controls, gram_matrix
 
+# A baseline fit stops once the relative change of its summed objective
+# is at most TOL, or after MAX_ITER reweighted steps.
+TOL = 1e-6
+MAX_ITER = 50
+
+
+def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=TOL, max_iter=MAX_ITER):
+    """``(transforms, objectives)`` of the joint fit of blocks k onto T from
+    trusted X_k^T X_k, X_k^T T and ||T||_F^2."""
+    transforms, _, objectives = _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter)
+    return transforms, objectives
+
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
-                tol: float = 1e-6, max_iter: int = 50):
+                tol: float = TOL, max_iter: int = MAX_ITER):
     """Row-sparse regression of one feature block onto the labels:
     ``supmvlfl_solve`` on the single view ``[features]``.
 
@@ -32,7 +44,7 @@ def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
 
 
 def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
-                   tol: float = 1e-6, max_iter: int = 50):
+                   tol: float = TOL, max_iter: int = MAX_ITER):
     """Joint row-sparse regression of every view onto the labels.
 
     All views are iterated together and the stopping rule watches the
@@ -49,12 +61,9 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
         raise ValueError("one sparsity weight per view required")
     if any(not b > 0 for b in sparsity):
         raise ValueError("sparsity weights must be positive")
-    check_solver_controls(eps, (tol,), (max_iter,))
+    check_solver_controls(eps, tol, max_iter)
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")
-
-    transforms, _, objectives = _irls(
-        [gram_matrix(v) for v in views], [v.T @ labels for v in views],
-        [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)
-    return transforms, objectives
+    return _fit_blocks([gram_matrix(v) for v in views], [v.T @ labels for v in views],
+                       [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)

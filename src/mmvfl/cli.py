@@ -9,8 +9,8 @@ configuration (defaults included), so passing a manifest back through
 runs on one thread for the whole invocation; the manifest's ``numerics``
 key records the numpy/scipy versions and each OpenBLAS build.
 
-Exit codes: 0 on success, 2 on configuration errors (unknown flags,
-missing files, bad grids), 1 on runtime failures.
+Exit codes: 0 on success, 2 on configuration errors (unknown flags or keys,
+wrong JSON types, missing files, bad grids), 1 on runtime failures.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .baselines import supfl_solve, supmvlfl_solve
@@ -85,11 +86,6 @@ class RunConfig:
     methods: tuple[str, ...] = METHODS
     trace: str | None = None
     eps: float = 1e-6
-    # stopping controls of the baselines' reweighted fits (supfl, supmvlfl
-    # and their sweep cells); mmvfl training makes one reweighted step per
-    # participant round and reads neither
-    inner_tol: float = 1e-6
-    inner_max: int = 50
     outer_tol: float = 1e-5
     outer_max: int = 100
     synth_participants: int = 3
@@ -120,10 +116,9 @@ class RunConfig:
             self.seed = check_seed(self.seed)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"--seed: {exc}") from None
-        if not isinstance(self.folds, int) or self.folds < 2:
+        if self.folds < 2:
             raise ConfigError("--folds must be an integer of at least 2")
-        if (not isinstance(self.transport_port, int) or isinstance(self.transport_port, bool)
-                or not 0 <= self.transport_port <= 65535):
+        if not 0 <= self.transport_port <= 65535:
             raise ConfigError("--transport-port must be an integer in [0, 65535]")
         # the longest wait the threading and socket timeouts accept
         if not 0 < self.round_timeout <= threading.TIMEOUT_MAX:
@@ -140,20 +135,39 @@ class RunConfig:
         if self.trace is not None and not os.path.isfile(self.trace):
             raise ConfigError(f"trace file not found: {self.trace}")
         try:
-            check_solver_controls(self.eps, (self.inner_tol, self.outer_tol),
-                                  (self.inner_max, self.outer_max))
-        except (TypeError, ValueError) as exc:
+            check_solver_controls(self.eps, self.outer_tol, self.outer_max)
+        except ValueError as exc:
             raise ConfigError(f"solver controls: {exc}") from None
         try:
             check_synth_shape(self.synth_participants, self.synth_classes,
                               self.synth_samples, self.synth_dims,
                               self.synth_informative, self.synth_noise)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"synthetic data: {exc}") from None
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-_TUPLE_FIELDS = {"views", "beta_grid", "p_grid", "methods", "synth_dims"}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+_JSON_NAMES = {int: "integer", float: "number", str: "string", type(None): "null"}
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a ``RunConfig`` annotation: an int field
+    takes a non-bool integer, a float field a non-bool number, a tuple
+    field a list of its element type and a union any of its members'."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if args:
+        return any(_json_fits(value, arg) for arg in args)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if hint is float else hint)
+
+
+def _json_name(hint) -> str:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_json_name(args[0])}s"
+    return " or ".join(map(_json_name, args)) if args else _JSON_NAMES[hint]
 
 
 @functools.cache
@@ -199,14 +213,12 @@ def load_config_file(path) -> dict:
     for key, value in raw.items():
         if key in MANIFEST_EXTRA_KEYS:
             continue
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        if key in _TUPLE_FIELDS:
-            if isinstance(value, list):
-                value = tuple(value)
-            elif not (key == "views" and value is None):
-                raise ConfigError(f"config {path}: {key} must be a JSON list")
-        overrides[key] = value
+        if not _json_fits(value, _CONFIG_TYPES[key]):
+            raise ConfigError(f"config {path}: {key} must be a JSON "
+                              f"{_json_name(_CONFIG_TYPES[key])}, not {json.dumps(value)}")
+        overrides[key] = tuple(value) if isinstance(value, list) else value
     return overrides
 
 
@@ -256,12 +268,8 @@ def resolve_config(argv) -> RunConfig:
         overrides["p_grid"] = _parse_list(args.p_grid, float)
     if args.methods is not None:
         overrides["methods"] = _parse_list(args.methods, str)
-    try:
-        config = RunConfig(**overrides)
-        config.validate()
-    except TypeError as exc:
-        # a value of the wrong type, such as a string where a number goes
-        raise ConfigError(str(exc)) from None
+    config = RunConfig(**overrides)
+    config.validate()
     return config
 
 
@@ -295,8 +303,9 @@ _TRACE_TYPES = {
 def read_message_trace(path) -> list[TracedMessage]:
     """Trace entries back from a log (kinds, rounds, sizes and payload
     shapes; payloads are never logged).  A line that is not a JSON object
-    with exactly ``TracedMessage``'s fields and their JSON types raises
-    ``ValueError`` naming the path and line."""
+    with exactly ``TracedMessage``'s fields and their JSON types, or that
+    holds a negative round, participant id or size or a payload shape
+    entry below 1, raises ``ValueError`` naming the path and line."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -311,12 +320,14 @@ def read_message_trace(path) -> list[TracedMessage]:
                 raise ValueError(f"{path}:{line_no}: a trace line holds exactly the "
                                  f"fields {', '.join(_TRACE_TYPES)}")
             for key, types in _TRACE_TYPES.items():
+                # round, participant_id and nbytes, the int fields, are >= 0
                 if (not isinstance(raw[key], types)
-                        or isinstance(raw[key], bool) != (types is bool)):
+                        or isinstance(raw[key], bool) != (types is bool)
+                        or (types is int and raw[key] < 0)):
                     raise ValueError(f"{path}:{line_no}: bad {key} {raw[key]!r}")
             shape = raw["payload_shape"]
             if shape is not None:
-                if len(shape) != 2 or not all(type(size) is int for size in shape):
+                if len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
                     raise ValueError(f"{path}:{line_no}: bad payload_shape {shape!r}")
                 raw["payload_shape"] = tuple(shape)
             records.append(TracedMessage(**raw))
@@ -325,9 +336,6 @@ def read_message_trace(path) -> list[TracedMessage]:
 
 def write_manifest(config: RunConfig, out_dir, dataset_facts, outputs):
     manifest = asdict(config)
-    for key in _TUPLE_FIELDS:
-        if manifest[key] is not None:
-            manifest[key] = list(manifest[key])
     manifest["version"] = version_string()
     manifest["dataset"] = dataset_facts
     manifest["outputs"] = sorted(outputs)
@@ -379,8 +387,6 @@ def training_hyper(config: RunConfig, num_participants: int) -> Hyperparams:
         consensus_penalty=config.zeta,
         label_penalty=config.eta,
         eps=config.eps,
-        inner_tol=config.inner_tol,
-        inner_max=config.inner_max,
         outer_tol=config.outer_tol,
         outer_max=config.outer_max)
 
@@ -434,9 +440,7 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
         # views train independently, so each gets its own trace file
         outputs = []
         for k, view in enumerate(dataset.views):
-            transform, trace = supfl_solve(
-                view, labels, config.beta, eps=config.eps,
-                tol=config.inner_tol, max_iter=config.inner_max)
+            transform, trace = supfl_solve(view, labels, config.beta, eps=config.eps)
             name = f"transform_{k + 1}.csv"
             write_matrix_csv(os.path.join(out_dir, name), transform)
             outputs.append(name)
@@ -445,8 +449,7 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
             outputs.append(name)
     elif config.mode == "supmvlfl":
         transforms, objectives = supmvlfl_solve(
-            dataset.views, labels, config.beta, eps=config.eps,
-            tol=config.inner_tol, max_iter=config.inner_max)
+            dataset.views, labels, config.beta, eps=config.eps)
         outputs = _write_training_outputs(out_dir, transforms, None, objectives)
     else:
         raise ValueError(f"not a training mode: {config.mode}")

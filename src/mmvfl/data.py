@@ -91,9 +91,6 @@ class MultiViewDataset:
     def dims(self) -> tuple[int, ...]:
         return tuple(v.shape[1] for v in self.views)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def restrict(self, indices) -> "MultiViewDataset":
         """Row subset across every view, keeping label alignment."""
         indices = np.asarray(indices)

@@ -17,6 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 from scipy.linalg import lapack
 
+from .baselines import _fit_blocks
 from .data import FoldPlan, MultiViewDataset
 from .featsel import score_features, select_top
 from .numerics import (
@@ -27,7 +28,7 @@ from .numerics import (
     derive_seed,
     single_blas_thread,
 )
-from .optimizer import Hyperparams, _irls, gram_matrix, one_hot, run_reference
+from .optimizer import Hyperparams, gram_matrix, one_hot, run_reference
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
 
@@ -150,8 +151,9 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
     by ``_SplitScorer``, the least-squares classifier built once per
     (fold, participant) and shared by every method.  Its XᵀX and XᵀY are
     the only training blocks the baselines use: ``supfl`` fits each view
-    alone and ``supmvlfl`` all views jointly, by the kernel behind
-    ``supfl_solve`` and ``supmvlfl_solve``; ``mmvfl`` trains by
+    alone and ``supmvlfl`` all views jointly, by the fit behind
+    ``supfl_solve`` and ``supmvlfl_solve`` with its stopping rule and
+    ``hyper.eps``; ``mmvfl`` trains by
     ``run_reference`` seeded ``derive_seed(seed, fold, beta_index)``.
     Returns one ``ExperimentResult`` per cell, method by method in
     ``methods`` order.  BLAS runs on one thread throughout.
@@ -179,7 +181,6 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
         n = float(train.num_samples)
         for rows, method in zip(results, methods):
             for beta_index, (beta, cell) in enumerate(zip(beta_grid, cells)):
-                controls = (cell.eps, cell.inner_tol, cell.inner_max)
                 converged = True
                 if method == "mmvfl":
                     # every scorer holds the same one-hot training labels
@@ -187,11 +188,11 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
                                             derive_seed(seed, fold, beta_index))
                     transforms, converged = trained.transforms, trained.converged
                 elif method == "supfl":
-                    transforms = [_irls([g], [xty], [n], [beta], *controls)[0][0]
+                    transforms = [_fit_blocks([g], [xty], [n], [beta], cell.eps)[0][0]
                                   for g, xty in zip(grams, xtys)]
                 else:
-                    transforms = _irls(grams, xtys, [n] * len(grams), cell.sparsity,
-                                       *controls)[0]
+                    transforms = _fit_blocks(grams, xtys, [n] * len(grams), cell.sparsity,
+                                             cell.eps)[0]
                 for k, transform in enumerate(transforms):
                     ranking = score_features(transform)
                     for p in p_grid:

@@ -39,14 +39,13 @@ def participant_run(participant_id: int, features, labels,
     matrix_shape = (config.shape.num_samples, config.shape.num_classes)
     try:
         state = init_participant_state(
-            participant_id, features, config.hyper, config.shape.num_classes,
-            config.seed, labels=labels)
+            participant_id, features, config.shape.num_classes, config.seed, labels=labels)
         if state.features.shape[0] != matrix_shape[0]:
             raise DimensionMismatchError("feature rows disagree with the session shape")
 
         channel.send(RoundMessage(
             kind=KIND_REGISTER, round=0, participant_id=participant_id,
-            label_owner=state.is_label_owner))
+            label_owner=state.labels is not None))
 
         # Answer the consensus of round r (0: the seeded one) with the
         # upload of round r + 1, until the coordinator says Converged.

@@ -12,6 +12,7 @@ its one-hot label matrix ``Y``.  The training objective is
     + label_penalty * ||Z_owner - Y||_F^2
 
 where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  The
+weights live in one ``Hyperparams``, which every round reads.  The
 pseudo-label and consensus updates below are the exact minimizers of
 their subproblems.  ``W_k`` takes one reweighted least-squares step per
 round, from its current value (see ``participant_round``), so a round is
@@ -109,35 +110,31 @@ class ProblemShape:
             raise ValueError("every participant needs at least one feature")
 
 
-def check_solver_controls(eps, tolerances, limits):
-    """Bounds every solver's controls keep: eps in (0, 1e-3], positive
-    tolerances and iteration limits of at least 1."""
+def check_solver_controls(eps, tol, max_iter):
+    """Bounds every solver's controls keep: eps in (0, 1e-3], a positive
+    tolerance and an iteration limit of at least 1."""
     if not 0 < eps <= 1e-3:
         raise ValueError("eps must be in (0, 1e-3]")
-    if not all(tol > 0 for tol in tolerances):
-        raise ValueError("tolerances must be positive")
-    if any(limit < 1 for limit in limits):
-        raise ValueError("iteration limits must be >= 1")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("iteration limit must be >= 1")
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Penalty weights and stopping controls for a training run.
+    """Every setting a training run reads, in one place.
 
-    ``sparsity`` and ``consensus_penalty`` carry one value per
-    participant; ``label_penalty`` applies only to the label owner.
-    ``inner_tol`` and ``inner_max`` stop the baselines' reweighted fits
-    (``supfl_solve``, ``supmvlfl_solve`` and the sweep's baseline cells);
-    mmvfl training makes one reweighted step per participant round and
-    reads neither.  ``outer_tol`` and ``outer_max`` stop the rounds.
+    ``sparsity`` (beta_k) and ``consensus_penalty`` (zeta_k) hold one value
+    per participant, indexed by ``participant_id``; ``label_penalty`` (eta)
+    applies only to the label owner.  ``eps`` smooths the reweighted step's
+    row norms, and ``outer_tol`` and ``outer_max`` stop the rounds.
     """
 
     sparsity: tuple[float, ...]
     consensus_penalty: tuple[float, ...]
     label_penalty: float
     eps: float = 1e-6
-    inner_tol: float = 1e-6
-    inner_max: int = 50
     outer_tol: float = 1e-5
     outer_max: int = 100
 
@@ -150,8 +147,7 @@ class Hyperparams:
             raise ValueError("consensus penalties must be positive")
         if not self.label_penalty > 0:
             raise ValueError("label penalty must be positive")
-        check_solver_controls(self.eps, (self.inner_tol, self.outer_tol),
-                              (self.inner_max, self.outer_max))
+        check_solver_controls(self.eps, self.outer_tol, self.outer_max)
 
     @classmethod
     def uniform(cls, num_participants: int, *, sparsity: float = 0.1,
@@ -170,9 +166,10 @@ class Hyperparams:
 class ParticipantState:
     """Everything participant k keeps locally between rounds.
 
-    ``features``, ``transform``, and ``labels`` never leave the
-    participant; only ``pseudo_labels`` and scalar objective
-    contributions are shared.
+    ``features``, ``transform``, and ``labels`` (the label owner's one-hot
+    matrix, else None) never leave the participant; only ``pseudo_labels``
+    and scalar objective contributions are shared.  It keeps no weights:
+    every round reads them from the run's ``Hyperparams``.
     """
 
     participant_id: int
@@ -183,11 +180,7 @@ class ParticipantState:
     work: np.ndarray = field(repr=False)
     transform: np.ndarray
     pseudo_labels: np.ndarray
-    sparsity: float
-    consensus_penalty: float
-    is_label_owner: bool = False
     labels: np.ndarray | None = None
-    label_penalty: float | None = None
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -356,15 +349,15 @@ def _sum_sq(m) -> float:
     return float(np.sum(m * m))
 
 
-def local_objective_part(state: ParticipantState, projected) -> float:
+def local_objective_part(state: ParticipantState, projected, hyper: Hyperparams) -> float:
     """The objective terms participant k can evaluate alone: fit error,
     sparsity penalty, and (owner only) the label attachment term, given
     ``projected`` = ``X_k W_k``."""
     w = state.transform
     value = _sum_sq(projected - state.pseudo_labels)
-    value += state.sparsity * float(np.sum(np.sqrt(np.sum(w * w, axis=1))))
-    if state.is_label_owner:
-        value += state.label_penalty * _sum_sq(state.pseudo_labels - state.labels)
+    value += hyper.sparsity[state.participant_id] * float(np.sum(np.sqrt(np.sum(w * w, axis=1))))
+    if state.labels is not None:
+        value += hyper.label_penalty * _sum_sq(state.pseudo_labels - state.labels)
     return value
 
 
@@ -407,8 +400,8 @@ def init_consensus(num_samples: int, num_classes: int, seed) -> np.ndarray:
                               derive_seed(seed, _CONSENSUS_STREAM, 0))
 
 
-def init_participant_state(participant_id: int, features, hyper: Hyperparams,
-                           num_classes: int, seed, labels=None) -> ParticipantState:
+def init_participant_state(participant_id: int, features, num_classes: int, seed,
+                           labels=None) -> ParticipantState:
     """Build a participant's starting state from the shared seed.
     ``labels`` (label owner only) must be samples x ``num_classes``."""
     features = ensure_matrix(features, f"features[{participant_id}]")
@@ -416,10 +409,10 @@ def init_participant_state(participant_id: int, features, hyper: Hyperparams,
         labels = check_one_hot(labels)
         if labels.shape != (features.shape[0], num_classes):
             raise DimensionMismatchError("labels must be samples x classes")
-    return _new_state(participant_id, features, hyper, num_classes, seed, labels)
+    return _new_state(participant_id, features, num_classes, seed, labels)
 
 
-def _new_state(participant_id, features, hyper, num_classes, seed, labels):
+def _new_state(participant_id, features, num_classes, seed, labels):
     """``init_participant_state`` on inputs its caller has checked.  The
     Gram and the factor buffer are built here, on the thread that builds
     the state: a thread's freed blocks stay in its own malloc arena."""
@@ -431,11 +424,7 @@ def _new_state(participant_id, features, hyper, num_classes, seed, labels):
         work=np.empty((d, d), order="F"),
         transform=init_transform(d, num_classes, seed, participant_id),
         pseudo_labels=init_pseudo_labels(n, num_classes, seed, participant_id),
-        sparsity=hyper.sparsity[participant_id],
-        consensus_penalty=hyper.consensus_penalty[participant_id],
-        is_label_owner=labels is not None,
         labels=labels,
-        label_penalty=hyper.label_penalty if labels is not None else None,
     )
 
 
@@ -463,7 +452,7 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
     view and the labels are checked once, by ``_check_inputs``."""
     views, labels, shape = _check_inputs(views, labels, hyper)
     return [
-        _new_state(k, view, hyper, shape.num_classes, seed, labels if k == 0 else None)
+        _new_state(k, view, shape.num_classes, seed, labels if k == 0 else None)
         for k, view in enumerate(views)
     ]
 
@@ -485,24 +474,25 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     ||w_i|| + eps (Bach, Jenatton, Mairal & Obozinski 2012, section 5.1).
     That form is jointly convex, so the rounds are block coordinate
     descent on it and need no inner stopping rule: with one iteration
-    ``tol`` decides nothing, and ``inner_tol`` and ``inner_max`` are not
-    read.  The state's features were checked when it was built, so they
-    are not checked again here."""
+    ``tol`` decides nothing.  beta_k and zeta_k are read from ``hyper`` at
+    ``participant_id``.  The state's features were checked when it was
+    built, so they are not checked again here."""
+    k = state.participant_id
     targets = state.pseudo_labels
     [transform], _, _ = _irls(
         [state.gram], [state.features.T @ targets], [_sum_sq(targets)],
-        [state.sparsity], hyper.eps, tol=0.0, max_iter=1, inits=[state.transform],
+        [hyper.sparsity[k]], hyper.eps, tol=0.0, max_iter=1, inits=[state.transform],
         works=[state.work])
     state.transform = transform
     projected = state.features @ transform
-    if state.is_label_owner:
+    if state.labels is not None:
         state.pseudo_labels = owner_pseudo_label_update(
             projected, consensus, state.labels,
-            state.consensus_penalty, state.label_penalty)
+            hyper.consensus_penalty[k], hyper.label_penalty)
     else:
         state.pseudo_labels = pseudo_label_update(
-            projected, consensus, state.consensus_penalty)
-    return local_objective_part(state, projected)
+            projected, consensus, hyper.consensus_penalty[k])
+    return local_objective_part(state, projected, hyper)
 
 
 def _anderson_step(residual_steps, aggregate_steps, residual) -> np.ndarray:

@@ -102,18 +102,18 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     return transform, diag, objectives
 
 
-def total_objective(states, consensus) -> float:
-    """Full training objective of participant states: each state's
-    ``local_objective_part`` plus its consensus penalty, summed in
-    participant order as the coordinator sums a round (not an oracle: the
-    local parts are the package's)."""
+def total_objective(states, consensus, hyper) -> float:
+    """Full training objective of participant states under the weights of
+    ``hyper``: each state's ``local_objective_part`` plus its consensus
+    penalty, summed in participant order as the coordinator sums a round
+    (not an oracle: the local parts are the package's)."""
     from mmvfl.optimizer import local_objective_part
 
     total = 0.0
     for st in states:
         gap = st.pseudo_labels - consensus
-        total += (local_objective_part(st, st.features @ st.transform)
-                  + float(st.consensus_penalty) * float(np.sum(gap * gap)))
+        total += (local_objective_part(st, st.features @ st.transform, hyper)
+                  + float(hyper.consensus_penalty[st.participant_id]) * float(np.sum(gap * gap)))
     return total
 
 

@@ -261,7 +261,7 @@ def test_stationarity_and_block_gradients():
         def objective_with(attr, which, value):
             saved = getattr(states[which], attr)
             setattr(states[which], attr, value)
-            out = total_objective(states, consensus)
+            out = total_objective(states, consensus, hyper)
             setattr(states[which], attr, saved)
             return out
 
@@ -281,7 +281,7 @@ def test_stationarity_and_block_gradients():
             worst_gradient = max(worst_gradient,
                                  relative_gap(numeric, analytic_z[which]))
         numeric = finite_difference_gradient(
-            lambda z: total_objective(states, z), consensus)
+            lambda z: total_objective(states, z, hyper), consensus)
         worst_gradient = max(worst_gradient, relative_gap(numeric, analytic_c))
     gradient_ok = worst_gradient <= 1e-5
 

@@ -138,7 +138,7 @@ def test_supmvlfl_input_validation():
 def test_solver_controls_share_the_training_bounds(eps, tol, max_iter):
     views, labels, beta = random_instance(24)
     with pytest.raises(ValueError):
-        Hyperparams.uniform(len(views), eps=eps, inner_tol=tol, inner_max=max_iter)
+        Hyperparams.uniform(len(views), eps=eps, outer_tol=tol, outer_max=max_iter)
     with pytest.raises(ValueError):
         supfl_solve(views[0], labels, beta, eps=eps, tol=tol, max_iter=max_iter)
     with pytest.raises(ValueError):

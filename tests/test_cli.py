@@ -241,6 +241,11 @@ def test_audit_mode_rejects_a_trace_line_with_missing_or_mistyped_fields(tmp_pat
         ("round-bool", lambda line: line.update(round=True)),
         ("label-owner-number", lambda line: line.update(label_owner=0)),
         ("shape-three-sizes", lambda line: line.update(payload_shape=[30, 3, 1])),
+        ("round-negative", lambda line: line.update(round=-3)),
+        ("participant-negative", lambda line: line.update(participant_id=-1)),
+        ("nbytes-negative", lambda line: line.update(nbytes=-1)),
+        ("shape-zero", lambda line: line.update(payload_shape=[30, 0])),
+        ("shape-negative", lambda line: line.update(payload_shape=[-30, -3])),
     ]
     for name, spoil in spoils:
         spoiled = [dict(line) for line in lines]
@@ -311,9 +316,8 @@ def test_module_is_runnable_as_a_script():
 def test_solver_controls_are_config_errors(tmp_path, capsys):
     # rejected before any data is loaded or output written
     for mode in ("reference", "supfl", "sweep"):
-        for control, value in (("eps", 0.01), ("eps", 0.0), ("inner_tol", 0.0),
-                               ("inner_max", 0), ("outer_tol", -1e-5), ("outer_max", 0),
-                               ("eps", "small")):
+        for control, value in (("eps", 0.01), ("eps", 0.0), ("outer_tol", -1e-5),
+                               ("outer_max", 0)):
             config = write_config(tmp_path, **{control: value})
             out = tmp_path / f"{mode}_{control}"
             assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 2
@@ -350,6 +354,53 @@ def test_bad_run_controls_are_config_errors(tmp_path, capsys, flags, fields):
     assert main(["--mode", "federated-tcp", "--config", config, "--out", str(out),
                  *flags]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"beta": True}, id="beta-bool"),
+    pytest.param({"outer_max": True}, id="outer-max-bool"),
+    pytest.param({"round_timeout": True}, id="timeout-bool"),
+    pytest.param({"synth_samples": 300.0}, id="samples-float"),
+    pytest.param({"outer_max": 3.5}, id="outer-max-float"),
+    pytest.param({"transport_port": False}, id="port-bool"),
+    pytest.param({"eps": "small"}, id="eps-text"),
+    pytest.param({"synth_dims": ["a", "b"]}, id="synth-dims-text"),
+    pytest.param({"synth_dims": [4, 5.0]}, id="synth-dims-float"),
+    pytest.param({"beta_grid": [0.1, True]}, id="beta-grid-bool"),
+    pytest.param({"methods": ["mmvfl", 1]}, id="methods-number"),
+    pytest.param({"labels": 3}, id="labels-number"),
+])
+def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, capsys, fields):
+    # an int field takes a non-bool integer, a float field a non-bool
+    # number and a list field a list of its element type; checked before
+    # any data is loaded or output written
+    config = write_config(tmp_path, **fields)
+    for mode in ("reference", "federated-tcp", "sweep"):
+        out = tmp_path / mode
+        assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        key = next(iter(fields))
+        assert err.startswith(f"config error: config {config}: {key} must be a JSON "), err
+        assert not out.exists()
+
+
+def test_config_numbers_of_the_right_json_type_are_accepted(tmp_path):
+    # an integer is a number
+    config = write_config(tmp_path, beta=1, zeta=1000, round_timeout=30)
+    out = tmp_path / "out"
+    assert main(["--mode", "reference", "--config", config, "--out", str(out)]) == 0
+    with open(out / "run_manifest.json", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert (manifest["beta"], manifest["zeta"], manifest["round_timeout"]) == (1, 1000, 30)
+
+
+@pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1)])
+def test_removed_inner_stopping_controls_are_unknown_keys(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["--mode", "reference", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config {config}: unknown key {key!r}\n"
     assert not out.exists()
 
 
@@ -398,8 +449,7 @@ def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):
         write_config(tmp_path, name=f"{key}.json", **{key: value})
         for key, value in (("synth_participants", 3), ("synth_classes", 1),
                            ("synth_samples", 2), ("synth_informative", 5),
-                           ("synth_informative", -1), ("synth_noise", -0.5),
-                           ("synth_dims", ["a", "b"]))]
+                           ("synth_informative", -1), ("synth_noise", -0.5))]
     for mode in ("synth", "reference", "sweep"):
         for config in configs:
             out = tmp_path / "out"

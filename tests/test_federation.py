@@ -821,7 +821,7 @@ def test_consensus_light_uploads_reduce_to_local_projections(wire):
         for entry in result.trace
         if entry.kind == "ZkUpload" and entry.participant_id == 1)
     # shadow the non-owner's first round locally
-    state = init_participant_state(1, views[1], hyper, 3, 8)
+    state = init_participant_state(1, views[1], 3, 8)
     consensus = init_consensus(12, 3, 8)
     participant_round(state, consensus, hyper)
     assert first_upload.tobytes() == state.pseudo_labels.tobytes()
