@@ -150,17 +150,27 @@ _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 _JSON_NAMES = {int: "integer", float: "number", str: "string", type(None): "null"}
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value fits a ``RunConfig`` annotation: an int field
-    takes a non-bool integer, a float field a non-bool number, a tuple
-    field a list of its element type and a union any of its members'."""
+def _from_json(value, hint):
+    """A JSON value as the flags would give it, or ``TypeError`` if it
+    does not fit the ``RunConfig`` annotation ``hint``: an int field
+    takes a non-bool integer, a float field a non-bool number (as a
+    float), a tuple field a list of its element type (as a tuple) and a
+    union any of its members', so a config and the same flags write the
+    same manifest."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
-    if args:
-        return any(_json_fits(value, arg) for arg in args)
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if hint is float else hint)
+        if isinstance(value, list):
+            return tuple(_from_json(v, args[0]) for v in value)
+    elif args:
+        for arg in args:
+            try:
+                return _from_json(value, arg)
+            except TypeError:
+                pass
+    elif not isinstance(value, bool) and isinstance(
+            value, (int, float) if hint is float else hint):
+        return float(value) if hint is float else value
+    raise TypeError(value)
 
 
 def _json_name(hint) -> str:
@@ -215,10 +225,13 @@ def load_config_file(path) -> dict:
             continue
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        if not _json_fits(value, _CONFIG_TYPES[key]):
+        try:
+            overrides[key] = _from_json(value, _CONFIG_TYPES[key])
+        except TypeError:
             raise ConfigError(f"config {path}: {key} must be a JSON "
-                              f"{_json_name(_CONFIG_TYPES[key])}, not {json.dumps(value)}")
-        overrides[key] = tuple(value) if isinstance(value, list) else value
+                              f"{_json_name(_CONFIG_TYPES[key])}, not {json.dumps(value)}") from None
+        except OverflowError:
+            raise ConfigError(f"config {path}: {key} is too large for a float") from None
     return overrides
 
 

@@ -9,11 +9,13 @@ only the Cholesky kernels write to an argument, their work matrix.
 for the duration of an entry-point call, so results do not depend on
 the caller's BLAS thread setting.  The scope also owns the one helper
 thread that claims independent tasks beside the calling thread (see
-``_run_tasks``): the participant refits of a large round and the tiles
-of a wide Cholesky (see ``_cholesky_factor_in_place``).  It runs only
-when at least two CPUs are usable, and from the outermost scope's entry
-to its exit.  A factor depends only on its order and ``CHOLESKY_TILE``,
-never on which thread computed a tile or how many CPUs there are.
+``_run_tasks``): the participant refits of a large round, the tiles of a
+wide Cholesky (see ``_cholesky_factor_in_place``) and the tiles of a
+wide Gram matrix (see ``optimizer.gram_matrix``).  It runs only when at
+least two CPUs are usable, and from the outermost scope's entry to its
+exit.  A factor or a Gram depends only on its shape and
+``CHOLESKY_TILE``, never on which thread computed a tile or how many
+CPUs there are.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ MAX_SEED = 2**64 - 1
 # BLAS thread count inside every entry point.  A fixed count keeps the
 # floating-point reduction order, hence results, fixed; OpenBLAS's own
 # threads would change a factor's bits with the thread count.  Wide
-# systems use a second CPU through the tiled Cholesky instead.
+# blocks use a second CPU through the tiled Cholesky and Gram instead.
 BLAS_THREADS = 1
 
-# Edge of the fixed tile grid of the Cholesky factor: an order up to this
-# is one LAPACK call, a wider one is factored tile by tile, and the tiles
-# of one step are shared between threads.  On 2 cores a d=1984 factor
-# took 0.101 s as one call and 0.060 s in 256-wide tiles.
+# Edge of the fixed tile grid of the Cholesky factor and of the Gram
+# matrix: a factor of order up to this is one LAPACK call and a Gram
+# that narrow is one tile; a wider one is built tile by tile, and the
+# tiles of one step are shared between threads.  On 2 cores a d=1984 factor took 0.101 s
+# as one call and 0.060 s in 256-wide tiles, and its Gram over 1474 rows
+# a median 0.20 s as one product and 0.11 s in tiles.
 CHOLESKY_TILE = 256
 
 # CPU quota of the process's own cgroup, as a container sees it: cgroup v2
@@ -336,7 +340,7 @@ class _Batch:
 
 class _TileHelper:
     """A thread that claims the tasks of posted batches (participant
-    refits, Cholesky tiles) beside the threads that post them.
+    refits, Cholesky tiles, Gram tiles) beside the threads that post them.
 
     There is one helper on any host: only one and two threads per batch
     were measured, on 2 cores, so wider hosts keep to two until more are.

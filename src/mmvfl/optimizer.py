@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    CHOLESKY_TILE,
     _cholesky_solve_in_place,
     _run_tasks,
     check_seed,
@@ -214,15 +215,31 @@ def check_one_hot(matrix) -> np.ndarray:
 
 
 def gram_matrix(features) -> np.ndarray:
-    """Symmetric feature gram matrix X^T X."""
-    features = ensure_matrix(features, "features")
-    g = features.T @ features
-    # numpy computes X^T X by a symmetric rank-k update, which is exactly
-    # symmetric; averaging with the transpose would then change no bit
-    # but cost a second d x d temporary.
-    if not np.array_equal(g, g.T):
-        g = (g + g.T) * 0.5
-    return g
+    """The feature Gram matrix X^T X, exactly symmetric.  ``features`` is
+    trusted: every caller checked it at its boundary.
+
+    It is built on the Cholesky factor's tile grid: each lower tile
+    X_i^T X_j is one product into the tile (numpy's symmetric rank-k
+    update on the diagonal, which fills both triangles), mirrored into
+    the upper triangle, and the tiles are one batch of ``_run_tasks``,
+    shared with the scope's helper thread.  A tile gets the same product
+    whichever thread takes it, so the bits depend only on the shape and
+    ``CHOLESKY_TILE``.  Up to ``CHOLESKY_TILE`` columns the one tile is
+    the whole block, built on the calling thread, to the bits of
+    ``features.T @ features``."""
+    d = features.shape[1]
+    gram = np.empty((d, d))
+
+    def build_tile(row, col):
+        rows, cols = slice(row, row + CHOLESKY_TILE), slice(col, col + CHOLESKY_TILE)
+        np.matmul(features[:, rows].T, features[:, cols], out=gram[rows, cols])
+        if row != col:
+            gram[cols, rows] = gram[rows, cols].T
+
+    starts = range(0, d, CHOLESKY_TILE)
+    _run_tasks([functools.partial(build_tile, row, col)
+                for col in starts for row in starts if row >= col])
+    return gram
 
 
 def _penalized_solve(gram, xty, irls_diag, sparsity, work):

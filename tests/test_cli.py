@@ -395,6 +395,33 @@ def test_config_numbers_of_the_right_json_type_are_accepted(tmp_path):
     assert (manifest["beta"], manifest["zeta"], manifest["round_timeout"]) == (1, 1000, 30)
 
 
+def test_config_integers_for_float_fields_write_the_manifest_the_flags_do(tmp_path):
+    # the flags parse every float field as a float, so a config giving
+    # integers must load them as floats too: both runs write one manifest
+    fields = {"beta": 1, "zeta": 1000, "eta": 50, "beta_grid": [1, 0.1], "p_grid": [50, 100]}
+    flags = ["--beta", "1", "--zeta", "1000", "--eta", "50",
+             "--beta-grid", "1,0.1", "--p-grid", "50,100"]
+    out = tmp_path / "out"
+    runs = []
+    for config, extra in ((write_config(tmp_path, "fields.json", **fields), []),
+                          (write_config(tmp_path, "plain.json"), flags)):
+        assert main(["--mode", "reference", "--config", config, "--out", str(out), *extra]) == 0
+        runs.append({name: read_bytes(out, name) for name in sorted(os.listdir(out))})
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0]["run_manifest.json"])
+    assert [type(manifest[key]) for key in ("beta", "zeta", "eta")] == [float] * 3
+    assert manifest["beta_grid"] == [1.0, 0.1] and b'"beta": 1.0' in runs[0]["run_manifest.json"]
+
+
+def test_a_config_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, beta=10**400)
+    out = tmp_path / "out"
+    assert main(["--mode", "reference", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config {config}: beta is too large for a float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1)])
 def test_removed_inner_stopping_controls_are_unknown_keys(tmp_path, capsys, key, value):
     config = write_config(tmp_path, **{key: value})

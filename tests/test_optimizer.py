@@ -3,6 +3,7 @@ objective bookkeeping, and the single-process reference loop."""
 
 import copy
 import os
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -16,7 +17,7 @@ import mmvfl.numerics as numerics
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supmvlfl_solve
 from mmvfl.federation import run_federated
-from mmvfl.numerics import CHOLESKY_TILE, SPD_RESIDUAL_TOL
+from mmvfl.numerics import CHOLESKY_TILE, SPD_RESIDUAL_TOL, single_blas_thread
 from mmvfl.optimizer import (
     Hyperparams,
     NonDecreasingObjectiveError,
@@ -1048,3 +1049,81 @@ def test_gram_matrix_is_exactly_symmetric(d, layout):
     assert np.array_equal(g, g.T)
     product = x.T @ x
     assert g.tobytes() == ((product + product.T) * 0.5).tobytes()
+
+
+def _gram_in_scope(x, cpus):
+    """``gram_matrix`` inside an entry-point scope with ``cpus`` usable
+    CPUs (a helper thread from 2), and the sizes of the task batches it
+    posted."""
+    batches = []
+
+    def run_tasks(tasks):
+        batches.append(len(tasks))
+        numerics._run_tasks(tasks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        patch.setattr(optimizer, "_run_tasks", run_tasks)
+        with single_blas_thread():
+            return optimizer.gram_matrix(x), batches
+
+
+@pytest.mark.parametrize("n", [60, 1474])
+@pytest.mark.parametrize("d", [CHOLESKY_TILE, CHOLESKY_TILE + 1, 2 * CHOLESKY_TILE + 88, 1984])
+def test_a_wide_gram_is_built_in_tiles_to_the_same_bits_on_any_cpu_count(n, d):
+    x = np.random.default_rng(n + d).standard_normal((n, d))
+    helped, helped_batches = _gram_in_scope(x, 2)
+    alone, alone_batches = _gram_in_scope(x, 1)
+    assert np.array_equal(helped, helped.T)
+    assert helped.tobytes() == alone.tobytes()
+    product = x.T @ x
+    tiles = -(-d // CHOLESKY_TILE)
+    # every lower tile in one batch
+    assert helped_batches == alone_batches == [tiles * (tiles + 1) // 2]
+    if tiles == 1:
+        # the one tile is the whole block: numpy's own product
+        assert helped.tobytes() == product.tobytes()
+    assert np.linalg.norm(helped - product) <= 1e-12 * np.linalg.norm(product)
+
+
+def test_a_wide_gram_over_many_samples_trains_to_the_same_bits_on_any_cpu_count(monkeypatch):
+    # 640 samples span several of BLAS's blocks of the Gram's inner
+    # dimension; the block is wider than two tiles
+    views, labels = tiny_problem(13, num_samples=640, dims=(2 * CHOLESKY_TILE + 88, 6))
+    hyper = Hyperparams.uniform(2, sparsity=0.1, outer_max=2)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda cpus=cpus: cpus)
+        runs.append(_bits(run_reference(views, labels, hyper, 5)))
+    assert runs[0] == runs[1]
+
+
+def test_concurrent_wide_grams_share_the_helper_and_keep_their_bits(monkeypatch):
+    # more Gram-building threads than cores post their tiles to the one
+    # helper while the interpreter switches threads as often as it can: a
+    # tile built twice or never, or a lost completion, changes a Gram's
+    # bits or hangs a thread
+    rng = np.random.default_rng(21)
+    blocks = [rng.standard_normal((200, CHOLESKY_TILE + 40 + 64 * k)) for k in range(6)]
+    expected = [_gram_in_scope(x, 1)[0].tobytes() for x in blocks]
+    mismatches = []
+
+    def worker(k):
+        for _ in range(3):
+            if optimizer.gram_matrix(blocks[k]).tobytes() != expected[k]:
+                mismatches.append(k)
+
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with single_blas_thread():
+            workers = [threading.Thread(target=worker, args=(k,)) for k in range(len(blocks))]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert mismatches == []
