@@ -7,15 +7,18 @@ objective is a sum of per-view terms, so the joint fit matches
 independent per-view fits, which tests pin.  ``supfl_solve`` is that
 fit for one feature block.  The CV sweep (``evaluation.run_grid``)
 runs their fit, ``_fit_blocks``, on the training blocks its classifier
-already holds.  Only this module sets when a baseline fit stops.
+already holds and learns whether each fit met ``TOL`` before
+``MAX_ITER``.  Only this module sets when a baseline fit stops.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import ensure_matrix, frobenius_norm_sq
-from .optimizer import _irls, check_one_hot, check_solver_controls, gram_matrix
+from .optimizer import _irls, check_one_hot, check_solver_controls, gram_matrix, has_converged
 
 # A baseline fit stops once the relative change of its summed objective
 # is at most TOL, or after MAX_ITER reweighted steps.
@@ -23,11 +26,17 @@ TOL = 1e-6
 MAX_ITER = 50
 
 
-def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=TOL, max_iter=MAX_ITER):
-    """``(transforms, objectives)`` of the joint fit of blocks k onto T from
-    trusted X_k^T X_k, X_k^T T and ||T||_F^2."""
+def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=None, max_iter=None):
+    """``(transforms, objectives, converged)`` of the joint fit of blocks k
+    onto T from trusted X_k^T X_k, X_k^T T and ||T||_F^2.  ``converged``
+    says whether the last step changed the summed objective by at most
+    ``tol`` rather than the fit stopping at ``max_iter``; they default to
+    TOL and MAX_ITER as they stand at call time."""
+    tol = TOL if tol is None else tol
+    max_iter = MAX_ITER if max_iter is None else max_iter
     transforms, _, objectives = _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter)
-    return transforms, objectives
+    converged = len(objectives) > 1 and has_converged(objectives[-2], objectives[-1], tol)
+    return transforms, objectives, converged
 
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
@@ -59,11 +68,11 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
     sparsity = [float(b) for b in sparsity]
     if len(sparsity) != len(views):
         raise ValueError("one sparsity weight per view required")
-    if any(not b > 0 for b in sparsity):
-        raise ValueError("sparsity weights must be positive")
+    if any(not 0 < b < math.inf for b in sparsity):
+        raise ValueError("sparsity weights must be finite and positive")
     check_solver_controls(eps, tol, max_iter)
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")
     return _fit_blocks([gram_matrix(v) for v in views], [v.T @ labels for v in views],
-                       [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)
+                       [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)[:2]

@@ -10,7 +10,8 @@ runs on one thread for the whole invocation; the manifest's ``numerics``
 key records the numpy/scipy versions and each OpenBLAS build.
 
 Exit codes: 0 on success, 2 on configuration errors (unknown flags or keys,
-wrong JSON types, missing files, bad grids), 1 on runtime failures.
+values that do not fit their ``RunConfig`` field, missing files, bad grids,
+a bad manifest beside an audited trace), 1 on runtime failures.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +27,7 @@ import threading
 import typing
 from dataclasses import asdict, dataclass
 
-from . import __version__
+from . import __version__, baselines
 from .baselines import supfl_solve, supmvlfl_solve
 from .data import (
     FLOAT_FORMAT,
@@ -100,18 +102,20 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if (self.views is None) != (self.labels is None):
             raise ConfigError("--views and --labels must be given together")
+        if not self.methods or self.views == ():
+            raise ConfigError("--methods and --views need at least one item")
         if self.views is not None:
             for path in list(self.views) + [self.labels]:
                 if not os.path.isfile(path):
                     raise ConfigError(f"input file not found: {path}")
-        if not self.beta > 0:
-            raise ConfigError("--beta must be positive")
-        if not self.beta_grid or any(not b > 0 for b in self.beta_grid):
-            raise ConfigError("--beta-grid needs positive values")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError("--beta must be finite and positive")
+        if not self.beta_grid or any(not 0 < b < math.inf for b in self.beta_grid):
+            raise ConfigError("--beta-grid needs finite positive values")
         if not self.p_grid or any(not 0 < p <= 100 for p in self.p_grid):
             raise ConfigError("--p-grid values must lie in (0, 100]")
-        if not self.zeta > 0 or not self.eta > 0:
-            raise ConfigError("--zeta and --eta must be positive")
+        if not 0 < self.zeta < math.inf or not 0 < self.eta < math.inf:
+            raise ConfigError("--zeta and --eta must be finite and positive")
         try:
             self.seed = check_seed(self.seed)
         except (TypeError, ValueError) as exc:
@@ -149,25 +153,47 @@ class RunConfig:
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 _JSON_NAMES = {int: "integer", float: "number", str: "string", type(None): "null"}
 
+# One flag per field a run is usually given on the command line, named
+# after its ``RunConfig`` field with dashes and read by its annotation.
+FLAG_HELP = {
+    "mode": f"what to run: {', '.join(MODES)}",
+    "seed": "master seed (default 0)",
+    "out": "output directory (default mmvfl_run)",
+    "views": "comma-separated view CSV paths",
+    "labels": "label file path",
+    "beta": "sparsity weight for single runs",
+    "beta_grid": "comma-separated sparsity weights for sweeps",
+    "p_grid": "comma-separated selection percentages for sweeps",
+    "zeta": "consensus agreement weight",
+    "eta": "label agreement weight",
+    "transport_port": "TCP port for federated-tcp (0 picks a free one)",
+    "folds": "cross-validation fold count",
+    "methods": "comma-separated methods for sweeps",
+    "trace": "message trace JSONL for audit mode",
+}
+
 
 def _from_json(value, hint):
-    """A JSON value as the flags would give it, or ``TypeError`` if it
-    does not fit the ``RunConfig`` annotation ``hint``: an int field
-    takes a non-bool integer, a float field a non-bool number (as a
-    float), a tuple field a list of its element type (as a tuple) and a
-    union any of its members', so a config and the same flags write the
-    same manifest."""
+    """A JSON value as the dataclass field annotated ``hint`` holds it, or
+    ``TypeError`` if it does not fit: an int field takes a non-bool
+    integer, a float field a non-bool number (as a float), a bool field a
+    boolean, a ``tuple[T, ...]`` field a list of T and a ``tuple[A, B]``
+    field a list of an A and a B (both as tuples), and a union any of its
+    members', so a config and the same flags write the same manifest."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if isinstance(value, list):
-            return tuple(_from_json(v, args[0]) for v in value)
+            if args[-1] is ...:
+                args = args[:1] * len(value)
+            if len(value) == len(args):
+                return tuple(map(_from_json, value, args))
     elif args:
         for arg in args:
             try:
                 return _from_json(value, arg)
             except TypeError:
                 pass
-    elif not isinstance(value, bool) and isinstance(
+    elif isinstance(value, bool) == (hint is bool) and isinstance(
             value, (int, float) if hint is float else hint):
         return float(value) if hint is float else value
     raise TypeError(value)
@@ -178,6 +204,33 @@ def _json_name(hint) -> str:
     if typing.get_origin(hint) is tuple:
         return f"list of {_json_name(args[0])}s"
     return " or ".join(map(_json_name, args)) if args else _JSON_NAMES[hint]
+
+
+def _flag_json(text: str, hint):
+    """The JSON value a flag's text spells for a field annotated ``hint``:
+    a tuple field's comma-separated items, empty ones dropped, as a list;
+    an int or float field's text converted by that type, if it can be."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return [_flag_json(item.strip(), args[0]) for item in text.split(",") if item.strip()]
+    if args:  # a flag never spells null
+        return _flag_json(text, args[0])
+    try:
+        return hint(text) if hint in (int, float) else text
+    except ValueError:
+        return text
+
+
+def _config_value(key, value, name):
+    """``value`` as the ``key`` field, or ``ConfigError`` calling it ``name``."""
+    hint = _CONFIG_TYPES[key]
+    try:
+        return _from_json(value, hint)
+    except TypeError:
+        raise ConfigError(f"{name} must be a JSON {_json_name(hint)}, "
+                          f"not {json.dumps(value)}") from None
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 @functools.cache
@@ -196,42 +249,27 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
-def _parse_list(text, kind):
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"empty list value {text!r}")
-    if kind is str:
-        return tuple(items)
+def _read_json_object(path, what) -> dict:
+    """The JSON object in a file, or ``ConfigError`` calling it ``what``."""
     try:
-        return tuple(kind(item) for item in items)
-    except ValueError as exc:
-        raise ConfigError(f"bad list value {text!r}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return raw
 
 
 def load_config_file(path) -> dict:
     """Read a JSON config (or a previous run's manifest) into overrides."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
     overrides = {}
-    for key, value in raw.items():
+    for key, value in _read_json_object(path, "config").items():
         if key in MANIFEST_EXTRA_KEYS:
             continue
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        try:
-            overrides[key] = _from_json(value, _CONFIG_TYPES[key])
-        except TypeError:
-            raise ConfigError(f"config {path}: {key} must be a JSON "
-                              f"{_json_name(_CONFIG_TYPES[key])}, not {json.dumps(value)}") from None
-        except OverflowError:
-            raise ConfigError(f"config {path}: {key} is too large for a float") from None
+        overrides[key] = _config_value(key, value, f"config {path}: {key}")
     return overrides
 
 
@@ -239,48 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmvfl",
         description="Federated multi-view feature selection runner.")
-    parser.add_argument("--mode", choices=MODES, help="what to run")
     parser.add_argument("--config", help="JSON config file or a previous run manifest")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--out", help="output directory (default mmvfl_run)")
-    parser.add_argument("--views", help="comma-separated view CSV paths")
-    parser.add_argument("--labels", help="label file path")
-    parser.add_argument("--beta", type=float, help="sparsity weight for single runs")
-    parser.add_argument("--beta-grid", dest="beta_grid",
-                        help="comma-separated sparsity weights for sweeps")
-    parser.add_argument("--p-grid", dest="p_grid",
-                        help="comma-separated selection percentages for sweeps")
-    parser.add_argument("--zeta", type=float, help="consensus agreement weight")
-    parser.add_argument("--eta", type=float, help="label agreement weight")
-    parser.add_argument("--transport-port", dest="transport_port", type=int,
-                        help="TCP port for federated-tcp (0 picks a free one)")
-    parser.add_argument("--folds", type=int, help="cross-validation fold count")
-    parser.add_argument("--methods", help="comma-separated methods for sweeps")
-    parser.add_argument("--trace", help="message trace JSONL for audit mode")
+    for key, text in FLAG_HELP.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     parser.add_argument("--version", action="version", version=version_string())
     return parser
 
 
 def resolve_config(argv) -> RunConfig:
     """Merge defaults, config file, and flags (flags win)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides: dict = {}
-    if args.config is not None:
-        overrides.update(load_config_file(args.config))
-    for key in ("mode", "seed", "out", "labels", "beta", "zeta", "eta",
-                "transport_port", "folds", "trace"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.views is not None:
-        overrides["views"] = _parse_list(args.views, str)
-    if args.beta_grid is not None:
-        overrides["beta_grid"] = _parse_list(args.beta_grid, float)
-    if args.p_grid is not None:
-        overrides["p_grid"] = _parse_list(args.p_grid, float)
-    if args.methods is not None:
-        overrides["methods"] = _parse_list(args.methods, str)
+    args = build_parser().parse_args(argv)
+    overrides = {} if args.config is None else load_config_file(args.config)
+    for key in FLAG_HELP:
+        text = getattr(args, key)
+        if text is not None:
+            overrides[key] = _config_value(key, _flag_json(text, _CONFIG_TYPES[key]),
+                                           "--" + key.replace("_", "-"))
     config = RunConfig(**overrides)
     config.validate()
     return config
@@ -304,21 +316,14 @@ def write_message_trace(path, trace):
             handle.write(json.dumps(asdict(entry)) + "\n")
 
 
-# The JSON types of a message trace line's fields, which are exactly
-# ``TracedMessage``'s; a JSON boolean counts only where bool is listed.
-_TRACE_TYPES = {
-    "direction": str, "kind": str, "round": int, "participant_id": int, "nbytes": int,
-    "payload_shape": (list, type(None)), "objective_part": (float, int, type(None)),
-    "label_owner": bool,
-}
-
-
 def read_message_trace(path) -> list[TracedMessage]:
     """Trace entries back from a log (kinds, rounds, sizes and payload
     shapes; payloads are never logged).  A line that is not a JSON object
-    with exactly ``TracedMessage``'s fields and their JSON types, or that
-    holds a negative round, participant id or size or a payload shape
-    entry below 1, raises ``ValueError`` naming the path and line."""
+    with exactly ``TracedMessage``'s fields, each fitting its annotation
+    (``_from_json``), or that holds a negative round, participant id or
+    size or a payload shape entry below 1, raises ``ValueError`` naming
+    the path and line."""
+    hints = typing.get_type_hints(TracedMessage)
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -329,21 +334,22 @@ def read_message_trace(path) -> list[TracedMessage]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from None
-            if not isinstance(raw, dict) or raw.keys() != _TRACE_TYPES.keys():
+            if not isinstance(raw, dict) or raw.keys() != hints.keys():
                 raise ValueError(f"{path}:{line_no}: a trace line holds exactly the "
-                                 f"fields {', '.join(_TRACE_TYPES)}")
-            for key, types in _TRACE_TYPES.items():
-                # round, participant_id and nbytes, the int fields, are >= 0
-                if (not isinstance(raw[key], types)
-                        or isinstance(raw[key], bool) != (types is bool)
-                        or (types is int and raw[key] < 0)):
-                    raise ValueError(f"{path}:{line_no}: bad {key} {raw[key]!r}")
-            shape = raw["payload_shape"]
-            if shape is not None:
-                if len(shape) != 2 or not all(type(n) is int and n > 0 for n in shape):
-                    raise ValueError(f"{path}:{line_no}: bad payload_shape {shape!r}")
-                raw["payload_shape"] = tuple(shape)
-            records.append(TracedMessage(**raw))
+                                 f"fields {', '.join(hints)}")
+            fields = {}
+            for key, hint in hints.items():
+                try:
+                    fields[key] = _from_json(raw[key], hint)
+                except (TypeError, OverflowError):
+                    raise ValueError(f"{path}:{line_no}: bad {key} {raw[key]!r}") from None
+            # round, participant_id and nbytes, the int fields, are >= 0
+            bad = [key for key, hint in hints.items() if hint is int and fields[key] < 0]
+            if fields["payload_shape"] is not None and min(fields["payload_shape"]) < 1:
+                bad.append("payload_shape")
+            if bad:
+                raise ValueError(f"{path}:{line_no}: bad {bad[0]} {raw[bad[0]]!r}")
+            records.append(TracedMessage(**fields))
     return records
 
 
@@ -460,12 +466,10 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
             name = f"objective_trace_{k + 1}.csv"
             write_objective_trace(os.path.join(out_dir, name), trace)
             outputs.append(name)
-    elif config.mode == "supmvlfl":
+    else:  # supmvlfl
         transforms, objectives = supmvlfl_solve(
             dataset.views, labels, config.beta, eps=config.eps)
         outputs = _write_training_outputs(out_dir, transforms, None, objectives)
-    else:
-        raise ValueError(f"not a training mode: {config.mode}")
 
     write_manifest(config, out_dir, dataset_facts(dataset), outputs)
     return outputs
@@ -509,7 +513,10 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
     folds = make_folds(dataset, config.folds, config.seed)
     rows = run_grid(config.methods, dataset, folds, config.beta_grid, config.p_grid,
                     training_hyper(config, dataset.num_participants), config.seed)
-    warn_unless_converged(all(row.converged for row in rows), config)
+    warn_unless_converged(all(row.converged for row in rows if row.method == "mmvfl"), config)
+    if not all(row.converged for row in rows if row.method != "mmvfl"):
+        print(f"warning: a baseline fit stopped at MAX_ITER={baselines.MAX_ITER} steps before "
+              f"its objective changed by less than TOL={baselines.TOL!r}", file=sys.stderr)
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     curves = mean_curves(select_best(rows))
     outputs = ["results.csv"] + emit_curves(curves, out_dir, config.methods)
@@ -547,18 +554,16 @@ def run_synth_mode(config: RunConfig, out_dir) -> list[str]:
 
 def run_audit_mode(config: RunConfig, out_dir) -> int:
     trace = read_message_trace(config.trace)
+    # the run's manifest gives the payload shape the audit expects
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(config.trace)),
                                  "run_manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ConfigError(
-            f"no run_manifest.json beside {config.trace}; cannot determine "
-            "the expected payload shape")
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    facts = manifest.get("dataset") or {}
-    if "num_samples" not in facts or "num_classes" not in facts:
-        raise ConfigError(f"{manifest_path}: missing dataset shape facts")
-    report = audit_trace(trace, facts["num_samples"], facts["num_classes"])
+    facts = _read_json_object(manifest_path, "manifest").get("dataset")
+    shape = [facts.get(key) if isinstance(facts, dict) else None
+             for key in ("num_samples", "num_classes")]
+    if not all(type(n) is int and n > 0 for n in shape):
+        raise ConfigError(f"manifest {manifest_path}: dataset num_samples and "
+                          "num_classes must be positive integers")
+    report = audit_trace(trace, *shape)
     payload = {
         "ok": report.ok,
         "violations": report.violations,
@@ -598,17 +603,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if config.mode in ("reference", "federated-inproc", "federated-tcp",
-                           "supfl", "supmvlfl"):
-            outputs = run_training_mode(config, config.out)
-        elif config.mode == "sweep":
-            outputs = run_sweep_mode(config, config.out)
-        elif config.mode == "synth":
-            outputs = run_synth_mode(config, config.out)
-        elif config.mode == "audit":
+        if config.mode == "audit":
             return run_audit_mode(config, config.out)
-        else:
-            raise ValueError(f"unhandled mode {config.mode}")
+        runner = {"sweep": run_sweep_mode, "synth": run_synth_mode}.get(
+            config.mode, run_training_mode)
+        outputs = runner(config, config.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

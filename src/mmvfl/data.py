@@ -260,8 +260,8 @@ def check_synth_shape(num_participants, num_classes, num_samples, dims,
         raise ValueError("n_informative exceeds a view's feature count")
     if n_informative < 0:
         raise ValueError("n_informative must be >= 0")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < math.inf:
+        raise ValueError("noise must be finite and >= 0")
 
 
 def synth_planted(num_participants: int = 3, num_classes: int = 3,

@@ -46,7 +46,10 @@ class GridMismatchError(Exception):
 @dataclass(frozen=True)
 class ExperimentResult:
     """Accuracy of one (method, participant, p, fold, beta) cell; ``converged``
-    (never written out) is False when ``mmvfl`` training stopped at ``outer_max``."""
+    (never written out) is False when the cell's training stopped at its
+    iteration limit: ``outer_max`` for ``mmvfl``, the baselines' ``MAX_ITER``
+    for any of a ``supfl`` cell's per-view fits or a ``supmvlfl`` cell's
+    joint fit."""
 
     method: str
     participant: int
@@ -54,7 +57,7 @@ class ExperimentResult:
     fold: int
     beta: float
     accuracy: float
-    converged: bool = True
+    converged: bool
 
 
 # A cell's Gram is solved by Cholesky only while LAPACK's estimate of its
@@ -86,13 +89,14 @@ class _SplitScorer:
     """Least-squares classifier accuracy for column subsets of one
     train/validation split.
 
-    The labels are checked once.  The scorer keeps the Gram of the
-    training design ``[X 1]`` (from ``gram_matrix``'s XᵀX, the column
-    sums and n) and ``[X 1]ᵀY`` for the one-hot targets Y, so each subset
-    costs a principal submatrix, a Cholesky solve and the validation
-    scores; no design matrix is built unless the solve falls back to
-    ``lstsq``.  Their leading blocks, ``gram[:-1, :-1]`` = XᵀX and
-    ``moments[:-1]`` = XᵀY, are the training block the baselines fit on.
+    The labels are checked once.  The scorer keeps ``xtx`` = XᵀX (from
+    ``gram_matrix``), the column sums and n, which border it into the
+    Gram of the training design ``[X 1]``, and ``[X 1]ᵀY`` for the
+    one-hot targets Y, so each subset costs a bordered principal
+    submatrix, a Cholesky solve and the validation scores; no design
+    matrix, nor a second d×d array, is built unless the solve falls back
+    to ``lstsq``.  ``xtx`` and ``moments[:-1]`` = XᵀY are the training
+    block the baselines fit on.
     """
 
     def __init__(self, train_features, train_labels, val_features, val_labels):
@@ -109,15 +113,12 @@ class _SplitScorer:
         if np.any(present == 0):
             raise ValueError("every class needs at least one training sample")
 
-        n, d = train_features.shape
         self.train = train_features
         self.val = val_features
         self.val_labels = val_labels
         self.targets = one_hot(train_labels, num_classes)
-        self.gram = np.empty((d + 1, d + 1))
-        self.gram[:d, :d] = gram_matrix(train_features)
-        self.gram[:d, d] = self.gram[d, :d] = train_features.sum(axis=0)
-        self.gram[d, d] = n
+        self.xtx = gram_matrix(train_features)
+        self.sums = train_features.sum(axis=0)
         self.moments = np.vstack([train_features.T @ self.targets,
                                   self.targets.sum(axis=0)])
 
@@ -130,8 +131,12 @@ class _SplitScorer:
         columns = np.asarray(columns, dtype=np.intp)
         if columns.size == 0:
             raise DegenerateInputError("no features selected")
-        rows = np.append(columns, len(self.gram) - 1)
-        coef = _cholesky_coef(self.gram[np.ix_(rows, rows)], self.moments[rows])
+        m = columns.size
+        gram = np.empty((m + 1, m + 1))
+        gram[:m, :m] = self.xtx[np.ix_(columns, columns)]
+        gram[:m, m] = gram[m, :m] = self.sums[columns]
+        gram[m, m] = len(self.train)
+        coef = _cholesky_coef(gram, self.moments[np.append(columns, -1)])
         if coef is None:
             design = np.hstack([self.train[:, columns], np.ones((len(self.train), 1))])
             coef, *_ = np.linalg.lstsq(design, self.targets, rcond=None)
@@ -175,24 +180,25 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
         val = dataset.restrict(folds.val_indices(fold))
         scorers = [_SplitScorer(train.views[k], train.labels, val.views[k], val.labels)
                    for k in range(num_participants)]
-        grams = [scorer.gram[:-1, :-1] for scorer in scorers]
+        xtxs = [scorer.xtx for scorer in scorers]
         xtys = [scorer.moments[:-1] for scorer in scorers]
         # ||Y||_F^2 of the one-hot training labels
         n = float(train.num_samples)
         for rows, method in zip(results, methods):
             for beta_index, (beta, cell) in enumerate(zip(beta_grid, cells)):
-                converged = True
                 if method == "mmvfl":
                     # every scorer holds the same one-hot training labels
                     trained = run_reference(train.views, scorers[0].targets, cell,
                                             derive_seed(seed, fold, beta_index))
                     transforms, converged = trained.transforms, trained.converged
                 elif method == "supfl":
-                    transforms = [_fit_blocks([g], [xty], [n], [beta], cell.eps)[0][0]
-                                  for g, xty in zip(grams, xtys)]
+                    fits = [_fit_blocks([xtx], [xty], [n], [beta], cell.eps)
+                            for xtx, xty in zip(xtxs, xtys)]
+                    transforms = [fit[0][0] for fit in fits]
+                    converged = all(fit[2] for fit in fits)
                 else:
-                    transforms = _fit_blocks(grams, xtys, [n] * len(grams), cell.sparsity,
-                                             cell.eps)[0]
+                    transforms, _, converged = _fit_blocks(xtxs, xtys, [n] * len(xtxs),
+                                                           cell.sparsity, cell.eps)
                 for k, transform in enumerate(transforms):
                     ranking = score_features(transform)
                     for p in p_grid:
@@ -201,7 +207,7 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
                             accuracy=scorers[k].accuracy(select_top(ranking, p)),
                             converged=converged))
         # free this fold's views before the next fold's split is built
-        del train, val, scorers, grams, xtys
+        del train, val, scorers, xtxs, xtys
     return [row for rows in results for row in rows]
 
 

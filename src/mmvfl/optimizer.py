@@ -142,12 +142,12 @@ class Hyperparams:
     def __post_init__(self):
         if len(self.sparsity) != len(self.consensus_penalty):
             raise ValueError("sparsity and consensus_penalty must have equal length")
-        if any(not b > 0 for b in self.sparsity):
-            raise ValueError("sparsity weights must be positive")
-        if any(not z > 0 for z in self.consensus_penalty):
-            raise ValueError("consensus penalties must be positive")
-        if not self.label_penalty > 0:
-            raise ValueError("label penalty must be positive")
+        if any(not 0 < b < math.inf for b in self.sparsity):
+            raise ValueError("sparsity weights must be finite and positive")
+        if any(not 0 < z < math.inf for z in self.consensus_penalty):
+            raise ValueError("consensus penalties must be finite and positive")
+        if not 0 < self.label_penalty < math.inf:
+            raise ValueError("label penalty must be finite and positive")
         check_solver_controls(self.eps, self.outer_tol, self.outer_max)
 
     @classmethod

@@ -395,5 +395,6 @@ def read_results_csv(path):
                 fold=int(record["fold"]),
                 beta=float(record["beta"]),
                 accuracy=float(record["accuracy"]),
+                converged=True,  # not written out
             ))
     return results

@@ -130,6 +130,8 @@ def test_supmvlfl_input_validation():
     with pytest.raises(ValueError):
         supmvlfl_solve(views, labels, -1.0)
     with pytest.raises(ValueError):
+        supmvlfl_solve(views, labels, float("inf"))
+    with pytest.raises(ValueError):
         supmvlfl_solve([rng.standard_normal((9, 3))], labels, 0.1)  # row mismatch
 
 

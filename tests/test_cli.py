@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+import mmvfl.baselines as baselines
 import mmvfl.evaluation as evaluation
-from mmvfl.cli import emit_curves, main, read_message_trace, version_string
+from mmvfl.cli import FLAG_HELP, emit_curves, main, read_message_trace, version_string
 from mmvfl.evaluation import ExperimentResult, mean_curves, select_best
 
 TINY_SYNTH = {
@@ -144,7 +145,7 @@ def test_emit_curves_flags_missing_methods(tmp_path, capsys):
             for fold in range(2):
                 rows.append(ExperimentResult(
                     method="supfl", participant=participant, p=p,
-                    fold=fold, beta=0.1, accuracy=0.75))
+                    fold=fold, beta=0.1, accuracy=0.75, converged=True))
     written = emit_curves(mean_curves(select_best(rows)), str(tmp_path))
     errors = capsys.readouterr().err
     assert "missing method 'mmvfl'" in errors
@@ -260,6 +261,41 @@ def test_audit_mode_rejects_a_trace_line_with_missing_or_mistyped_fields(tmp_pat
         assert "audit ok" not in captured.out
 
 
+@pytest.fixture(scope="module")
+def federated_run(tmp_path_factory):
+    """A tiny federated-inproc run's output dir, with its message trace."""
+    run_dir = tmp_path_factory.mktemp("federated")
+    config = write_config(run_dir)
+    assert main(["--mode", "federated-inproc", "--config", config,
+                 "--out", str(run_dir / "fed")]) == 0
+    return run_dir / "fed"
+
+
+@pytest.mark.parametrize("manifest", [
+    pytest.param(None, id="missing"),
+    pytest.param("{nope", id="invalid-json"),
+    pytest.param("[]", id="list"),
+    pytest.param('{"dataset": [30, 3]}', id="dataset-list"),
+    pytest.param('{"dataset": {"num_classes": 3}}', id="samples-missing"),
+    pytest.param('{"dataset": {"num_samples": [300], "num_classes": 3}}', id="samples-list"),
+    pytest.param('{"dataset": {"num_samples": "300", "num_classes": 3}}', id="samples-text"),
+    pytest.param('{"dataset": {"num_samples": 30, "num_classes": true}}', id="classes-bool"),
+    pytest.param('{"dataset": {"num_samples": 30, "num_classes": 0}}', id="classes-zero"),
+])
+def test_audit_mode_rejects_a_bad_manifest_beside_the_trace(tmp_path, capsys, federated_run,
+                                                            manifest):
+    # the manifest gives the payload shape the audit checks against
+    shutil.copy(federated_run / "message_trace.jsonl", tmp_path / "message_trace.jsonl")
+    if manifest is not None:
+        (tmp_path / "run_manifest.json").write_text(manifest)
+    out = tmp_path / "audit"
+    capsys.readouterr()
+    assert main(["--mode", "audit", "--trace", str(tmp_path / "message_trace.jsonl"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "privacy_report.json").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cases = [
         ["--mode", "reference", "--views", "/nonexistent/a.csv",
@@ -345,10 +381,20 @@ def test_solver_controls_are_config_errors(tmp_path, capsys):
     pytest.param([], {"views": "a.csv", "labels": "y.csv"}, id="views-string"),
     pytest.param([], {"beta_grid": "0.1"}, id="beta-grid-string"),
     pytest.param([], {"synth_dims": 30}, id="synth-dims-number"),
+    pytest.param(["--beta", "inf"], {}, id="beta-inf"),
+    pytest.param(["--zeta", "inf"], {}, id="zeta-inf"),
+    pytest.param(["--eta", "inf"], {}, id="eta-inf"),
+    pytest.param(["--beta-grid", "0.1,inf"], {}, id="beta-grid-inf"),
+    pytest.param([], {"beta": float("inf")}, id="beta-json-infinity"),
+    pytest.param(["--seed", "x"], {}, id="seed-text-flag"),
+    pytest.param(["--folds", "2.5"], {}, id="folds-float-flag"),
+    pytest.param(["--beta-grid", ","], {}, id="beta-grid-empty-flag"),
+    pytest.param(["--methods", ","], {}, id="methods-empty-flag"),
+    pytest.param([], {"views": [], "labels": "y.csv"}, id="views-empty"),
 ])
 def test_bad_run_controls_are_config_errors(tmp_path, capsys, flags, fields):
     # out of range or of the wrong type; a federated-tcp run would read
-    # every one of them but folds, which a sweep reads
+    # every one of them but folds, the grids and methods, which a sweep reads
     config = write_config(tmp_path, **fields)
     out = tmp_path / "out"
     assert main(["--mode", "federated-tcp", "--config", config, "--out", str(out),
@@ -395,23 +441,49 @@ def test_config_numbers_of_the_right_json_type_are_accepted(tmp_path):
     assert (manifest["beta"], manifest["zeta"], manifest["round_timeout"]) == (1, 1000, 30)
 
 
-def test_config_integers_for_float_fields_write_the_manifest_the_flags_do(tmp_path):
-    # the flags parse every float field as a float, so a config giving
-    # integers must load them as floats too: both runs write one manifest
-    fields = {"beta": 1, "zeta": 1000, "eta": 50, "beta_grid": [1, 0.1], "p_grid": [50, 100]}
-    flags = ["--beta", "1", "--zeta", "1000", "--eta", "50",
-             "--beta-grid", "1,0.1", "--p-grid", "50,100"]
-    out = tmp_path / "out"
+# field: (config value, flag text, value the manifest records)
+FLAG_CASES = {
+    "mode": ("reference", "reference", "reference"),
+    "seed": (7, "7", 7),
+    "out": ("elsewhere", "elsewhere", "elsewhere"),
+    "views": (["data/view_2.csv", "data/view_1.csv"], "data/view_2.csv, data/view_1.csv,",
+              ["data/view_2.csv", "data/view_1.csv"]),
+    "labels": ("labels_copy.csv", "labels_copy.csv", "labels_copy.csv"),
+    "beta": (1, "1", 1.0),
+    "beta_grid": ([1, 0.1], "1,0.1", [1.0, 0.1]),
+    "p_grid": ([50, 100], "50,100", [50.0, 100.0]),
+    "zeta": (500, "500", 500.0),
+    "eta": (50, "50", 50.0),
+    "transport_port": (8123, "8123", 8123),
+    "folds": (3, "3", 3),
+    "methods": (["supfl", "mmvfl"], "supfl,mmvfl", ["supfl", "mmvfl"]),
+    "trace": ("trace.jsonl", "trace.jsonl", "trace.jsonl"),
+}
+
+
+@pytest.mark.parametrize("key", list(FLAG_HELP))
+def test_each_flag_writes_the_manifest_its_config_field_does(tmp_path, monkeypatch, key):
+    # a flag's text is read by its RunConfig field's annotation, as the
+    # config's JSON value is, so a sweep given either writes the same files
+    value, text, written = FLAG_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    assert main(["--mode", "synth", "--config", write_config(tmp_path), "--out", "data"]) == 0
+    shutil.copy("data/labels.csv", "labels_copy.csv")
+    (tmp_path / "trace.jsonl").write_text("")
+    base = {"mode": "sweep", "views": ["data/view_1.csv", "data/view_2.csv"],
+            "labels": "data/labels.csv", "out": "out", "beta_grid": [0.1],
+            "p_grid": [100], "folds": 2}
+    out = value if key == "out" else "out"
+    flag = "--" + key.replace("_", "-")
     runs = []
-    for config, extra in ((write_config(tmp_path, "fields.json", **fields), []),
-                          (write_config(tmp_path, "plain.json"), flags)):
-        assert main(["--mode", "reference", "--config", config, "--out", str(out), *extra]) == 0
+    for config, flags in ((write_config(tmp_path, "field.json", **{**base, key: value}), []),
+                          (write_config(tmp_path, "flag.json", **base), [flag, text])):
+        assert main(["--config", config, *flags]) == 0
         runs.append({name: read_bytes(out, name) for name in sorted(os.listdir(out))})
         shutil.rmtree(out)
     assert runs[0] == runs[1]
     manifest = json.loads(runs[0]["run_manifest.json"])
-    assert [type(manifest[key]) for key in ("beta", "zeta", "eta")] == [float] * 3
-    assert manifest["beta_grid"] == [1.0, 0.1] and b'"beta": 1.0' in runs[0]["run_manifest.json"]
+    assert repr(manifest[key]) == repr(written)
 
 
 def test_a_config_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
@@ -468,6 +540,23 @@ def test_a_sweep_config_outer_max_reaches_every_mmvfl_cell(tmp_path, capsys, mon
         assert b"converged" not in read_bytes(out, name), name
 
 
+def test_a_sweep_warns_once_when_a_baseline_fit_stops_at_max_iter(tmp_path, capsys,
+                                                                  monkeypatch):
+    config = write_config(tmp_path)
+    argv = ["--mode", "sweep", "--config", config, "--methods", "supfl,supmvlfl",
+            "--beta-grid", "0.01,0.1", "--p-grid", "50,100", "--folds", "3"]
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    assert capsys.readouterr().err == ""
+    # the limit is read when each fit runs
+    monkeypatch.setattr(baselines, "MAX_ITER", 2)
+    assert main([*argv, "--out", str(tmp_path / "limited")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: a baseline fit stopped at MAX_ITER=2 steps before its objective "
+        "changed by less than TOL=1e-06\n")
+    for name in os.listdir(tmp_path / "limited"):
+        assert b"converged" not in read_bytes(tmp_path / "limited", name), name
+
+
 def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):
     # the default three participants against two feature counts
     two_dims = tmp_path / "two_dims.json"
@@ -476,7 +565,8 @@ def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):
         write_config(tmp_path, name=f"{key}.json", **{key: value})
         for key, value in (("synth_participants", 3), ("synth_classes", 1),
                            ("synth_samples", 2), ("synth_informative", 5),
-                           ("synth_informative", -1), ("synth_noise", -0.5))]
+                           ("synth_informative", -1), ("synth_noise", -0.5),
+                           ("synth_noise", float("nan")), ("synth_noise", float("inf")))]
     for mode in ("synth", "reference", "sweep"):
         for config in configs:
             out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import random
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,22 @@ def test_scorer_matches_lstsq_oracle_on_nested_prefixes(kind, num_classes, extra
             assert calls == []
 
 
+def test_building_a_scorer_holds_one_d_by_d_array():
+    # the scorer keeps gram_matrix's XᵀX and borders a subset's block per
+    # accuracy call, so building it makes no second d x d copy
+    d = 600
+    rng = np.random.default_rng(0)
+    train, val = rng.standard_normal((400, d)), rng.standard_normal((30, d))
+    tracemalloc.start()
+    try:
+        scorer = _SplitScorer(train, np.arange(400) % 3, val, np.arange(30) % 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d * d * 8
+    assert scorer.xtx.flags.c_contiguous and scorer.xtx.shape == (d, d)
+
+
 def test_scorer_rejects_bad_splits():
     train = np.zeros((4, 2))
     with pytest.raises(ValueError):
@@ -338,9 +355,22 @@ def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
     assert [cell for cell, _ in seen] == [replace(hyper, sparsity=(beta,) * 2)
                                           for _ in range(3) for beta in beta_grid]
     # outer_tol compares two rounds' objectives, so a one-round run stops
-    # at outer_max; the baselines have no outer loop
+    # at outer_max; the baseline fits meet TOL well inside MAX_ITER
     assert {row.converged for row in rows if row.method == "mmvfl"} == {False}
     assert {row.converged for row in rows if row.method == "supfl"} == {True}
+
+
+def test_run_grid_baseline_cells_that_stop_at_max_iter_are_not_converged(monkeypatch):
+    dataset = small_dataset(seed=9)
+    folds = make_folds(dataset, 3, seed=6)
+    args = (("supfl", "supmvlfl"), dataset, folds, [0.01, 1.0], [50.0, 100.0],
+            default_hyper(dataset))
+    rows = run_grid(*args)
+    assert {row.converged for row in rows} == {True}
+    # the limit is read when each fit runs; one step never meets TOL
+    monkeypatch.setattr(baselines, "MAX_ITER", 1)
+    limited = run_grid(*args)
+    assert {row.converged for row in limited} == {False}
 
 
 def test_run_grid_mmvfl_cells_are_the_same_on_one_cpu_and_start_no_thread(monkeypatch):
@@ -390,7 +420,7 @@ def test_run_grid_mmvfl_cells_are_the_same_on_one_cpu_and_start_no_thread(monkey
 
 def row(method="m", participant=0, p=10.0, fold=0, beta=0.1, accuracy=0.5):
     return ExperimentResult(method=method, participant=participant, p=p,
-                            fold=fold, beta=beta, accuracy=accuracy)
+                            fold=fold, beta=beta, accuracy=accuracy, converged=True)
 
 
 def test_select_best_takes_max_over_beta():

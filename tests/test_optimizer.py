@@ -541,6 +541,10 @@ def test_hyperparams_validation():
         Hyperparams.uniform(2, consensus_penalty=-1.0)
     with pytest.raises(ValueError):
         Hyperparams.uniform(2, label_penalty=0.0)
+    for weight in ("sparsity", "consensus_penalty", "label_penalty"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                Hyperparams.uniform(2, **{weight: value})
     with pytest.raises(ValueError):
         Hyperparams.uniform(2, eps=1e-2)
     with pytest.raises(ValueError):
