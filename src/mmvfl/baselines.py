@@ -1,11 +1,12 @@
 """Supervised baselines that regress features directly onto the labels.
 
 ``supmvlfl_solve`` fits every view's transform against the one-hot
-label matrix with the reweighted least-squares kernel the federated
-training uses, i.e. the label matrix replaces the pseudo-labels; the
-objective is a sum of per-view terms, so the joint fit matches
-independent per-view fits, which tests pin.  ``supfl_solve`` is that
-fit for one feature block.  The CV sweep (``evaluation.run_grid``)
+label matrix with the reweighted step the federated training uses, i.e.
+the label matrix replaces the pseudo-labels.  The objective is a sum of
+per-view terms, so each joint step is the per-view step, which tests
+pin; the joint fit stops on the summed change, so at ``TOL`` it may stop
+at another step than a per-view fit would.  ``supfl_solve`` is that fit
+for one feature block.  The CV sweep (``evaluation.run_grid``)
 runs their fit, ``_fit_blocks``, on the training blocks its classifier
 already holds and learns whether each fit met ``TOL`` before
 ``MAX_ITER``.  Only this module sets when a baseline fit stops.
@@ -18,7 +19,8 @@ import math
 import numpy as np
 
 from .numerics import ensure_matrix, frobenius_norm_sq
-from .optimizer import _irls, check_one_hot, check_solver_controls, gram_matrix, has_converged
+from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, gram_matrix,
+                        has_converged)
 
 # A baseline fit stops once the relative change of its summed objective
 # is at most TOL, or after MAX_ITER reweighted steps.
@@ -28,15 +30,29 @@ MAX_ITER = 50
 
 def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=None, max_iter=None):
     """``(transforms, objectives, converged)`` of the joint fit of blocks k
-    onto T from trusted X_k^T X_k, X_k^T T and ||T||_F^2.  ``converged``
-    says whether the last step changed the summed objective by at most
-    ``tol`` rather than the fit stopping at ``max_iter``; they default to
-    TOL and MAX_ITER as they stand at call time."""
+    onto T from trusted X_k^T X_k, X_k^T T and ||T||_F^2.  Each iteration
+    takes one ``_reweighted_step`` of every block, each under its own
+    descent guard, and records the objectives summed in block order.  The
+    fit stops, ``converged``, once that sum changes by at most ``tol``,
+    or after ``max_iter`` iterations; they default to TOL and MAX_ITER as
+    they stand at call time."""
     tol = TOL if tol is None else tol
     max_iter = MAX_ITER if max_iter is None else max_iter
-    transforms, _, objectives = _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter)
-    converged = len(objectives) > 1 and has_converged(objectives[-2], objectives[-1], tol)
-    return transforms, objectives, converged
+    # one factor buffer per block for the whole fit: a d x d block freed
+    # and allocated again every step fragments the allocator's heap
+    works = [np.empty(g.shape, order="F") for g in grams]
+    starts = [None] * len(grams)
+    objectives: list[float] = []
+    converged = False
+    while not converged and len(objectives) < max_iter:
+        total = 0.0
+        for k, block in enumerate(zip(grams, xtys, targets_sq, sparsity)):
+            w, gw, objective = _reweighted_step(*block, eps, works[k], starts[k])
+            starts[k] = (w, gw)
+            total += objective
+        converged = bool(objectives) and has_converged(objectives[-1], total, tol)
+        objectives.append(total)
+    return [w for w, _ in starts], objectives, converged
 
 
 def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
@@ -56,9 +72,9 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
                    tol: float = TOL, max_iter: int = MAX_ITER):
     """Joint row-sparse regression of every view onto the labels.
 
-    All views are iterated together and the stopping rule watches the
-    summed objective; each view's update only reads that view's state,
-    which keeps the problem separable.  Returns
+    All views are stepped together and the stopping rule watches the
+    summed objective; each view's step only reads that view's state and
+    is guarded on its own, which keeps the problem separable.  Returns
     ``(transforms, objectives)`` where ``objectives`` traces the sum.
     """
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]

@@ -552,18 +552,23 @@ def run_synth_mode(config: RunConfig, out_dir) -> list[str]:
     return outputs
 
 
-def run_audit_mode(config: RunConfig, out_dir) -> int:
-    trace = read_message_trace(config.trace)
-    # the run's manifest gives the payload shape the audit expects
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(config.trace)),
+def read_audit_manifest(trace_path) -> dict:
+    """The dataset facts of the run manifest beside a message trace, which
+    give the payload shape the audit expects, or ``ConfigError``."""
+    manifest_path = os.path.join(os.path.dirname(os.path.abspath(trace_path)),
                                  "run_manifest.json")
     facts = _read_json_object(manifest_path, "manifest").get("dataset")
-    shape = [facts.get(key) if isinstance(facts, dict) else None
-             for key in ("num_samples", "num_classes")]
-    if not all(type(n) is int and n > 0 for n in shape):
+    if not (isinstance(facts, dict) and all(
+            type(facts.get(key)) is int and facts[key] > 0
+            for key in ("num_samples", "num_classes"))):
         raise ConfigError(f"manifest {manifest_path}: dataset num_samples and "
                           "num_classes must be positive integers")
-    report = audit_trace(trace, *shape)
+    return facts
+
+
+def run_audit_mode(config: RunConfig, out_dir, facts) -> int:
+    trace = read_message_trace(config.trace)
+    report = audit_trace(trace, facts["num_samples"], facts["num_classes"])
     payload = {
         "ok": report.ok,
         "violations": report.violations,
@@ -589,22 +594,22 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         config = resolve_config(list(argv))
+        # an audit's manifest is checked before the output dir is made
+        facts = read_audit_manifest(config.trace) if config.mode == "audit" else None
+        os.makedirs(config.out, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         # argparse exits itself on bad flags or --help/--version
         return int(exc.code or 0)
 
     try:
-        os.makedirs(config.out, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if config.mode == "audit":
-            return run_audit_mode(config, config.out)
+            return run_audit_mode(config, config.out, facts)
         runner = {"sweep": run_sweep_mode, "synth": run_synth_mode}.get(
             config.mode, run_training_mode)
         outputs = runner(config, config.out)

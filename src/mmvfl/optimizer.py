@@ -46,8 +46,9 @@ from .numerics import (
     single_blas_thread,
 )
 
-# Absolute slack allowed before a rising objective is treated as a
-# numerical fault.
+# Relative slack, with a floor of 1: a reweighted step that raises its
+# block's smoothed objective by more than MONOTONICITY_SLACK * max(1,
+# |the value before the step|) is a numerical fault.
 MONOTONICITY_SLACK = 1e-9
 
 # Anderson extrapolation of the consensus broadcast (see ``run_rounds``):
@@ -86,7 +87,8 @@ class DimensionMismatchError(Exception):
 
 
 class NonDecreasingObjectiveError(Exception):
-    """The inner objective rose beyond slack: numerical fault."""
+    """A reweighted step raised its block's smoothed objective beyond
+    slack: numerical fault."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ class ProblemShape:
     num_participants: int
     num_classes: int
     num_samples: int
-    dims: tuple[int, ...]
 
     def __post_init__(self):
         if self.num_participants < 2:
@@ -105,10 +106,6 @@ class ProblemShape:
             raise ValueError("need at least two classes")
         if self.num_samples < self.num_classes:
             raise ValueError("need at least as many samples as classes")
-        if len(self.dims) != self.num_participants:
-            raise ValueError("dims must list one feature count per participant")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("every participant needs at least one feature")
 
 
 def check_solver_controls(eps, tol, max_iter):
@@ -267,67 +264,44 @@ def smoothed_row_penalty(norms, eps: float) -> float:
     return float(np.sum(norms - eps * np.log1p(norms / eps)))
 
 
-def _irls(grams, xtys, targets_sq, sparsity, eps, tol, max_iter, inits=None, works=None):
-    """Reweighted least squares for blocks k minimizing
-    ||X_k W_k - T||_F^2 + sparsity[k] ||W_k||_{2,1}, given G_k = X_k^T X_k,
-    X_k^T T and ||T||_F^2, so the fit term is the Gram form
-    sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.  The
-    guard and the stopping rule watch the sum over blocks.  Inputs are
-    trusted (the public callers check them).  ``works`` holds one
-    Fortran-order factor buffer per block (allocated here when None).
-    Returns ``(transforms, irls_diags, objectives)``.
+def _reweighted_step(gram, xty, target_sq, sparsity, eps, work, start=None):
+    """One reweighted least-squares step for one block minimizing
+    ||X W - T||_F^2 + sparsity ||W||_{2,1}, given G = X^T X, X^T T and
+    ||T||_F^2, so the fit term is the Gram form
+    sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.
+    ``start`` = ``(W0, G W0)`` sets the diagonal 1/(2(||w_i|| + eps)) of
+    W0's rows and arms the descent guard; ``None`` uses the unit diagonal.
+    The Fortran-order ``work`` (shaped like G) is overwritten by the
+    factor.  Inputs are trusted (the callers check them).  Returns
+    ``(W, G W, objective)``, the raw objective at W.
 
-    The guard compares consecutive iterates by the change of the smoothed
-    objective, sum(dW * (G (W0 + W1) - 2 X^T T)) plus the penalty change,
-    not by the difference of two Gram-form values: their rounding error
-    scales with |W| |G| |W|, which on an ill-conditioned block exceeds the
-    slack where the residual form still descends; the change's scales
-    with |dW| |G| |W|."""
-    def evaluate(transforms, products):
-        raw = smoothed = 0.0
-        norms, penalties = [], []
-        for w, gw, xty, t_sq, s in zip(transforms, products, xtys, targets_sq, sparsity):
-            fit = float(np.sum(w * (gw - 2.0 * xty))) + t_sq
-            norms.append(np.sqrt(np.sum(w * w, axis=1)))
-            penalties.append(s * smoothed_row_penalty(norms[-1], eps))
-            raw += fit + s * float(norms[-1].sum())
-            smoothed += fit + penalties[-1]
-        return raw, smoothed, norms, (transforms, products, penalties)
-
-    def change(before, after):
-        total = 0.0
-        for w0, gw0, pen0, w1, gw1, pen1, xty in zip(*before, *after, xtys):
-            total += float(np.sum((w1 - w0) * (gw1 + gw0 - 2.0 * xty))) + (pen1 - pen0)
-        return total
-
-    objectives: list[float] = []
-    guard = norms = previous = None
-    if inits is not None:
-        raw, guard, norms, previous = evaluate(inits, [g @ w for g, w in zip(grams, inits)])
-        objectives.append(raw)
-    diags = [np.ones(g.shape[0]) for g in grams]
-    # one factor buffer per block for the whole fit: a d x d block freed
-    # and allocated again every iteration fragments the allocator's heap
-    if works is None:
-        works = [np.empty(g.shape, order="F") for g in grams]
-    for _ in range(max_iter):
-        if norms is not None:
-            diags = [1.0 / (2.0 * (row + eps)) for row in norms]
-        transforms, products = zip(*[_penalized_solve(*block)
-                                     for block in zip(grams, xtys, diags, sparsity, works)])
-        if not all(np.isfinite(w).all() for w in transforms):
-            raise ValueError("a transform contains non-finite entries")
-        value, smoothed, norms, current = evaluate(transforms, products)
-        if guard is not None:
-            rise = change(previous, current)
-            if rise > MONOTONICITY_SLACK * max(1.0, abs(guard)):
-                raise NonDecreasingObjectiveError(
-                    f"smoothed objective rose by {rise!r} from {guard!r}")
-        guard, previous = smoothed, current
-        objectives.append(value)
-        if len(objectives) > 1 and has_converged(objectives[-2], value, tol):
-            break
-    return list(transforms), diags, objectives
+    The guard raises when the smoothed objective rises from W0 by more
+    than ``MONOTONICITY_SLACK`` times max(1, |its value at W0|).  It
+    computes the change, sum(dW * (G (W0 + W) - 2 X^T T)) plus the
+    penalty change, not the difference of two Gram-form values: their
+    rounding error scales with |W| |G| |W|, which on an ill-conditioned
+    block exceeds the slack where the residual form still descends; the
+    change's scales with |dW| |G| |W|."""
+    if start is None:
+        diag = np.ones(gram.shape[0])
+    else:
+        w0, gw0 = start
+        norms0 = np.sqrt(np.sum(w0 * w0, axis=1))
+        diag = 1.0 / (2.0 * (norms0 + eps))
+    w, gw = _penalized_solve(gram, xty, diag, sparsity, work)
+    if not np.isfinite(w).all():
+        raise ValueError("a transform contains non-finite entries")
+    norms = np.sqrt(np.sum(w * w, axis=1))
+    if start is not None:
+        penalty0 = sparsity * smoothed_row_penalty(norms0, eps)
+        smoothed0 = float(np.sum(w0 * (gw0 - 2.0 * xty))) + target_sq + penalty0
+        rise = (float(np.sum((w - w0) * (gw + gw0 - 2.0 * xty)))
+                + (sparsity * smoothed_row_penalty(norms, eps) - penalty0))
+        if rise > MONOTONICITY_SLACK * max(1.0, abs(smoothed0)):
+            raise NonDecreasingObjectiveError(
+                f"smoothed objective rose by {rise!r} from {smoothed0!r}")
+    fit = float(np.sum(w * (gw - 2.0 * xty))) + target_sq
+    return w, gw, fit + sparsity * float(norms.sum())
 
 
 def owner_pseudo_label_update(projected, consensus, labels, consensus_penalty: float,
@@ -460,7 +434,7 @@ def _check_inputs(views, labels, hyper: Hyperparams):
                 f"view {k} has {view.shape[0]} rows, expected {n}")
     if labels.shape[0] != n:
         raise DimensionMismatchError("label rows must match sample count")
-    shape = ProblemShape(len(views), labels.shape[1], n, tuple(v.shape[1] for v in views))
+    shape = ProblemShape(len(views), labels.shape[1], n)
     return views, labels, shape
 
 
@@ -484,24 +458,22 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     pseudo-labels against the broadcast consensus, and the local
     objective contribution (the only scalar that leaves the participant).
 
-    The step is one ``_penalized_solve`` with the diagonal
-    1/(2(||w_i|| + eps)) of the current rows, under ``_irls``'s descent
-    guard: the exact minimizer of the fit plus the eta-variational form
-    of the penalty, sum_i (||w_i||^2 / eta_i + eta_i) / 2, at eta_i =
-    ||w_i|| + eps (Bach, Jenatton, Mairal & Obozinski 2012, section 5.1).
-    That form is jointly convex, so the rounds are block coordinate
-    descent on it and need no inner stopping rule: with one iteration
-    ``tol`` decides nothing.  beta_k and zeta_k are read from ``hyper`` at
+    The step is one ``_reweighted_step`` from the current transform, so
+    one solve with the diagonal 1/(2(||w_i|| + eps)) of its rows under the
+    step's descent guard: the exact minimizer of the fit plus the
+    eta-variational form of the penalty, sum_i (||w_i||^2 / eta_i +
+    eta_i) / 2, at eta_i = ||w_i|| + eps (Bach, Jenatton, Mairal &
+    Obozinski 2012, section 5.1).  That form is jointly convex, so the
+    rounds are block coordinate descent on it, with no inner loop and no
+    inner stopping rule.  beta_k and zeta_k are read from ``hyper`` at
     ``participant_id``.  The state's features were checked when it was
     built, so they are not checked again here."""
     k = state.participant_id
     targets = state.pseudo_labels
-    [transform], _, _ = _irls(
-        [state.gram], [state.features.T @ targets], [_sum_sq(targets)],
-        [hyper.sparsity[k]], hyper.eps, tol=0.0, max_iter=1, inits=[state.transform],
-        works=[state.work])
-    state.transform = transform
-    projected = state.features @ transform
+    state.transform, _, _ = _reweighted_step(
+        state.gram, state.features.T @ targets, _sum_sq(targets), hyper.sparsity[k],
+        hyper.eps, state.work, start=(state.transform, state.gram @ state.transform))
+    projected = state.features @ state.transform
     if state.labels is not None:
         state.pseudo_labels = owner_pseudo_label_update(
             projected, consensus, state.labels,

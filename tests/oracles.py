@@ -7,9 +7,12 @@ closed forms.  Frozen constants in the tests were produced by these
 functions.  The exceptions, ``solve_transform``, ``solve_spd``,
 ``fit_sparse_transform`` and ``total_objective``, are marked below: they
 are the package's own kernels behind a plain signature, which the tests
-hold against these oracles.  ``lstsq_accuracy`` is the package's former
-classifier, kept as it was to hold the Gram-based one against, and
-``read_results_csv`` reads back the sweep's ``results.csv``.
+hold against these oracles.  ``fit_sparse_transform`` is the one
+multi-step fit of a single block from a given start, a loop over the
+package's reweighted step that only the tests run.  ``lstsq_accuracy``
+is the package's former classifier, kept as it was to hold the
+Gram-based one against, and ``read_results_csv`` reads back the sweep's
+``results.csv``.
 """
 
 from __future__ import annotations
@@ -84,22 +87,40 @@ def solve_spd(a, b) -> np.ndarray:
 
 def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
                          inner_tol: float = 1e-6, inner_max: int = 50, init=None):
-    """Row-sparse least squares of one block by the package's reweighted
-    least-squares kernel (not an oracle: it runs ``optimizer._irls``).
+    """Row-sparse least squares of one block by repeated steps of the
+    package's kernel (not an oracle: it runs ``optimizer._reweighted_step``),
+    until the raw objective changes by at most ``inner_tol`` relative or
+    after ``inner_max`` steps.
 
-    Starts from ``init`` when given, else from a plain ridge step.
-    Returns ``(transform, irls_diag, objectives)``: ``irls_diag`` is the
-    diagonal of the final solve, so the pair is stationary for the
-    reweighted problem, and ``objectives`` is the raw objective trace."""
-    from mmvfl.optimizer import _irls, gram_matrix
+    Starts from ``init`` when given, whose objective then opens the trace,
+    else from a plain ridge step.  Returns ``(transform, irls_diag,
+    objectives)``: ``irls_diag`` is the diagonal of the final step (ones
+    for the ridge step, else ``loop_reweight_diag`` of the transform it
+    started from), so the pair is stationary for the reweighted problem,
+    and ``objectives`` is the raw objective trace."""
+    from mmvfl.optimizer import _reweighted_step, gram_matrix, has_converged
 
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    inits = None if init is None else [np.asarray(init, dtype=np.float64)]
-    [transform], [diag], objectives = _irls(
-        [gram_matrix(features)], [features.T @ targets], [float(np.sum(targets * targets))],
-        [sparsity], eps, inner_tol, inner_max, inits)
-    return transform, diag, objectives
+    gram, xty = gram_matrix(features), features.T @ targets
+    target_sq = float(np.sum(targets * targets))
+    work = np.empty(gram.shape, order="F")
+    start, objectives = None, []
+    if init is not None:
+        w = np.asarray(init, dtype=np.float64)
+        start = (w, gram @ w)
+        # the kernel's Gram form, so a fixed point repeats the value
+        objectives.append(float(np.sum(w * (start[1] - 2.0 * xty))) + target_sq
+                          + sparsity * float(np.sum(np.sqrt(np.sum(w * w, axis=1)))))
+    for _ in range(inner_max):
+        before = start
+        w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, eps, work, start)
+        start = (w, gw)
+        objectives.append(objective)
+        if len(objectives) > 1 and has_converged(objectives[-2], objective, inner_tol):
+            break
+    diag = np.ones(len(w)) if before is None else loop_reweight_diag(before[0], eps)
+    return w, diag, objectives
 
 
 def total_objective(states, consensus, hyper) -> float:

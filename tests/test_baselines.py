@@ -7,7 +7,7 @@ import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.optimizer import Hyperparams, NonDecreasingObjectiveError, one_hot
 
-from oracles import fit_objective, fit_sparse_transform
+from oracles import fit_objective, fit_sparse_transform, loop_reweight_diag, plain_solve_minimizer
 
 
 def random_instance(seed, max_views=4):
@@ -119,6 +119,44 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
         supmvlfl_solve(views, labels, 0.1, max_iter=4)
+
+
+def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkeypatch):
+    """Each view's step is guarded on its own, as ``supfl_solve`` on that
+    view would guard it: a rise of view 0's smoothed objective raises
+    even when view 1 falls by more in the same iteration."""
+    rng = np.random.default_rng(24)
+    labels = one_hot(np.arange(40) % 2, 2)
+    views = [rng.standard_normal((40, 5)), rng.standard_normal((40, 6))]
+    beta, eps = 0.1, 1e-6
+    good = optimizer._penalized_solve
+    solves = []
+
+    def sabotage(gram, xty, diag, sparsity, work):
+        w, gw = good(gram, xty, diag, sparsity, work)
+        if len(solves) == 1:  # view 1's first step, which nothing guards, lands far off
+            w = np.full_like(w, 50.0)
+        elif len(solves) == 2:  # view 0's second step climbs away from its first
+            w = 3.0 * solves[0]
+        solves.append(w)
+        return w, gram @ w
+
+    monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    with pytest.raises(NonDecreasingObjectiveError):
+        supmvlfl_solve(views, labels, beta, max_iter=4)
+    assert len(solves) == 3  # view 1's second step never ran
+
+    def smoothed(x, w):
+        norms = np.linalg.norm(w, axis=1)
+        return (float(np.sum((x @ w - labels) ** 2))
+                + beta * optimizer.smoothed_row_penalty(norms, eps))
+
+    before = smoothed(views[0], solves[0])
+    rise = smoothed(views[0], solves[2]) - before
+    assert rise > optimizer.MONOTONICITY_SLACK * max(1.0, abs(before))
+    fall = smoothed(views[1], solves[1]) - smoothed(views[1], plain_solve_minimizer(
+        views[1], labels, loop_reweight_diag(solves[1], eps), beta))
+    assert fall > rise  # the summed objective falls
 
 
 def test_supmvlfl_input_validation():

@@ -293,7 +293,7 @@ def test_audit_mode_rejects_a_bad_manifest_beside_the_trace(tmp_path, capsys, fe
     assert main(["--mode", "audit", "--trace", str(tmp_path / "message_trace.jsonl"),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
-    assert not (out / "privacy_report.json").exists()
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

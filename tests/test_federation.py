@@ -53,7 +53,7 @@ def tiny_problem(seed, num_samples=12, dims=(3, 4), num_classes=3):
 def tiny_config(num_samples=12, dims=(3, 4), num_classes=3, **hyper_kwargs):
     hyper = Hyperparams.uniform(len(dims), sparsity=0.1, **hyper_kwargs)
     shape = ProblemShape(num_participants=len(dims), num_classes=num_classes,
-                         num_samples=num_samples, dims=tuple(dims))
+                         num_samples=num_samples)
     return FederationConfig(shape=shape, hyper=hyper, seed=0,
                             round_timeout=5.0)
 

@@ -96,13 +96,24 @@ def test_check_one_hot_rejects_bad_rows():
 
 
 def irls_diagonal(transform, eps):
-    """The diagonal the kernel's first reweighted solve uses when it
-    starts from ``transform``."""
+    """The diagonal the kernel's reweighted step from ``transform`` hands
+    to its solve."""
     rng = np.random.default_rng(0)
     d, c = transform.shape
-    _, diag, _ = fit_sparse_transform(rng.standard_normal((3 * d, d)),
-                                      rng.standard_normal((3 * d, c)), 0.1,
-                                      eps=eps, inner_max=1, init=transform)
+    x, t = rng.standard_normal((3 * d, d)), rng.standard_normal((3 * d, c))
+    gram = optimizer.gram_matrix(x)
+    diags = []
+    original = optimizer._penalized_solve
+
+    def record(gram, xty, diag, sparsity, work):
+        diags.append(diag)
+        return original(gram, xty, diag, sparsity, work)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_penalized_solve", record)
+        optimizer._reweighted_step(gram, x.T @ t, float(np.sum(t * t)), 0.1, eps,
+                                   np.empty((d, d), order="F"), (transform, gram @ transform))
+    [diag] = diags
     return diag
 
 
@@ -553,11 +564,11 @@ def test_hyperparams_validation():
 
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
-        ProblemShape(num_participants=1, num_classes=3, num_samples=9, dims=(4,))
+        ProblemShape(num_participants=1, num_classes=3, num_samples=9)
     with pytest.raises(ValueError):
-        ProblemShape(num_participants=2, num_classes=1, num_samples=9, dims=(4, 4))
+        ProblemShape(num_participants=2, num_classes=1, num_samples=9)
     with pytest.raises(ValueError):
-        ProblemShape(num_participants=2, num_classes=3, num_samples=2, dims=(4, 4))
+        ProblemShape(num_participants=2, num_classes=3, num_samples=2)
 
 
 # ---------------------------------------------------------------------------
