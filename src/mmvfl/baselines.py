@@ -35,19 +35,18 @@ def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=None, max_iter=None)
     descent guard, and records the objectives summed in block order.  The
     fit stops, ``converged``, once that sum changes by at most ``tol``,
     or after ``max_iter`` iterations; they default to TOL and MAX_ITER as
-    they stand at call time."""
+    they stand at call time.  The caller lends its Grams: each step
+    factors one in place and restores it bit for bit before it returns
+    (see ``optimizer._penalized_solve``), so no other array is built."""
     tol = TOL if tol is None else tol
     max_iter = MAX_ITER if max_iter is None else max_iter
-    # one factor buffer per block for the whole fit: a d x d block freed
-    # and allocated again every step fragments the allocator's heap
-    works = [np.empty(g.shape, order="F") for g in grams]
     starts = [None] * len(grams)
     objectives: list[float] = []
     converged = False
     while not converged and len(objectives) < max_iter:
         total = 0.0
         for k, block in enumerate(zip(grams, xtys, targets_sq, sparsity)):
-            w, gw, objective = _reweighted_step(*block, eps, works[k], starts[k])
+            w, gw, objective = _reweighted_step(*block, eps, starts[k])
             starts[k] = (w, gw)
             total += objective
         converged = bool(objectives) and has_converged(objectives[-1], total, tol)

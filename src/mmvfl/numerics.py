@@ -3,7 +3,8 @@
 All matrices are 2-D float64 arrays with finite entries.  Identical
 inputs produce bit-identical outputs, which the round-based training
 protocol relies on to stay reproducible across transports and runs;
-only the Cholesky kernels write to an argument, their work matrix.
+only the Cholesky kernels write to an argument: the Gram they are
+handed, restored bit for bit.
 
 ``single_blas_thread`` pins every loaded OpenBLAS build to one thread
 for the duration of an entry-point call, so results do not depend on
@@ -108,19 +109,38 @@ def row_norms(m) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
 
-def _cholesky_solve_in_place(work, b, matrix, shift=None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (matrix + diag(shift)) x = b, a symmetric positive definite
+def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (G + diag(shift)) x = b, a symmetric positive definite
     system, by Cholesky factorization and at most three steps of iterative
     refinement, which stop once the residual ||A x - b||_F is within
-    SPD_RESIDUAL_TOL ||b||_F.  Nothing is checked.
+    SPD_RESIDUAL_TOL ||b||_F.  Only the layout is checked.
 
-    ``work`` holds that system in Fortran order and is overwritten by its
-    Cholesky factor; refinement residuals come from ``matrix`` and
-    ``shift``, so no second copy of the system is kept.  Returns
-    ``(x, matrix @ x)``: the refinement needs the product anyway."""
-    _cholesky_factor_in_place(work)
-    x = _cholesky_solve(work, b)
-    product = matrix @ x
+    ``system`` is the Fortran-order view ``G.T`` of an exactly symmetric
+    G, and the only d x d array the solve uses: each factorization adds
+    ``shift`` to its diagonal and overwrites its lower triangle with the
+    factor, and once the factor has been solved with, or has raised,
+    ``_restore_lower`` copies the lower triangle back from the untouched
+    upper one and the diagonal from a saved copy.  So G comes back bit for
+    bit, and a refinement step re-factors the same input into the same
+    factor.  Returns ``(x, G x)``, the product refinement needs anyway,
+    computed as ``system.T @ x``: G in C order, as the caller holds it."""
+    n = len(system)
+    _check_lapack_matrix(system, n, "system", square=True)
+    diagonal = system.diagonal().copy()
+    gram = system.T
+
+    def solve(rhs):
+        try:
+            if shift is not None:
+                # the diagonal as a strided view of the (contiguous) buffer
+                system.reshape(-1, order="F")[::n + 1] += shift
+            _cholesky_factor_in_place(system)
+            return _cholesky_solve(system, rhs)
+        finally:
+            _restore_lower(system, diagonal)
+
+    x = solve(b)
+    product = gram @ x
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
@@ -129,9 +149,35 @@ def _cholesky_solve_in_place(work, b, matrix, shift=None) -> tuple[np.ndarray, n
                 residual -= shift[:, None] * x
             if float(np.linalg.norm(residual)) <= SPD_RESIDUAL_TOL * b_norm:
                 break
-            x = x + _cholesky_solve(work, residual)
-            product = matrix @ x
+            x = x + solve(residual)
+            product = gram @ x
     return x, product
+
+
+def _restore_lower(system, diagonal) -> None:
+    """Copy the strict upper triangle of the Fortran-order square
+    ``system`` onto its strict lower one and write ``diagonal`` back on
+    its diagonal.  Each ``CHOLESKY_TILE``-wide column panel is one task of
+    ``_run_tasks``, and restores its two halves in turn: a masked
+    transposed copy of the half's diagonal block, then one transposed copy
+    of the columns below that block from the rows right of it.  Tasks
+    write disjoint entries and read only the upper triangle.  numpy copies
+    a source whose memory range overlaps its destination's first; only the
+    diagonal blocks' ranges do, so a task's temporary is a quarter tile."""
+    n = len(system)
+
+    def restore_columns(start, end):
+        block = system[start:end, start:end]
+        np.copyto(block, block.T, where=np.tri(end - start, k=-1, dtype=bool))
+        system[end:, start:end] = system[start:end, end:].T
+
+    def restore_panel(col):
+        end = min(col + CHOLESKY_TILE, n)
+        restore_columns(col, (col + end) // 2)
+        restore_columns((col + end) // 2, end)
+
+    _run_tasks([functools.partial(restore_panel, col) for col in range(0, n, CHOLESKY_TILE)])
+    system.reshape(-1, order="F")[::n + 1] = diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +242,8 @@ def _check_lapack_matrix(m, rows: int, name: str, square: bool = False):
         raise ValueError(f"{name} must be a Fortran-order float64 matrix with {rows} rows")
 
 
-def _cholesky_factor_in_place(work) -> None:
-    """Overwrite the lower triangle of the Fortran-order SPD ``work`` with
+def _cholesky_factor_in_place(system) -> None:
+    """Overwrite the lower triangle of the Fortran-order SPD ``system`` with
     its Cholesky factor (the upper triangle is left as it was).  Raises
     ``NotPositiveDefiniteError`` when it is not SPD.
 
@@ -211,12 +257,12 @@ def _cholesky_factor_in_place(work) -> None:
     the same calls on the same operands, so the factor depends only on
     the order and ``CHOLESKY_TILE``.  An order up to ``CHOLESKY_TILE`` is
     one ``dpotrf`` call."""
-    n = len(work)
-    _check_lapack_matrix(work, n, "work", square=True)
-    lead, tile, base = ctypes.byref(ctypes.c_int(n)), CHOLESKY_TILE, work.ctypes.data
+    n = len(system)
+    _check_lapack_matrix(system, n, "system", square=True)
+    lead, tile, base = ctypes.byref(ctypes.c_int(n)), CHOLESKY_TILE, system.ctypes.data
 
     def at(row, col):
-        return base + work.itemsize * (row + col * n)
+        return base + system.itemsize * (row + col * n)
 
     def width(start):
         return ctypes.byref(ctypes.c_int(min(tile, n - start)))

@@ -168,15 +168,19 @@ class ParticipantState:
     matrix, else None) never leave the participant; only ``pseudo_labels``
     and scalar objective contributions are shared.  It keeps no weights:
     every round reads them from the run's ``Hyperparams``.
+
+    ``gram`` = X^T X is the state's only d x d array: each round's step
+    factors it in place and restores it bit for bit (see
+    ``_penalized_solve``).  ``gram_transform`` = G W is the product the
+    step that made ``transform`` returned, which the next step's descent
+    guard starts from.
     """
 
     participant_id: int
     features: np.ndarray
     gram: np.ndarray = field(repr=False)
-    # Fortran-order d x d buffer for the factor of the gram plus its
-    # diagonal, reused by every solve of the participant's refits
-    work: np.ndarray = field(repr=False)
     transform: np.ndarray
+    gram_transform: np.ndarray = field(repr=False)
     pseudo_labels: np.ndarray
     labels: np.ndarray | None = None
 
@@ -239,16 +243,13 @@ def gram_matrix(features) -> np.ndarray:
     return gram
 
 
-def _penalized_solve(gram, xty, irls_diag, sparsity, work):
-    """(G + sparsity diag) W = X^T T; G is symmetric, so G.T is G in
-    Fortran order, the layout the in-place Cholesky factor needs.  The
-    Fortran-order ``work`` (shaped like G) is overwritten by the factor.
-    Returns ``(W, G W)``."""
-    shift = sparsity * irls_diag
-    np.copyto(work, gram.T)
-    # the diagonal as a strided view of the (contiguous) buffer
-    work.reshape(-1, order="F")[::len(work) + 1] += shift
-    return _cholesky_solve_in_place(work, xty, gram, shift)
+def _penalized_solve(gram, xty, irls_diag, sparsity):
+    """(G + sparsity diag) W = X^T T; G is exactly symmetric, so G.T is G
+    in Fortran order, the layout the in-place Cholesky factor needs.  G is
+    factored in its own lower triangle and restored bit for bit before the
+    solve returns (see ``numerics._cholesky_solve_in_place``), so it must
+    not be read by another thread meanwhile.  Returns ``(W, G W)``."""
+    return _cholesky_solve_in_place(gram.T, xty, sparsity * irls_diag)
 
 
 def smoothed_row_penalty(norms, eps: float) -> float:
@@ -264,16 +265,16 @@ def smoothed_row_penalty(norms, eps: float) -> float:
     return float(np.sum(norms - eps * np.log1p(norms / eps)))
 
 
-def _reweighted_step(gram, xty, target_sq, sparsity, eps, work, start=None):
+def _reweighted_step(gram, xty, target_sq, sparsity, eps, start=None):
     """One reweighted least-squares step for one block minimizing
     ||X W - T||_F^2 + sparsity ||W||_{2,1}, given G = X^T X, X^T T and
     ||T||_F^2, so the fit term is the Gram form
     sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.
     ``start`` = ``(W0, G W0)`` sets the diagonal 1/(2(||w_i|| + eps)) of
     W0's rows and arms the descent guard; ``None`` uses the unit diagonal.
-    The Fortran-order ``work`` (shaped like G) is overwritten by the
-    factor.  Inputs are trusted (the callers check them).  Returns
-    ``(W, G W, objective)``, the raw objective at W.
+    G is the factor's buffer during the solve and comes back bit for bit
+    (see ``_penalized_solve``).  Inputs are trusted (the callers check
+    them).  Returns ``(W, G W, objective)``, the raw objective at W.
 
     The guard raises when the smoothed objective rises from W0 by more
     than ``MONOTONICITY_SLACK`` times max(1, |its value at W0|).  It
@@ -288,7 +289,7 @@ def _reweighted_step(gram, xty, target_sq, sparsity, eps, work, start=None):
         w0, gw0 = start
         norms0 = np.sqrt(np.sum(w0 * w0, axis=1))
         diag = 1.0 / (2.0 * (norms0 + eps))
-    w, gw = _penalized_solve(gram, xty, diag, sparsity, work)
+    w, gw = _penalized_solve(gram, xty, diag, sparsity)
     if not np.isfinite(w).all():
         raise ValueError("a transform contains non-finite entries")
     norms = np.sqrt(np.sum(w * w, axis=1))
@@ -405,15 +406,17 @@ def init_participant_state(participant_id: int, features, num_classes: int, seed
 
 def _new_state(participant_id, features, num_classes, seed, labels):
     """``init_participant_state`` on inputs its caller has checked.  The
-    Gram and the factor buffer are built here, on the thread that builds
-    the state: a thread's freed blocks stay in its own malloc arena."""
+    Gram is built here, on the thread that builds the state: a thread's
+    freed blocks stay in its own malloc arena."""
     n, d = features.shape
+    gram = gram_matrix(features)
+    transform = init_transform(d, num_classes, seed, participant_id)
     return ParticipantState(
         participant_id=participant_id,
         features=features,
-        gram=gram_matrix(features),
-        work=np.empty((d, d), order="F"),
-        transform=init_transform(d, num_classes, seed, participant_id),
+        gram=gram,
+        transform=transform,
+        gram_transform=gram @ transform,
         pseudo_labels=init_pseudo_labels(n, num_classes, seed, participant_id),
         labels=labels,
     )
@@ -470,9 +473,9 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     built, so they are not checked again here."""
     k = state.participant_id
     targets = state.pseudo_labels
-    state.transform, _, _ = _reweighted_step(
+    state.transform, state.gram_transform, _ = _reweighted_step(
         state.gram, state.features.T @ targets, _sum_sq(targets), hyper.sparsity[k],
-        hyper.eps, state.work, start=(state.transform, state.gram @ state.transform))
+        hyper.eps, start=(state.transform, state.gram_transform))
     projected = state.features @ state.transform
     if state.labels is not None:
         state.pseudo_labels = owner_pseudo_label_update(

@@ -69,8 +69,7 @@ def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray
     targets = np.asarray(targets, dtype=np.float64)
     irls_diag = np.asarray(irls_diag, dtype=np.float64)
     gram = gram_matrix(features)
-    work = np.empty(gram.shape, order="F")
-    transform, _ = _penalized_solve(gram, features.T @ targets, irls_diag, sparsity, work)
+    transform, _ = _penalized_solve(gram, features.T @ targets, irls_diag, sparsity)
     return transform
 
 
@@ -81,7 +80,7 @@ def solve_spd(a, b) -> np.ndarray:
     from mmvfl.numerics import _cholesky_solve_in_place
 
     a = np.asarray(a, dtype=np.float64)
-    x, _ = _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64), a)
+    x, _ = _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64))
     return x
 
 
@@ -104,7 +103,6 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     targets = np.asarray(targets, dtype=np.float64)
     gram, xty = gram_matrix(features), features.T @ targets
     target_sq = float(np.sum(targets * targets))
-    work = np.empty(gram.shape, order="F")
     start, objectives = None, []
     if init is not None:
         w = np.asarray(init, dtype=np.float64)
@@ -114,7 +112,7 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
                           + sparsity * float(np.sum(np.sqrt(np.sum(w * w, axis=1)))))
     for _ in range(inner_max):
         before = start
-        w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, eps, work, start)
+        w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, eps, start)
         start = (w, gw)
         objectives.append(objective)
         if len(objectives) > 1 and has_converged(objectives[-2], objective, inner_tol):

@@ -109,12 +109,12 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     good = optimizer._penalized_solve
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity, work):
+    def sabotage(gram, xty, diag, sparsity):
         calls["n"] += 1
         if calls["n"] > len(views):
             broken = np.full((gram.shape[0], xty.shape[1]), 50.0)
             return broken, gram @ broken
-        return good(gram, xty, diag, sparsity, work)
+        return good(gram, xty, diag, sparsity)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
@@ -132,8 +132,8 @@ def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkey
     good = optimizer._penalized_solve
     solves = []
 
-    def sabotage(gram, xty, diag, sparsity, work):
-        w, gw = good(gram, xty, diag, sparsity, work)
+    def sabotage(gram, xty, diag, sparsity):
+        w, gw = good(gram, xty, diag, sparsity)
         if len(solves) == 1:  # view 1's first step, which nothing guards, lands far off
             w = np.full_like(w, 50.0)
         elif len(solves) == 2:  # view 0's second step climbs away from its first

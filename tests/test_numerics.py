@@ -16,6 +16,8 @@ from scipy.linalg import cho_factor, cho_solve
 import mmvfl
 import mmvfl.optimizer
 from mmvfl import Hyperparams, numerics, one_hot, run_reference, synth_planted
+from mmvfl.baselines import _fit_blocks
+from mmvfl.evaluation import _SplitScorer
 from mmvfl.federation import run_federated
 from mmvfl.numerics import (
     CHOLESKY_TILE,
@@ -160,7 +162,7 @@ def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, see
     assert _bits(work) == _bits(factor)
     assert _bits(_cholesky_solve(work, b)) == _bits(cho_solve((factor, True), b))
 
-    ours, product = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+    ours, product = _cholesky_solve_in_place(np.array(matrix, order="F"), b, shifts)
     theirs = _scipy_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
     assert _bits(ours) == _bits(theirs)
     assert _bits(product) == _bits(matrix @ theirs)
@@ -203,7 +205,7 @@ def test_tiled_cholesky_is_accurate_and_the_same_on_any_cpu_count(d, nrhs, rank_
     assert np.linalg.norm(factor - reference) <= TILED_FACTOR_RTOL * np.linalg.norm(reference)
 
     with single_blas_thread():
-        x, product = _cholesky_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+        x, product = _cholesky_solve_in_place(np.array(matrix, order="F"), b, shifts)
         assert _bits(product) == _bits(matrix @ x)
     # refinement meets SPD_RESIDUAL_TOL as a normwise backward error; on
     # an ill-conditioned draw the residual cannot get below rounding in
@@ -273,7 +275,7 @@ def test_lapack_cholesky_rejects_non_positive_definite(d):
     with pytest.raises(NotPositiveDefiniteError, match=f"{d}-th leading minor"):
         _cholesky_factor_in_place(indefinite)
     with pytest.raises(NotPositiveDefiniteError):
-        _cholesky_solve_in_place(np.zeros((d, d), order="F"), np.ones((d, 1)), np.zeros((d, d)))
+        _cholesky_solve_in_place(np.zeros((d, d), order="F"), np.ones((d, 1)))
 
 
 def test_lapack_cholesky_rejects_layouts_it_cannot_read():
@@ -286,6 +288,44 @@ def test_lapack_cholesky_rejects_layouts_it_cannot_read():
             _cholesky_solve(factor, b)
     with pytest.raises(ValueError):
         _cholesky_solve(np.eye(3), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("d", [40, CHOLESKY_TILE + 44])
+@pytest.mark.parametrize("case", ["solve raises", "not positive definite", "baseline fit"])
+def test_a_step_leaves_the_gram_as_it_found_it(monkeypatch, case, d):
+    # the Gram is the factor's buffer: whether the step fails after the
+    # factor, fails in it or succeeds, the caller gets its bytes back
+    rng = np.random.default_rng(d)
+    n = d - 20
+    x = rng.standard_normal((n, d))
+    targets = one_hot(np.arange(n) % 3, 3)
+    if case == "baseline fit":
+        scorer = _SplitScorer(x, np.arange(n) % 3, x[:6], np.arange(6) % 3)
+        gram = scorer.xtx
+    else:
+        # d > n makes the Gram singular; a zero column makes its last pivot
+        # exactly zero, so the factor fails however the others round
+        x[:, -1] = 0.0
+        gram = mmvfl.optimizer.gram_matrix(x)
+    before = gram.tobytes()
+    with single_blas_thread():
+        if case == "solve raises":
+            factored = []
+
+            def fail(factor, b):
+                factored.append(factor.T.tobytes() != before)
+                raise RuntimeError("the solve failed")
+
+            monkeypatch.setattr(numerics, "_cholesky_solve", fail)
+            with pytest.raises(RuntimeError, match="the solve failed"):
+                mmvfl.optimizer._penalized_solve(gram, x.T @ targets, np.ones(d), 0.1)
+            assert factored == [True]
+        elif case == "not positive definite":
+            with pytest.raises(NotPositiveDefiniteError):
+                _cholesky_solve_in_place(gram.T, x.T @ targets)
+        else:
+            _fit_blocks([gram], [scorer.moments[:-1]], [float(n)], [0.1], 1e-6)
+    assert gram.tobytes() == before
 
 
 def test_random_orthonormal_is_orthonormal_and_deterministic():
@@ -422,9 +462,9 @@ def _probe_solves(monkeypatch):
     calls = []
     original = mmvfl.optimizer._penalized_solve
 
-    def probe(gram, xty, irls_diag, sparsity, work):
+    def probe(gram, xty, irls_diag, sparsity):
         calls.append((threading.current_thread().name, set(thread_counts())))
-        return original(gram, xty, irls_diag, sparsity, work)
+        return original(gram, xty, irls_diag, sparsity)
 
     monkeypatch.setattr(mmvfl.optimizer, "_penalized_solve", probe)
     return calls

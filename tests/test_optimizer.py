@@ -6,7 +6,8 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -105,14 +106,14 @@ def irls_diagonal(transform, eps):
     diags = []
     original = optimizer._penalized_solve
 
-    def record(gram, xty, diag, sparsity, work):
+    def record(gram, xty, diag, sparsity):
         diags.append(diag)
-        return original(gram, xty, diag, sparsity, work)
+        return original(gram, xty, diag, sparsity)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_penalized_solve", record)
         optimizer._reweighted_step(gram, x.T @ t, float(np.sum(t * t)), 0.1, eps,
-                                   np.empty((d, d), order="F"), (transform, gram @ transform))
+                                   (transform, gram @ transform))
     [diag] = diags
     return diag
 
@@ -258,12 +259,12 @@ def test_fit_sparse_transform_guard_fires_on_broken_solver(monkeypatch):
     good = optimizer._penalized_solve
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity, work):
+    def sabotage(gram, xty, diag, sparsity):
         calls["n"] += 1
         if calls["n"] >= 2:
             broken = np.full((gram.shape[0], xty.shape[1]), 100.0)
             return broken, gram @ broken
-        return good(gram, xty, diag, sparsity, work)
+        return good(gram, xty, diag, sparsity)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
@@ -285,8 +286,8 @@ def _record_solves(monkeypatch):
     solves = []
     original = optimizer._penalized_solve
 
-    def record(gram, xty, irls_diag, sparsity, work):
-        result = original(gram, xty, irls_diag, sparsity, work)
+    def record(gram, xty, irls_diag, sparsity):
+        result = original(gram, xty, irls_diag, sparsity)
         solves.append(((gram, xty, irls_diag, sparsity), *result))
         return result
 
@@ -1051,6 +1052,36 @@ def test_a_failing_tile_task_raises_its_error_and_leaves_no_thread(monkeypatch):
         run_reference(views, labels, hyper, 3)
     assert raised.value is error
     assert threading.active_count() == before
+
+
+def test_a_participant_keeps_one_d_by_d_array_and_gets_its_gram_back(monkeypatch):
+    # the Gram is its own factor buffer: beyond the inputs, a run's traced
+    # peak stays below one and a half 600 x 600 arrays, where a second
+    # d x d buffer beside the Gram would take it past two
+    rng = np.random.default_rng(5)
+    views = [rng.standard_normal((300, 600)), rng.standard_normal((300, 30))]
+    labels = one_hot(np.arange(300) % 3, 3)
+    hyper = Hyperparams.uniform(2, sparsity=0.1, outer_max=2)
+    states = []
+
+    def keep_states(*args):
+        states.extend(make_states(*args))
+        return states
+
+    monkeypatch.setattr(optimizer, "make_states", keep_states)
+    tracemalloc.start()
+    try:
+        run_reference(views, labels, hyper, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 600 * 600 * 8
+    for state in states:
+        d = state.features.shape[1]
+        square = [f.name for f in fields(state)
+                  if np.shape(getattr(state, f.name)) == (d, d)]
+        assert square == ["gram"]
+        assert state.gram.tobytes() == optimizer.gram_matrix(state.features).tobytes()
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
