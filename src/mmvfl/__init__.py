@@ -36,7 +36,6 @@ from .featsel import FeatureRanking, score_features, select_top
 from .numerics import (
     NotPositiveDefiniteError,
     derive_seed,
-    frobenius_norm_sq,
     random_orthonormal,
 )
 from .optimizer import (
@@ -79,7 +78,6 @@ __all__ = [
     "select_top",
     "NotPositiveDefiniteError",
     "derive_seed",
-    "frobenius_norm_sq",
     "random_orthonormal",
     "DimensionMismatchError",
     "Hyperparams",

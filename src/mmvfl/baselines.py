@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .numerics import ensure_matrix, frobenius_norm_sq
+from .numerics import ensure_matrix
 from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, gram_matrix,
                         has_converged)
 
@@ -28,47 +28,42 @@ TOL = 1e-6
 MAX_ITER = 50
 
 
-def _fit_blocks(grams, xtys, targets_sq, sparsity, eps, tol=None, max_iter=None):
+def _fit_blocks(grams, xtys, targets_sq, sparsity, eps):
     """``(transforms, objectives, converged)`` of the joint fit of blocks k
     onto T from trusted X_k^T X_k, X_k^T T and ||T||_F^2.  Each iteration
     takes one ``_reweighted_step`` of every block, each under its own
     descent guard, and records the objectives summed in block order.  The
-    fit stops, ``converged``, once that sum changes by at most ``tol``,
-    or after ``max_iter`` iterations; they default to TOL and MAX_ITER as
-    they stand at call time.  The caller lends its Grams: each step
-    factors one in place and restores it bit for bit before it returns
-    (see ``optimizer._penalized_solve``), so no other array is built."""
-    tol = TOL if tol is None else tol
-    max_iter = MAX_ITER if max_iter is None else max_iter
+    fit stops, ``converged``, once that sum changes by at most TOL, or
+    after MAX_ITER iterations, as they stand at call time.  The caller
+    lends its Grams: each step factors one in place and restores it bit
+    for bit before it returns (see ``optimizer._penalized_solve``), so no
+    other array is built."""
     starts = [None] * len(grams)
     objectives: list[float] = []
     converged = False
-    while not converged and len(objectives) < max_iter:
+    while not converged and len(objectives) < MAX_ITER:
         total = 0.0
         for k, block in enumerate(zip(grams, xtys, targets_sq, sparsity)):
             w, gw, objective = _reweighted_step(*block, eps, starts[k])
             starts[k] = (w, gw)
             total += objective
-        converged = bool(objectives) and has_converged(objectives[-1], total, tol)
+        converged = bool(objectives) and has_converged(objectives[-1], total, TOL)
         objectives.append(total)
     return [w for w, _ in starts], objectives, converged
 
 
-def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6,
-                tol: float = TOL, max_iter: int = MAX_ITER):
+def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6):
     """Row-sparse regression of one feature block onto the labels:
     ``supmvlfl_solve`` on the single view ``[features]``.
 
     Returns ``(transform, objectives)`` with the per-iteration objective
     trace.
     """
-    [transform], objectives = supmvlfl_solve(
-        [features], labels, sparsity, eps=eps, tol=tol, max_iter=max_iter)
+    [transform], objectives = supmvlfl_solve([features], labels, sparsity, eps=eps)
     return transform, objectives
 
 
-def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
-                   tol: float = TOL, max_iter: int = MAX_ITER):
+def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6):
     """Joint row-sparse regression of every view onto the labels.
 
     All views are stepped together and the stopping rule watches the
@@ -85,9 +80,10 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6,
         raise ValueError("one sparsity weight per view required")
     if any(not 0 < b < math.inf for b in sparsity):
         raise ValueError("sparsity weights must be finite and positive")
-    check_solver_controls(eps, tol, max_iter)
+    check_solver_controls(eps, TOL, MAX_ITER)
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")
+    # ||Y||_F^2 of a one-hot Y is its row count
     return _fit_blocks([gram_matrix(v) for v in views], [v.T @ labels for v in views],
-                       [frobenius_norm_sq(labels)] * len(views), sparsity, eps, tol, max_iter)[:2]
+                       [float(labels.shape[0])] * len(views), sparsity, eps)[:2]

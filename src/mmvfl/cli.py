@@ -475,18 +475,14 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
     return outputs
 
 
-def emit_curves(curves, out_dir, methods=METHODS) -> list[str]:
+def emit_curves(curves, out_dir) -> list[str]:
     """Per-participant accuracy-vs-p curve files from fold-averaged curves
     (``mean_curves``).
 
     Each file has a ``p`` column plus one accuracy column per method
-    found; a requested method (one of ``methods``) missing from the
-    curves produces a warning on stderr.
+    found.
     """
     present = sorted({c.method for c in curves}, key=METHODS.index)
-    for method in methods:
-        if method not in present:
-            print(f"warning: results are missing method {method!r}", file=sys.stderr)
     by_participant: dict = {}
     for curve in curves:
         by_participant.setdefault(curve.participant, {}).setdefault(
@@ -519,7 +515,7 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
               f"its objective changed by less than TOL={baselines.TOL!r}", file=sys.stderr)
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     curves = mean_curves(select_best(rows))
-    outputs = ["results.csv"] + emit_curves(curves, out_dir, config.methods)
+    outputs = ["results.csv"] + emit_curves(curves, out_dir)
 
     by_method: dict = {}
     for curve in curves:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ensure_matrix, row_norms
+from .numerics import ensure_matrix
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class FeatureRanking:
 def score_features(transform) -> FeatureRanking:
     """Rank features by the row norms of a transformation matrix."""
     transform = ensure_matrix(transform, "transform")
-    scores = row_norms(transform)
+    scores = np.sqrt(np.sum(transform * transform, axis=1))
     # stable argsort keeps the original (ascending) index order for ties
     order = np.argsort(-scores, kind="stable")
     return FeatureRanking(scores=scores, order=order)

@@ -1,26 +1,25 @@
 """Round message schema and its wire encoding.
 
 Every message is one length-prefixed frame: a 4-byte big-endian unsigned
-body length followed by the body.  The body has three parts:
+body length followed by the body.  The body is a fixed 26-byte
+little-endian header, ``struct`` format ``<BIIBdII``, then the entries:
 
-    4-byte big-endian unsigned header length h
-    h bytes of UTF-8 JSON with exactly the keys
-        {"kind", "round", "participant_id", "objective_part",
-         "label_owner", "payload"}
-    the payload entries as raw row-major little-endian float64
+    u8   kind            index into KINDS, so their order is part of the format
+    u32  round, u32 participant_id
+    u8   flags           bit 0: label_owner; bit 1: objective_part is present
+    f64  objective_part  all zero bytes when absent
+    u32  rows, u32 cols  (0, 0) when there is no payload
+    rows*cols row-major little-endian float64 entries
 
-``payload`` in the header is null or ``{"rows": r, "cols": c}``; the
-body then ends with exactly r*c*8 bytes, or with the header when it is
-null.  Matrices decode bit-identically at 8 bytes per entry plus a
-header of 100-140 bytes.  ``objective_part`` is null or a float
-written in its shortest round-trip form, again bit-identical.
-``label_owner`` is true only on the Register of the participant that
-holds the labels.
+Matrices and objective parts decode bit-identically; a framed 2000x10
+upload is 160,030 bytes.  ``label_owner`` is set only on the Register of
+the participant that holds the labels.  Each message has one encoding:
+any body the decoder accepts re-encodes to the same bytes.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,22 +31,19 @@ KIND_Z_BROADCAST = "ZBroadcast"
 KIND_CONVERGED = "Converged"
 KIND_ABORT = "Abort"
 
+# A kind goes on the wire as its index here: append new kinds, never reorder.
 KINDS = (KIND_REGISTER, KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED, KIND_ABORT)
 
 # Kinds whose payload is a pseudo-label or consensus matrix.
 MATRIX_KINDS = (KIND_ZK_UPLOAD, KIND_Z_BROADCAST, KIND_CONVERGED)
 
-_HEADER_KEYS = {"kind", "round", "participant_id", "objective_part", "label_owner", "payload"}
-_PAYLOAD_KEYS = {"rows", "cols"}
-
+_HEADER = struct.Struct("<BIIBdII")  # the body's fixed header, fields as above
+_LABEL_OWNER, _HAS_PART = 1, 2  # its flag bits
 # Wire dtype of matrix entries, whatever the host byte order.
 _WIRE_DTYPE = np.dtype("<f8")
 
-# The frame's body length and the body's header length.
-LENGTH = struct.Struct("!I")
-
-# Far above anything a training round produces; guards the frame reader
-# against garbage lengths.
+LENGTH = struct.Struct("!I")  # the frame's body length
+# Far above any training round; guards the frame reader against garbage lengths.
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
@@ -77,49 +73,31 @@ class RoundMessage:
             raise ProtocolError("only a Register message can claim label ownership")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _format_float(value: float) -> str:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ProtocolError(f"non-finite value cannot go on the wire: {value!r}")
-    # repr is the shortest string that parses back to the same double and
-    # always keeps a '.' or exponent, so -0.0 survives as a JSON float.
-    return repr(value)
-
-
 def encode_body(message: RoundMessage) -> bytes:
-    """Serialize a message to its body bytes: header length, header, entries."""
+    """Serialize a message to its body bytes: the fixed header, then the entries."""
+    flags = _LABEL_OWNER if message.label_owner else 0
+    part = 0.0
+    if message.objective_part is not None:
+        part = float(message.objective_part)
+        if not math.isfinite(part):
+            raise ProtocolError(f"non-finite value cannot go on the wire: {part!r}")
+        flags |= _HAS_PART
     if message.payload is None:
-        payload, block = "null", b""
+        shape, block = (0, 0), b""
     else:
         matrix = np.asarray(message.payload, dtype=np.float64)
         if matrix.ndim != 2 or matrix.size == 0:
             raise ProtocolError("payload must be a non-empty 2-D matrix")
         if not np.isfinite(matrix).all():
             raise ProtocolError("payload contains non-finite entries")
-        payload = '{"rows":%d,"cols":%d}' % matrix.shape
-        block = np.ascontiguousarray(matrix, dtype=_WIRE_DTYPE)
-    part = "null" if message.objective_part is None else _format_float(message.objective_part)
-    header = (
-        '{"kind":%s,"round":%d,"participant_id":%d,"objective_part":%s,'
-        '"label_owner":%s,"payload":%s}'
-        % (json.dumps(message.kind), message.round, message.participant_id, part,
-           "true" if message.label_owner else "false", payload)
-    ).encode("utf-8")
+        shape, block = matrix.shape, np.ascontiguousarray(matrix, dtype=_WIRE_DTYPE)
+    try:
+        header = _HEADER.pack(KINDS.index(message.kind), message.round,
+                              message.participant_id, flags, part, *shape)
+    except struct.error as exc:
+        raise ProtocolError(f"message does not fit the wire header: {exc}") from exc
     # join reads the array through the buffer protocol: one copy of the entries
-    return b"".join((LENGTH.pack(len(header)), header, block))
-
-
-def _decode_shape(raw) -> tuple[int, int]:
-    if not isinstance(raw, dict) or set(raw) != _PAYLOAD_KEYS:
-        raise ProtocolError("payload must be null or carry exactly rows, cols")
-    rows, cols = raw["rows"], raw["cols"]
-    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
-        raise ProtocolError("payload rows and cols must be positive integers")
-    return rows, cols
+    return b"".join((header, block))
 
 
 def decode_body(body: bytes) -> RoundMessage:
@@ -127,61 +105,37 @@ def decode_body(body: bytes) -> RoundMessage:
 
     Any malformed body raises ``ProtocolError`` and nothing else.
     """
-    if len(body) < LENGTH.size:
-        raise ProtocolError(f"body of {len(body)} bytes has no header length")
-    (header_size,) = LENGTH.unpack_from(body)
-    start = LENGTH.size + header_size
-    if start > len(body):
-        raise ProtocolError(
-            f"header of {header_size} bytes runs past the {len(body)}-byte body")
-    try:
-        raw = json.loads(body[LENGTH.size:start].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integer
-        # literals; RecursionError covers deeply nested arrays.
-        raise ProtocolError(f"undecodable message header: {exc}") from exc
-    if not isinstance(raw, dict) or set(raw) != _HEADER_KEYS:
-        raise ProtocolError("message header must carry exactly the schema keys")
-    kind = raw["kind"]
-    if not isinstance(kind, str):
-        raise ProtocolError("kind must be a string")
-    if not _is_int(raw["round"]):
-        raise ProtocolError("round must be an integer")
-    if not _is_int(raw["participant_id"]):
-        raise ProtocolError("participant_id must be an integer")
-    if not isinstance(raw["label_owner"], bool):
-        raise ProtocolError("label_owner must be a boolean")
-    part = raw["objective_part"]
-    if part is not None:
-        if isinstance(part, bool) or not isinstance(part, (int, float)):
-            raise ProtocolError("objective_part must be a float")
-        try:
-            part = float(part)
-        except OverflowError as exc:
-            raise ProtocolError(f"objective_part out of float range: {exc}") from exc
-        if not np.isfinite(part):
-            raise ProtocolError("objective_part must be finite")
-    block_size = len(body) - start
-    payload = raw["payload"]
-    if payload is None:
-        if block_size:
-            raise ProtocolError(f"{block_size} trailing bytes after a null payload")
-    else:
-        rows, cols = _decode_shape(payload)
-        if block_size != rows * cols * _WIRE_DTYPE.itemsize:
-            raise ProtocolError(
-                f"payload holds {block_size} bytes, not {rows}x{cols} float64 entries")
-        # astype copies: frombuffer over the body is read-only, maybe
-        # unaligned and maybe foreign-endian; the result is writable native
-        # float64.
+    if len(body) < _HEADER.size:
+        raise ProtocolError(f"short body: {len(body)} bytes, under the {_HEADER.size}-byte header")
+    code, round_, participant_id, flags, part, rows, cols = _HEADER.unpack_from(body)
+    if code >= len(KINDS):
+        raise ProtocolError(f"unknown kind code {code}")
+    if flags & ~(_LABEL_OWNER | _HAS_PART):
+        raise ProtocolError(f"unknown flag bits in {flags:#04x}")
+    if not flags & _HAS_PART:
+        # absent is all zero bytes, so each message has one encoding
+        if part != 0.0 or math.copysign(1.0, part) < 0:
+            raise ProtocolError("objective_part bytes are set but its flag is not")
+        part = None
+    elif not math.isfinite(part):
+        raise ProtocolError("objective_part must be finite")
+    if (rows == 0) != (cols == 0):
+        raise ProtocolError(f"payload shape {rows}x{cols} has exactly one zero side")
+    expected = _HEADER.size + rows * cols * _WIRE_DTYPE.itemsize
+    if len(body) != expected:
+        raise ProtocolError(f"length mismatch: {len(body)}-byte body, "
+                            f"{expected} bytes for {rows}x{cols} float64 entries")
+    payload = None
+    if rows:
+        # astype copies: frombuffer over the body is read-only, maybe unaligned
+        # and maybe foreign-endian; the result is writable native float64.
         payload = np.frombuffer(body, dtype=_WIRE_DTYPE, count=rows * cols,
-                                offset=start).reshape(rows, cols).astype(np.float64)
+                                offset=_HEADER.size).reshape(rows, cols).astype(np.float64)
         if not np.isfinite(payload).all():
             raise ProtocolError("payload contains non-finite entries")
-    return RoundMessage(kind=kind, round=raw["round"],
-                        participant_id=raw["participant_id"],
+    return RoundMessage(kind=KINDS[code], round=round_, participant_id=participant_id,
                         payload=payload, objective_part=part,
-                        label_owner=raw["label_owner"])
+                        label_owner=bool(flags & _LABEL_OWNER))
 
 
 def frame(body: bytes) -> bytes:

@@ -97,18 +97,6 @@ def ensure_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared entries."""
-    m = ensure_matrix(m)
-    return float(np.sum(m * m))
-
-
-def row_norms(m) -> np.ndarray:
-    """Euclidean norm of each row."""
-    m = ensure_matrix(m)
-    return np.sqrt(np.sum(m * m, axis=1))
-
-
 def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve (G + diag(shift)) x = b, a symmetric positive definite
     system, by Cholesky factorization and at most three steps of iterative

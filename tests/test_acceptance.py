@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from mmvfl import baselines
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.data import load_csv, make_folds, synth_planted
 from mmvfl.evaluation import (
@@ -405,10 +406,12 @@ def test_planted_feature_recovery():
     report("planted-feature-recovery", ok, f"selected-column hit rates {detail}")
 
 
-def test_baseline_separability():
+def test_baseline_separability(monkeypatch):
     """The joint multi-view baseline is the per-view baseline run K times:
     transforms agree within 1e-10 on 20 instances at matched iteration
     counts."""
+    monkeypatch.setattr(baselines, "TOL", 1e-300)
+    monkeypatch.setattr(baselines, "MAX_ITER", 4)
     worst = 0.0
     for index in range(20):
         rng = np.random.default_rng(11000 + index)
@@ -419,9 +422,9 @@ def test_baseline_separability():
         raw[:c] = np.arange(c)
         labels = one_hot(raw, c)
         beta = float(10.0 ** rng.uniform(-3.0, 0.5))
-        joint, _ = supmvlfl_solve(views, labels, beta, tol=1e-300, max_iter=4)
+        joint, _ = supmvlfl_solve(views, labels, beta)
         for view, transform in zip(views, joint):
-            solo, _ = supfl_solve(view, labels, beta, tol=1e-300, max_iter=4)
+            solo, _ = supfl_solve(view, labels, beta)
             worst = max(worst, float(np.max(np.abs(transform - solo))))
     report("baseline-separability", worst <= 1e-10,
            f"20 instances, worst transform gap {worst:.3e} <= 1e-10")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mmvfl.baselines as baselines
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
 from mmvfl.optimizer import Hyperparams, NonDecreasingObjectiveError, one_hot
@@ -29,11 +30,13 @@ def test_supfl_zero_labels_rejected_but_zero_features_shrink():
     assert np.max(np.abs(w)) == 0.0
 
 
-def test_supfl_interpolates_with_tiny_weight():
+def test_supfl_interpolates_with_tiny_weight(monkeypatch):
+    monkeypatch.setattr(baselines, "TOL", 1e-14)
+    monkeypatch.setattr(baselines, "MAX_ITER", 200)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     labels = one_hot(np.array([0, 1, 2]), 3)
-    w, _ = supfl_solve(x, labels, 1e-10, tol=1e-14, max_iter=200)
+    w, _ = supfl_solve(x, labels, 1e-10)
     assert np.max(np.abs(x @ w - labels)) <= 1e-6
 
 
@@ -77,19 +80,19 @@ def test_supmvlfl_identical_views_produce_identical_transforms():
     assert np.array_equal(transforms[0], transforms[2])
 
 
-def test_supmvlfl_separates_into_per_view_fits():
+def test_supmvlfl_separates_into_per_view_fits(monkeypatch):
     """The joint objective is a sum of per-view terms, so running the
     same number of reweighted steps jointly or independently gives the
     same iterates; when the stopping rules fire at different rounds the
     results still agree to far below the 1e-10 bar."""
+    monkeypatch.setattr(baselines, "TOL", 1e-300)
+    monkeypatch.setattr(baselines, "MAX_ITER", 4)
     matched_bitwise = 0
     for seed in range(20):
         views, labels, beta = random_instance(seed)
-        joint, joint_trace = supmvlfl_solve(views, labels, beta,
-                                            tol=1e-300, max_iter=4)
+        joint, joint_trace = supmvlfl_solve(views, labels, beta)
         for k, view in enumerate(views):
-            solo, solo_trace = supfl_solve(view, labels, beta,
-                                           tol=1e-300, max_iter=4)
+            solo, solo_trace = supfl_solve(view, labels, beta)
             assert np.max(np.abs(joint[k] - solo)) <= 1e-10
             if len(joint_trace) == len(solo_trace):
                 assert np.array_equal(joint[k], solo)
@@ -117,8 +120,9 @@ def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
         return good(gram, xty, diag, sparsity)
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    monkeypatch.setattr(baselines, "MAX_ITER", 4)
     with pytest.raises(NonDecreasingObjectiveError):
-        supmvlfl_solve(views, labels, 0.1, max_iter=4)
+        supmvlfl_solve(views, labels, 0.1)
 
 
 def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkeypatch):
@@ -142,8 +146,9 @@ def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkey
         return w, gram @ w
 
     monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    monkeypatch.setattr(baselines, "MAX_ITER", 4)
     with pytest.raises(NonDecreasingObjectiveError):
-        supmvlfl_solve(views, labels, beta, max_iter=4)
+        supmvlfl_solve(views, labels, beta)
     assert len(solves) == 3  # view 1's second step never ran
 
     def smoothed(x, w):
@@ -179,9 +184,10 @@ def test_solver_controls_share_the_training_bounds(eps, tol, max_iter):
     views, labels, beta = random_instance(24)
     with pytest.raises(ValueError):
         Hyperparams.uniform(len(views), eps=eps, outer_tol=tol, outer_max=max_iter)
-    with pytest.raises(ValueError):
-        supfl_solve(views[0], labels, beta, eps=eps, tol=tol, max_iter=max_iter)
-    with pytest.raises(ValueError):
-        supmvlfl_solve(views, labels, beta, eps=eps, tol=tol, max_iter=max_iter)
+    if eps != 1e-6:  # the baselines' tolerance and limit are TOL and MAX_ITER
+        with pytest.raises(ValueError):
+            supfl_solve(views[0], labels, beta, eps=eps)
+        with pytest.raises(ValueError):
+            supmvlfl_solve(views, labels, beta, eps=eps)
     # the largest eps training accepts is accepted here too
     supfl_solve(views[0], labels, beta, eps=1e-3)

@@ -138,7 +138,7 @@ def test_manifest_reproduces_a_sweep(tmp_path):
     assert read_bytes(second, "results.csv") == read_bytes(first, "results.csv")
 
 
-def test_emit_curves_flags_missing_methods(tmp_path, capsys):
+def test_emit_curves_writes_a_column_per_method_present(tmp_path):
     rows = []
     for participant in range(5):
         for p in (20.0, 60.0):
@@ -147,9 +147,6 @@ def test_emit_curves_flags_missing_methods(tmp_path, capsys):
                     method="supfl", participant=participant, p=p,
                     fold=fold, beta=0.1, accuracy=0.75, converged=True))
     written = emit_curves(mean_curves(select_best(rows)), str(tmp_path))
-    errors = capsys.readouterr().err
-    assert "missing method 'mmvfl'" in errors
-    assert "missing method 'supmvlfl'" in errors
     assert written == [f"curves_participant_{k}.csv" for k in range(1, 6)]
     with open(tmp_path / "curves_participant_3.csv") as handle:
         assert handle.read() == "p,supfl\n20,0.75\n60,0.75\n"
@@ -160,7 +157,9 @@ def test_sweep_with_a_method_subset_warns_only_for_requested_methods(tmp_path, c
     assert main(["--mode", "sweep", "--config", config, "--out", str(tmp_path / "s"),
                  "--beta-grid", "0.1", "--p-grid", "100", "--folds", "3",
                  "--methods", "supfl,supmvlfl"]) == 0
-    assert "missing method" not in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "s" / "curves_participant_1.csv") as handle:
+        assert handle.readline() == "p,supfl,supmvlfl\n"
 
 
 def test_synth_mode_then_training_on_its_files(tmp_path):

@@ -1,7 +1,7 @@
 """Wire protocol, transports, coordinator behavior, and the privacy audit."""
 
-import json
 import socket
+import struct
 import threading
 import time
 
@@ -112,44 +112,33 @@ def f8le(values):
     return np.asarray(values, dtype="<f8").tobytes()
 
 
-def raw_body(header, block=b"", header_size=None):
-    """A body built by hand: header length, header, entries.  ``header``
-    is a dict written as JSON or the header bytes themselves;
-    ``header_size`` overrides the length field."""
-    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
-    size = len(text) if header_size is None else header_size
-    return size.to_bytes(4, "big") + text + block
+# The body's header, written out here so the tests pin the format.
+_WIRE_HEADER = struct.Struct("<BIIBdII")
 
 
-_GOOD_HEADER = {"kind": "ZkUpload", "round": 1, "participant_id": 0,
-                "objective_part": 1.0, "label_owner": False,
-                "payload": {"rows": 2, "cols": 2}}
+def raw_body(kind=1, round=1, participant_id=0, flags=2, part=1.0, rows=2, cols=2,
+             block=None):
+    """A body built by hand: the fixed header, then ``block`` or rows*cols ones.
+    The defaults give the ZkUpload of round 1 from participant 0 with part 1.0
+    and a 2x2 matrix of ones; ``part`` may be the 8 raw part bytes."""
+    fields = _WIRE_HEADER.pack(kind, round, participant_id, flags, 0.0, rows, cols)
+    part = part if isinstance(part, bytes) else f8le(part)
+    block = f8le(np.ones(rows * cols)) if block is None else block
+    return fields[:10] + part + fields[18:] + block  # bytes 10-17 hold the part
 
 
-def header(drop=(), **changes):
-    fields = {**_GOOD_HEADER, **changes}
-    return {key: value for key, value in fields.items() if key not in drop}
-
-
-def null_header(**changes):
-    return header(**{"kind": "Register", "round": 0, "objective_part": None,
-                     "payload": None, **changes})
-
-
-def matrix_body(payload, block):
-    return raw_body(header(payload=payload), block)
+def null_body(**changes):
+    """A hand-built owner Register: no part, no payload."""
+    return raw_body(**{"kind": 0, "round": 0, "flags": 1, "part": 0.0, "rows": 0,
+                       "cols": 0, **changes})
 
 
 def test_payload_is_one_little_endian_block():
     payload = np.array([[1.5, -0.0, 3.0], [2.0 ** -1074, -7.25, 1e300]])
     body = encode_body(RoundMessage(kind="ZBroadcast", round=2, participant_id=1,
                                     payload=payload))
-    size = int.from_bytes(body[:4], "big")
-    assert json.loads(body[4:4 + size].decode("utf-8")) == {
-        "kind": "ZBroadcast", "round": 2, "participant_id": 1,
-        "objective_part": None, "label_owner": False,
-        "payload": {"rows": 2, "cols": 3}}
-    assert body[4 + size:] == f8le(payload.ravel())
+    assert body[:26] == _WIRE_HEADER.pack(2, 2, 1, 0, 0.0, 2, 3)
+    assert body[26:] == f8le(payload.ravel())
     received = bytearray(body)  # a writable source the decoder must not alias
     for source in (body, received):
         decoded = decode_body(source).payload
@@ -165,20 +154,38 @@ def test_golden_bodies():
                           payload=np.array([[1.0, -2.0], [0.5, 3.0]]),
                           objective_part=0.25)
     assert encode_body(upload) == (
-        b"\x00\x00\x00\x78"
-        b'{"kind":"ZkUpload","round":2,"participant_id":1,"objective_part":0.25,'
-        b'"label_owner":false,"payload":{"rows":2,"cols":2}}'
+        b"\x01"                                # kind: KINDS[1]
+        b"\x02\x00\x00\x00"                    # round
+        b"\x01\x00\x00\x00"                    # participant_id
+        b"\x02"                                # flags: objective_part present
+        b"\x00\x00\x00\x00\x00\x00\xd0\x3f"    # objective_part 0.25
+        b"\x02\x00\x00\x00\x02\x00\x00\x00"    # rows, cols
         b"\x00\x00\x00\x00\x00\x00\xf0\x3f"
         b"\x00\x00\x00\x00\x00\x00\x00\xc0"
         b"\x00\x00\x00\x00\x00\x00\xe0\x3f"
         b"\x00\x00\x00\x00\x00\x00\x08\x40")
     register = RoundMessage(kind="Register", round=0, participant_id=3, label_owner=True)
     assert encode_body(register) == (
-        b"\x00\x00\x00\x68"
-        b'{"kind":"Register","round":0,"participant_id":3,"objective_part":null,'
-        b'"label_owner":true,"payload":null}')
+        b"\x00"                                # kind: KINDS[0]
+        b"\x00\x00\x00\x00"                    # round
+        b"\x03\x00\x00\x00"                    # participant_id
+        b"\x01"                                # flags: label_owner
+        b"\x00\x00\x00\x00\x00\x00\x00\x00"    # no objective_part
+        b"\x00\x00\x00\x00\x00\x00\x00\x00")   # no payload
+    assert frame_size(encode_body(RoundMessage(
+        kind="ZkUpload", round=1, participant_id=0, payload=np.ones((2000, 10)),
+        objective_part=1.0))) == 160_030
     for message in (upload, register):
         assert encode_body(decode_body(encode_body(message))) == encode_body(message)
+
+
+@pytest.mark.parametrize("field", ["round", "participant_id"])
+def test_encode_rejects_counters_past_u32(field):
+    fields = dict(kind="ZkUpload", round=1, participant_id=0, payload=np.ones((1, 1)))
+    with pytest.raises(ProtocolError, match="does not fit"):
+        encode_body(RoundMessage(**{**fields, field: 2**32}))
+    decoded = decode_body(encode_body(RoundMessage(**{**fields, field: 2**32 - 1})))
+    assert getattr(decoded, field) == 2**32 - 1
 
 
 def test_label_ownership_is_only_claimed_on_register():
@@ -193,109 +200,95 @@ def test_label_ownership_is_only_claimed_on_register():
 def test_decode_rejects_malformed_bodies():
     good = encode_body(RoundMessage(kind="ZkUpload", round=1, participant_id=0,
                                     payload=np.ones((2, 2)), objective_part=1.0))
-    assert good == raw_body(
-        json.dumps(_GOOD_HEADER, separators=(",", ":")).encode("utf-8"), f8le(np.ones(4)))
-    decode_body(good)  # sanity
-    assert decode_body(raw_body(null_header(label_owner=True))).label_owner
-    size = int.from_bytes(good[:4], "big")
+    assert good == raw_body()
+    assert decode_body(null_body()).label_owner
     bad_bodies = [
-        # layout
-        b"",
-        b"\x00",
-        b"\x00\x00\x00",
-        raw_body(b"", header_size=0),
-        good[:3],
-        raw_body(good[4:4 + size], header_size=size + 33),  # past the end
-        raw_body(good[4:4 + size], header_size=0xFFFFFFFF),
-        raw_body(good[4:], header_size=size - 1),  # header cut short
-        raw_body(good[4:4 + size - 1] + b"\xff}", f8le(np.ones(4))),  # invalid UTF-8
-        raw_body(json.dumps(_GOOD_HEADER).encode("utf-16"), f8le(np.ones(4))),
-        raw_body(null_header(), b"\x00"),  # trailing bytes after a null payload
-        raw_body(null_header(), f8le([1.0])),
-        good + b"\x00",
-        good[:-1],
-        # header JSON
-        raw_body(b"not json"),
-        raw_body(b"[1,2,3]"),
-        raw_body(b"\xff\xfe"),
-        raw_body(b"[" * 100000),
-        raw_body(header(drop=("label_owner",)), f8le(np.ones(4))),
-        raw_body(header(drop=("objective_part",)), f8le(np.ones(4))),
-        raw_body(header(extra=1), f8le(np.ones(4))),
-        raw_body(header(kind="Gossip"), f8le(np.ones(4))),
-        raw_body(header(kind=1), f8le(np.ones(4))),
-        raw_body(header(round=True), f8le(np.ones(4))),
-        raw_body(header(round=0.5), f8le(np.ones(4))),
-        raw_body(header(round=-1), f8le(np.ones(4))),
-        raw_body(header(participant_id="0"), f8le(np.ones(4))),
-        raw_body(header(objective_part="x"), f8le(np.ones(4))),
-        raw_body(header(objective_part=True), f8le(np.ones(4))),
-        raw_body(b'{"kind":"Register","round":0,"participant_id":0,"objective_part":'
-                 + b"1" * 400 + b',"label_owner":false,"payload":null}'),
-        raw_body(b'{"kind":"Register","round":0,"participant_id":0,"objective_part":'
-                 b'1e400,"label_owner":false,"payload":null}'),
-        raw_body(b'{"kind":"Register","round":' + b"1" * 5000
-                 + b',"participant_id":0,"objective_part":null,"label_owner":false,'
-                 b'"payload":null}'),
-        raw_body(null_header(label_owner=1)),
-        raw_body(null_header(label_owner="true")),
-        raw_body(null_header(label_owner=None)),
+        # shorter than the header
+        (b"", "short body"),
+        (good[:25], "short body"),
+        (null_body()[:-1], "short body"),
+        # kind code past KINDS
+        (raw_body(kind=5), "unknown kind code 5"),
+        (raw_body(kind=255), "unknown kind code"),
+        # flag bits other than label_owner and objective_part
+        (raw_body(flags=4), "unknown flag bits"),
+        (null_body(flags=0x81), "unknown flag bits"),
+        # part bytes without the part flag, including -0.0 and a NaN
+        (raw_body(flags=0), "objective_part bytes"),
+        (null_body(part=-0.0), "objective_part bytes"),
+        (null_body(part=b"\x00" * 7 + b"\x01"), "objective_part bytes"),
+        (null_body(part=float("nan")), "objective_part bytes"),
+        # a non-finite part
+        (raw_body(part=float("inf")), "must be finite"),
+        (raw_body(part=-float("inf")), "must be finite"),
+        (raw_body(part=float("nan")), "must be finite"),
+        # exactly one side of the shape is 0
+        (raw_body(rows=0, cols=2), "one zero side"),
+        (raw_body(rows=2, cols=0), "one zero side"),
+        (raw_body(rows=0, cols=2, block=f8le(np.ones(2))), "one zero side"),
+        # a length other than 26 + 8*rows*cols
+        (good[:-1], "length mismatch"),
+        (good + b"\x00", "length mismatch"),
+        (raw_body(block=f8le([1.0, 2.0, 3.0])), "length mismatch"),
+        (raw_body(rows=3, block=f8le(np.ones(4))), "length mismatch"),
+        (raw_body(rows=2**32 - 1, cols=2**32 - 1, block=f8le(np.ones(4))), "length mismatch"),
+        (null_body(block=b"\x00"), "length mismatch"),
+        (null_body(block=f8le([1.0])), "length mismatch"),
+        # non-finite entries
+        (raw_body(rows=1, block=f8le([1.0, np.nan])), "non-finite entries"),
+        (raw_body(rows=1, cols=1, block=f8le([-np.inf])), "non-finite entries"),
+        (raw_body(rows=1, cols=1, block=f8le([np.inf])), "non-finite entries"),
         # label ownership on anything but Register
-        raw_body(header(label_owner=True), f8le(np.ones(4))),
-        raw_body(header(kind="ZBroadcast", objective_part=None, label_owner=True),
-                 f8le(np.ones(4))),
-        raw_body(null_header(kind="Abort", label_owner=True)),
-        # payload
-        raw_body(null_header(payload=[1, 2])),
-        raw_body(null_header(payload=[[]])),
-        raw_body(null_header(payload=[[1], [2, 3]])),
-        matrix_body({"rows": 2, "cols": 2}, f8le([1.0, 2.0, 3.0])),
-        matrix_body({"rows": 3, "cols": 2}, f8le([1.0, 2.0, 3.0, 4.0])),
-        matrix_body({"rows": 2, "cols": 2}, f8le(np.ones(4))[:-1]),  # off by one
-        matrix_body({"rows": 2, "cols": 2}, f8le(np.ones(4)) + b"\x00"),
-        matrix_body({"rows": 2, "cols": 2}, b""),
-        matrix_body({"rows": 0, "cols": 2}, b""),
-        matrix_body({"rows": 2, "cols": 0}, b""),
-        matrix_body({"rows": -1, "cols": -8}, f8le(np.ones(1))),
-        matrix_body({"rows": True, "cols": 1}, f8le([1.0])),
-        matrix_body({"rows": 1.0, "cols": 1}, f8le([1.0])),
-        matrix_body({"rows": 1, "cols": 1, "extra": 1}, f8le([1.0])),
-        matrix_body({"rows": 1}, f8le([1.0])),
-        matrix_body({"rows": 1, "cols": 1, "f8le": ""}, f8le([1.0])),  # the base64 layout
-        matrix_body({"rows": 1, "cols": 2}, f8le([1.0, np.nan])),
-        matrix_body({"rows": 1, "cols": 1}, f8le([-np.inf])),
-        matrix_body({"rows": 1, "cols": 1}, f8le([np.inf])),
+        (raw_body(flags=3), "label ownership"),
+        (raw_body(kind=2, flags=1, part=0.0), "label ownership"),
+        (null_body(kind=4), "label ownership"),
     ]
-    for body in bad_bodies:
-        with pytest.raises(ProtocolError):
-            decode_body(body)
-    # layout faults are named as such, not as a JSON or shape fault
-    for body, reason in [(good[:3], "no header length"),
-                         (raw_body(good[4:4 + size], header_size=size + 33), "runs past"),
-                         (raw_body(null_header(), b"\x00"), "trailing bytes"),
-                         (good[:-1], "holds 31 bytes")]:
+    for body, reason in bad_bodies:
         with pytest.raises(ProtocolError, match=reason):
             decode_body(body)
 
 
-_GOOD_BODY = encode_body(RoundMessage(kind="ZkUpload", round=1, participant_id=0,
-                                      payload=np.ones((2, 2)), objective_part=1.0))
-_PAYLOAD_START = len(_GOOD_BODY) - 4 * 8
+_GOOD_BODY = raw_body()
+_PAYLOAD_START = _WIRE_HEADER.size
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                np.finfo(np.float64).max, -np.finfo(np.float64).max]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
 def mutated_good_bodies(draw):
     """The good body with up to 8 bytes cut and up to 8 put in their place,
-    aimed at the header-length field, the JSON header or the entries."""
-    start = draw(st.one_of(st.integers(0, 3),
-                           st.integers(4, _PAYLOAD_START - 1),
+    aimed at the 26-byte header or the entries."""
+    start = draw(st.one_of(st.integers(0, _PAYLOAD_START - 1),
                            st.integers(_PAYLOAD_START, len(_GOOD_BODY))))
     cut = draw(st.integers(0, 8))
     return _GOOD_BODY[:start] + draw(st.binary(max_size=8)) + _GOOD_BODY[start + cut:]
 
 
+@st.composite
+def fielded_bodies(draw):
+    """Bodies built field by field, many of them well-formed: kind codes
+    and flags up to one past the known ones, any part bytes beside either
+    part flag, any shape up to 3x3, and entries of any bit pattern, at
+    times a byte short or long."""
+    rows, cols = draw(st.one_of(st.just((0, 0)),
+                                st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    size = 8 * rows * cols
+    part = draw(st.one_of(st.just(0.0), _FINITE, st.floats(),
+                          st.binary(min_size=8, max_size=8)))
+    block = draw(st.one_of(st.binary(min_size=size, max_size=size),
+                           st.binary(min_size=max(size - 1, 0), max_size=size + 1)))
+    return raw_body(kind=draw(st.integers(0, 5)), round=draw(st.integers(0, 2**32 - 1)),
+                    participant_id=draw(st.integers(0, 2**32 - 1)),
+                    flags=draw(st.integers(0, 4)), part=part, rows=rows, cols=cols,
+                    block=block)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.binary(max_size=512), mutated_good_bodies()))
+@given(st.one_of(st.binary(max_size=512), mutated_good_bodies(), fielded_bodies()))
 def test_decode_arbitrary_bytes_raises_only_protocol_error(body):
     try:
         message = decode_body(body)
@@ -304,10 +297,15 @@ def test_decode_arbitrary_bytes_raises_only_protocol_error(body):
     assert isinstance(message, RoundMessage)
 
 
-_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-                np.finfo(np.float64).max, -np.finfo(np.float64).max]
-_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
-                    st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_good_bodies(), fielded_bodies()))
+def test_every_accepted_body_reencodes_to_itself(body):
+    """One encoding per message: that is why an absent part is all zero bytes."""
+    try:
+        message = decode_body(body)
+    except ProtocolError:
+        return
+    assert encode_body(message) == body
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,6 +18,7 @@ import mmvfl.optimizer
 from mmvfl import Hyperparams, numerics, one_hot, run_reference, synth_planted
 from mmvfl.baselines import _fit_blocks
 from mmvfl.evaluation import _SplitScorer
+from mmvfl.featsel import score_features
 from mmvfl.federation import run_federated
 from mmvfl.numerics import (
     CHOLESKY_TILE,
@@ -29,14 +30,12 @@ from mmvfl.numerics import (
     check_seed,
     derive_seed,
     ensure_matrix,
-    frobenius_norm_sq,
     openblas_libraries,
     random_orthonormal,
-    row_norms,
     single_blas_thread,
 )
 
-from oracles import loop_frobenius_sq, loop_l21, loop_row_norms, solve_spd
+from oracles import loop_l21, loop_row_norms, solve_spd
 
 
 def test_check_seed_accepts_plain_ints():
@@ -70,31 +69,21 @@ def test_ensure_matrix_casts_and_validates():
         ensure_matrix([[np.inf, 1.0]], "m")
 
 
-def test_frobenius_examples():
-    assert frobenius_norm_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 30.0
-    assert frobenius_norm_sq(np.zeros((3, 3))) == 0.0
-
-
-def test_frobenius_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m = rng.standard_normal((5, 3)) * rng.uniform(0.1, 10)
-        assert frobenius_norm_sq(m) == pytest.approx(loop_frobenius_sq(m), abs=1e-12, rel=1e-12)
-
-
+# Row norms are taken inline by featsel.score_features, their one caller.
 def test_row_norms_and_l21_examples():
-    m = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert np.allclose(row_norms(m), [5.0, 0.0])
-    assert float(row_norms(m).sum()) == 5.0
-    assert float(row_norms(np.eye(3)).sum()) == 3.0
+    scores = score_features(np.array([[3.0, 4.0], [0.0, 0.0]])).scores
+    assert np.allclose(scores, [5.0, 0.0])
+    assert float(scores.sum()) == 5.0
+    assert float(score_features(np.eye(3)).scores.sum()) == 3.0
 
 
 def test_row_norms_match_loop_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         m = rng.standard_normal((4, 2)) * rng.uniform(0.1, 5)
-        assert np.allclose(row_norms(m), loop_row_norms(m), atol=1e-12)
-        assert float(row_norms(m).sum()) == pytest.approx(loop_l21(m), abs=1e-12)
+        scores = score_features(m).scores
+        assert np.allclose(scores, loop_row_norms(m), atol=1e-12)
+        assert float(scores.sum()) == pytest.approx(loop_l21(m), abs=1e-12)
 
 
 def test_solve_spd_identity_and_scaling():
