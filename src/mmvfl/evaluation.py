@@ -28,7 +28,7 @@ from .numerics import (
     derive_seed,
     single_blas_thread,
 )
-from .optimizer import Hyperparams, gram_matrix, one_hot, run_reference
+from .optimizer import Hyperparams, ProblemShape, _new_state, gram_matrix, one_hot, train_states
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
 
@@ -158,8 +158,9 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
     the only training blocks the baselines use: ``supfl`` fits each view
     alone and ``supmvlfl`` all views jointly, by the fit behind
     ``supfl_solve`` and ``supmvlfl_solve`` with its stopping rule and
-    ``hyper.eps``; ``mmvfl`` trains by
-    ``run_reference`` seeded ``derive_seed(seed, fold, beta_index)``.
+    ``hyper.eps``; ``mmvfl`` by ``train_states`` on states over the
+    scorers' blocks, seeded ``derive_seed(seed, fold, beta_index)``.  Each
+    fit factors the XᵀX it is lent in place and restores it bit for bit.
     Returns one ``ExperimentResult`` per cell, method by method in
     ``methods`` order.  BLAS runs on one thread throughout.
     """
@@ -172,6 +173,8 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
         raise ValueError("beta_grid and p_grid must be non-empty")
     seed = check_seed(seed)
     num_participants = dataset.num_participants
+    if "mmvfl" in methods:
+        ProblemShape(num_participants, dataset.num_classes, dataset.num_samples)
     cells = [replace(hyper, sparsity=(beta,) * num_participants) for beta in beta_grid]
 
     results: list[list[ExperimentResult]] = [[] for _ in methods]
@@ -187,9 +190,12 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
         for rows, method in zip(results, methods):
             for beta_index, (beta, cell) in enumerate(zip(beta_grid, cells)):
                 if method == "mmvfl":
+                    cell_seed = derive_seed(seed, fold, beta_index)
                     # every scorer holds the same one-hot training labels
-                    trained = run_reference(train.views, scorers[0].targets, cell,
-                                            derive_seed(seed, fold, beta_index))
+                    trained = train_states([
+                        _new_state(k, sc.train, sc.xtx, sc.targets.shape[1], cell_seed,
+                                   None if k else sc.targets)
+                        for k, sc in enumerate(scorers)], cell, cell_seed)
                     transforms, converged = trained.transforms, trained.converged
                 elif method == "supfl":
                     fits = [_fit_blocks([xtx], [xty], [n], [beta], cell.eps)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from ..optimizer import (
     DimensionMismatchError,
     ParticipantState,
-    init_participant_state,
+    _new_state,
+    gram_matrix,
     participant_round,
 )
 from .coordinator import FederationAbortError, FederationConfig
@@ -38,10 +39,10 @@ def participant_run(participant_id: int, features, labels,
     """
     matrix_shape = (config.shape.num_samples, config.shape.num_classes)
     try:
-        state = init_participant_state(
-            participant_id, features, config.shape.num_classes, config.seed, labels=labels)
-        if state.features.shape[0] != matrix_shape[0]:
-            raise DimensionMismatchError("feature rows disagree with the session shape")
+        # inputs checked by run_federated; the Gram is built on this thread,
+        # whose freed blocks stay in its own malloc arena
+        state = _new_state(participant_id, features, gram_matrix(features),
+                           config.shape.num_classes, config.seed, labels)
 
         channel.send(RoundMessage(
             kind=KIND_REGISTER, round=0, participant_id=participant_id,

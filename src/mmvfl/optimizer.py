@@ -392,24 +392,11 @@ def init_consensus(num_samples: int, num_classes: int, seed) -> np.ndarray:
                               derive_seed(seed, _CONSENSUS_STREAM, 0))
 
 
-def init_participant_state(participant_id: int, features, num_classes: int, seed,
-                           labels=None) -> ParticipantState:
-    """Build a participant's starting state from the shared seed.
-    ``labels`` (label owner only) must be samples x ``num_classes``."""
-    features = ensure_matrix(features, f"features[{participant_id}]")
-    if labels is not None:
-        labels = check_one_hot(labels)
-        if labels.shape != (features.shape[0], num_classes):
-            raise DimensionMismatchError("labels must be samples x classes")
-    return _new_state(participant_id, features, num_classes, seed, labels)
-
-
-def _new_state(participant_id, features, num_classes, seed, labels):
-    """``init_participant_state`` on inputs its caller has checked.  The
-    Gram is built here, on the thread that builds the state: a thread's
-    freed blocks stay in its own malloc arena."""
+def _new_state(participant_id, features, gram, num_classes, seed, labels):
+    """A participant's starting state from the shared seed, on checked
+    inputs: ``gram`` is X^T X of ``features``, and ``labels`` (the label
+    owner's, else None) is samples x ``num_classes``."""
     n, d = features.shape
-    gram = gram_matrix(features)
     transform = init_transform(d, num_classes, seed, participant_id)
     return ParticipantState(
         participant_id=participant_id,
@@ -446,7 +433,7 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
     view and the labels are checked once, by ``_check_inputs``."""
     views, labels, shape = _check_inputs(views, labels, hyper)
     return [
-        _new_state(k, view, shape.num_classes, seed, labels if k == 0 else None)
+        _new_state(k, view, gram_matrix(view), shape.num_classes, seed, None if k else labels)
         for k, view in enumerate(views)
     ]
 
@@ -600,23 +587,27 @@ class TrainingResult:
 
 @single_blas_thread()
 def run_reference(views, labels, hyper: Hyperparams, seed) -> TrainingResult:
-    """Single-process execution of the full training schedule.
+    """Single-process training: ``make_states``, then ``train_states``, BLAS on one thread."""
+    seed = check_seed(seed)
+    return train_states(make_states(views, labels, hyper, seed), hyper, seed)
+
+
+def train_states(states, hyper: Hyperparams, seed) -> TrainingResult:
+    """Run the rounds from ``states``, built from ``seed`` as ``make_states``
+    builds them, and the consensus ``seed`` gives.  Each step factors its
+    state's Gram in place, so no other thread may read it meanwhile.
 
     The rounds run through ``run_rounds``, the loop the coordinator runs
     too: per round every participant refits its transform and
     pseudo-labels, then the consensus is re-aggregated and the objective
-    recorded.  BLAS runs on one thread throughout.
-
-    A participant's round reads only its own state and the consensus, so
-    when the round is large enough (see ``_share_refits``) its refits are
-    one batch of ``numerics._run_tasks``: the calling thread and the
-    scope's helper thread claim them, widest block first.  Each part is
-    stored at its participant's index and aggregated in participant
-    order, so the result is the same bit for bit however the refits were
-    shared, and on one CPU, where there is no helper.
+    recorded.  A participant's round reads only its own state and the
+    consensus, so when the round is large enough (see ``_share_refits``)
+    its refits are one batch of ``numerics._run_tasks``: the calling
+    thread and the scope's helper thread claim them, widest block first.
+    Each part is stored at its participant's index and aggregated in
+    participant order, so the result is the same bit for bit however the
+    refits were shared, and on one CPU, where there is no helper.
     """
-    seed = check_seed(seed)
-    states = make_states(views, labels, hyper, seed)
     n, num_classes = states[0].pseudo_labels.shape
     dims = [st.features.shape[1] for st in states]
     widest_first = sorted(range(len(states)), key=lambda k: -dims[k])

@@ -519,14 +519,14 @@ def test_a_run_stopped_at_outer_max_warns_on_stderr_only(tmp_path, capsys):
 
 def test_a_sweep_config_outer_max_reaches_every_mmvfl_cell(tmp_path, capsys, monkeypatch):
     rounds = []
-    run_reference = evaluation.run_reference
+    train_states = evaluation.train_states
 
     def counted(*args):
-        result = run_reference(*args)
+        result = train_states(*args)
         rounds.append(result.rounds)
         return result
 
-    monkeypatch.setattr(evaluation, "run_reference", counted)
+    monkeypatch.setattr(evaluation, "train_states", counted)
     config = write_config(tmp_path, outer_max=1)
     out = tmp_path / "sweep"
     assert main(["--mode", "sweep", "--config", config, "--out", str(out),

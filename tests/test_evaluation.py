@@ -15,7 +15,7 @@ import mmvfl.evaluation as evaluation
 import mmvfl.numerics as numerics
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
-from mmvfl.data import make_folds, synth_planted
+from mmvfl.data import MultiViewDataset, make_folds, synth_planted
 from mmvfl.evaluation import (
     DegenerateInputError,
     ExperimentResult,
@@ -37,9 +37,9 @@ from mmvfl.optimizer import Hyperparams, one_hot
 from oracles import lstsq_accuracy, read_results_csv
 
 
-def small_dataset(seed=0):
+def small_dataset(seed=0, dims=(6, 5)):
     dataset, _ = synth_planted(num_participants=2, num_classes=3,
-                               num_samples=60, dims=(6, 5),
+                               num_samples=60, dims=dims,
                                n_informative=2, noise=0.5, seed=seed)
     return dataset
 
@@ -262,6 +262,9 @@ def test_run_grid_row_count_and_determinism():
     pytest.param(("supmvlfl",), id="supmvlfl"),
     # every method shares each fold's splits and scorers
     pytest.param(("supfl", "supmvlfl"), id="supfl,supmvlfl"),
+    # mmvfl cells train on the scorers' XᵀX too
+    pytest.param(("mmvfl",), id="mmvfl"),
+    pytest.param(("mmvfl", "supfl", "supmvlfl"), id="mmvfl,supfl,supmvlfl"),
 ])
 def test_run_grid_builds_one_gram_per_fold_and_view(methods, monkeypatch):
     dataset = small_dataset(seed=3)
@@ -274,13 +277,14 @@ def test_run_grid_builds_one_gram_per_fold_and_view(methods, monkeypatch):
         return gram_matrix(features)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the sweep called a baselines entry point")
+        raise AssertionError("the sweep called an entry point that checks its inputs")
 
     for module in (optimizer, baselines, evaluation):
         monkeypatch.setattr(module, "gram_matrix", counted)
     # wherever the sweep might look the entry points up
-    for module in (baselines, evaluation):
-        for name in ("supfl_solve", "supmvlfl_solve"):
+    for module in (optimizer, baselines, evaluation):
+        for name in ("supfl_solve", "supmvlfl_solve", "run_reference", "make_states",
+                     "_check_inputs"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     restricts = []
     restrict = type(dataset).restrict
@@ -322,15 +326,33 @@ def test_run_grid_covers_all_methods():
 
 
 def test_run_grid_rows_are_method_major_and_match_one_method_runs():
+    # (6, 260): the mmvfl steps factor a lent XᵀX wider than CHOLESKY_TILE
+    # in tiles before the supfl fits and the scorer read it
+    for dims in ((6, 5), (6, numerics.CHOLESKY_TILE + 4)):
+        dataset = small_dataset(seed=8, dims=dims)
+        folds = make_folds(dataset, 3, seed=5)
+        hyper = default_hyper(dataset, consensus_penalty=10.0, outer_max=8)
+        methods = ("supmvlfl", "mmvfl", "supfl")
+        rows = run_grid(methods, dataset, folds, [0.01, 1.0], [50.0, 100.0], hyper, seed=3)
+        alone = [row for method in methods
+                 for row in run_grid((method,), dataset, folds, [0.01, 1.0], [50.0, 100.0],
+                                     hyper, seed=3)]
+        assert rows == alone, dims
+
+
+def test_a_one_view_mmvfl_sweep_fails_before_any_scorer_is_built(monkeypatch):
     dataset = small_dataset(seed=8)
-    folds = make_folds(dataset, 3, seed=5)
-    hyper = default_hyper(dataset, consensus_penalty=10.0, outer_max=8)
-    methods = ("supmvlfl", "mmvfl", "supfl")
-    rows = run_grid(methods, dataset, folds, [0.01, 1.0], [50.0, 100.0], hyper, seed=3)
-    alone = [row for method in methods
-             for row in run_grid((method,), dataset, folds, [0.01, 1.0], [50.0, 100.0],
-                                 hyper, seed=3)]
-    assert rows == alone
+    one_view = MultiViewDataset(views=dataset.views[:1], labels=dataset.labels)
+    args = (one_view, make_folds(one_view, 3, seed=5), [0.1], [50.0],
+            default_hyper(one_view))
+    assert run_grid(("supfl",), *args)
+
+    def forbidden(*_):
+        raise AssertionError("a scorer was built")
+
+    monkeypatch.setattr(evaluation, "_SplitScorer", forbidden)
+    with pytest.raises(ValueError, match="^need at least two participants$"):
+        run_grid(("supfl", "mmvfl"), *args)
 
 
 def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
@@ -339,15 +361,15 @@ def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
     hyper = default_hyper(dataset, consensus_penalty=50.0, label_penalty=20.0,
                           eps=1e-4, outer_tol=1e-3, outer_max=1)
     seen = []
-    run_reference = evaluation.run_reference
+    train_states = evaluation.train_states
 
-    def recorded(views, labels, cell, seed):
+    def recorded(states, cell, seed):
         seen.append((cell, seed))
-        result = run_reference(views, labels, cell, seed)
+        result = train_states(states, cell, seed)
         assert result.rounds == 1
         return result
 
-    monkeypatch.setattr(evaluation, "run_reference", recorded)
+    monkeypatch.setattr(evaluation, "train_states", recorded)
     beta_grid = [0.01, 1.0]
     rows = run_grid(("mmvfl", "supfl"), dataset, folds, beta_grid, [50.0], hyper, seed=4)
     assert [seed for _, seed in seen] == [derive_seed(4, fold, b)
@@ -382,10 +404,10 @@ def test_run_grid_mmvfl_cells_are_the_same_on_one_cpu_and_start_no_thread(monkey
     assert optimizer._share_refits(200, 3, (240, 200))
     hyper = default_hyper(dataset, outer_max=4)
     trained = []
-    run_reference = evaluation.run_reference
+    train_states = evaluation.train_states
 
     def recorded(*args):
-        result = run_reference(*args)
+        result = train_states(*args)
         trained.append([w.tobytes() for w in result.transforms])
         return result
 
@@ -396,7 +418,7 @@ def test_run_grid_mmvfl_cells_are_the_same_on_one_cpu_and_start_no_thread(monkey
         refit_threads.add(threading.current_thread().name)
         return participant_round(*args)
 
-    monkeypatch.setattr(evaluation, "run_reference", recorded)
+    monkeypatch.setattr(evaluation, "train_states", recorded)
     monkeypatch.setattr(optimizer, "participant_round", refit)
     before = threading.active_count()
     sweeps = []

@@ -36,7 +36,7 @@ from mmvfl.optimizer import (
     Hyperparams,
     ProblemShape,
     init_consensus,
-    init_participant_state,
+    make_states,
     one_hot,
     participant_round,
     run_reference,
@@ -525,9 +525,17 @@ def test_federated_matches_reference_bitwise(transport, dims):
         assert state.pseudo_labels.tobytes() == pseudo.tobytes()
 
 
+def with_nan(view):
+    view = view.copy()
+    view[0, 0] = np.nan
+    return view
+
+
 BAD_INPUTS = [
     pytest.param(lambda v, y, h, s: ([v[0], v[1][:-1]], y, h, s), id="view-one-row-short"),
+    pytest.param(lambda v, y, h, s: ([v[0], with_nan(v[1])], y, h, s), id="view-non-finite"),
     pytest.param(lambda v, y, h, s: (v, y[:-1], h, s), id="labels-one-row-short"),
+    pytest.param(lambda v, y, h, s: (v, 2.0 * y, h, s), id="labels-not-one-hot"),
     pytest.param(lambda v, y, h, s: (v, y, h, -1), id="seed-negative"),
     pytest.param(lambda v, y, h, s: (v, y, Hyperparams.uniform(3, sparsity=0.1), s),
                  id="hyperparams-too-long"),
@@ -562,12 +570,14 @@ def fail_refit_of_participant_1(monkeypatch, failure):
 
 
 def fail_set_up_of_participant_1(monkeypatch, failure):
-    def set_up(participant_id, *args, **kwargs):
+    new_state = participant_module._new_state
+
+    def set_up(participant_id, *args):
         if participant_id == 1:
             raise failure
-        return init_participant_state(participant_id, *args, **kwargs)
+        return new_state(participant_id, *args)
 
-    monkeypatch.setattr(participant_module, "init_participant_state", set_up)
+    monkeypatch.setattr(participant_module, "_new_state", set_up)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
@@ -819,7 +829,7 @@ def test_consensus_light_uploads_reduce_to_local_projections(wire):
         for entry in result.trace
         if entry.kind == "ZkUpload" and entry.participant_id == 1)
     # shadow the non-owner's first round locally
-    state = init_participant_state(1, views[1], 3, 8)
+    state = make_states(views, labels, hyper, 8)[1]
     consensus = init_consensus(12, 3, 8)
     participant_round(state, consensus, hyper)
     assert first_upload.tobytes() == state.pseudo_labels.tobytes()
