@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .numerics import ensure_matrix
+from .numerics import ensure_matrix, single_blas_thread
 from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, gram_matrix,
                         has_converged)
 
@@ -63,8 +63,10 @@ def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6):
     return transform, objectives
 
 
+@single_blas_thread()
 def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6):
-    """Joint row-sparse regression of every view onto the labels.
+    """Joint row-sparse regression of every view onto the labels, BLAS on
+    one thread.
 
     All views are stepped together and the stopping rule watches the
     summed objective; each view's step only reads that view's state and

@@ -11,12 +11,12 @@ for the duration of an entry-point call, so results do not depend on
 the caller's BLAS thread setting.  The scope also owns the one helper
 thread that claims independent tasks beside the calling thread (see
 ``_run_tasks``): the participant refits of a large round, the tiles of a
-wide Cholesky (see ``_cholesky_factor_in_place``) and the tiles of a
-wide Gram matrix (see ``optimizer.gram_matrix``).  It runs only when at
-least two CPUs are usable, and from the outermost scope's entry to its
-exit.  A factor or a Gram depends only on its shape and
-``CHOLESKY_TILE``, never on which thread computed a tile or how many
-CPUs there are.
+wide Cholesky (see ``_cholesky_factor_in_place``) and the two blocks of
+a wide Gram matrix (see ``optimizer.gram_matrix``).  It runs only when
+at least two CPUs are usable, and from the outermost scope's entry to
+its exit.  A factor depends only on its order and ``CHOLESKY_TILE``, and
+a Gram only on its shape, never on which thread computed a tile or a
+block or how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ MAX_SEED = 2**64 - 1
 # BLAS thread count inside every entry point.  A fixed count keeps the
 # floating-point reduction order, hence results, fixed; OpenBLAS's own
 # threads would change a factor's bits with the thread count.  Wide
-# blocks use a second CPU through the tiled Cholesky and Gram instead.
+# blocks use a second CPU through the tiled Cholesky and the two-block
+# Gram instead.
 BLAS_THREADS = 1
 
-# Edge of the fixed tile grid of the Cholesky factor and of the Gram
-# matrix: a factor of order up to this is one LAPACK call and a Gram
-# that narrow is one tile; a wider one is built tile by tile, and the
-# tiles of one step are shared between threads.  On 2 cores a d=1984 factor took 0.101 s
-# as one call and 0.060 s in 256-wide tiles, and its Gram over 1474 rows
-# a median 0.20 s as one product and 0.11 s in tiles.
+# Edge of the fixed tile grid of the Cholesky factor: a factor of order
+# up to this is one LAPACK call, a wider one is built tile by tile, and
+# the tiles of one step are shared between threads.  On 2 cores a d=1984
+# factor took 0.101 s as one call and 0.060 s in 256-wide tiles.  A Gram
+# up to this width is one numpy product (see ``optimizer.gram_matrix``).
 CHOLESKY_TILE = 256
 
 # CPU quota of the process's own cgroup, as a container sees it: cgroup v2
@@ -111,7 +111,10 @@ def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndar
     upper one and the diagonal from a saved copy.  So G comes back bit for
     bit, and a refinement step re-factors the same input into the same
     factor.  Returns ``(x, G x)``, the product refinement needs anyway,
-    computed as ``system.T @ x``: G in C order, as the caller holds it."""
+    computed as ``(x.T @ system.T).T`` = (x^T G)^T, which is G x because G
+    is exactly symmetric: with G in C order, as the caller holds it,
+    OpenBLAS forms the product with a thin x about twice as fast in that
+    operand order as ``G @ x``."""
     n = len(system)
     _check_lapack_matrix(system, n, "system", square=True)
     diagonal = system.diagonal().copy()
@@ -128,7 +131,7 @@ def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndar
             _restore_lower(system, diagonal)
 
     x = solve(b)
-    product = gram @ x
+    product = (x.T @ gram).T
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
@@ -138,7 +141,7 @@ def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndar
             if float(np.linalg.norm(residual)) <= SPD_RESIDUAL_TOL * b_norm:
                 break
             x = x + solve(residual)
-            product = gram @ x
+            product = (x.T @ gram).T
     return x, product
 
 
@@ -374,7 +377,7 @@ class _Batch:
 
 class _TileHelper:
     """A thread that claims the tasks of posted batches (participant
-    refits, Cholesky tiles, Gram tiles) beside the threads that post them.
+    refits, Cholesky tiles, Gram blocks) beside the threads that post them.
 
     There is one helper on any host: only one and two threads per batch
     were measured, on 2 cores, so wider hosts keep to two until more are.

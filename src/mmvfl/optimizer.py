@@ -219,27 +219,35 @@ def gram_matrix(features) -> np.ndarray:
     """The feature Gram matrix X^T X, exactly symmetric.  ``features`` is
     trusted: every caller checked it at its boundary.
 
-    It is built on the Cholesky factor's tile grid: each lower tile
-    X_i^T X_j is one product into the tile (numpy's symmetric rank-k
-    update on the diagonal, which fills both triangles), mirrored into
-    the upper triangle, and the tiles are one batch of ``_run_tasks``,
-    shared with the scope's helper thread.  A tile gets the same product
-    whichever thread takes it, so the bits depend only on the shape and
-    ``CHOLESKY_TILE``.  Up to ``CHOLESKY_TILE`` columns the one tile is
-    the whole block, built on the calling thread, to the bits of
-    ``features.T @ features``."""
+    Up to ``CHOLESKY_TILE`` columns it is one numpy product, built on the
+    calling thread.  A wider block X = [X_1 X_2] is split after
+    round(d / sqrt(2)) columns, where the two tasks below cost about the
+    same, and built as one batch of ``_run_tasks``, shared with the scope's
+    helper thread: X_1^T X_1 into the head block, and X_2^T X_1, X_2^T X_2
+    and the mirror of X_2^T X_1 into the upper triangle.  Each product is
+    one numpy ``matmul`` into its place in the Gram (numpy's symmetric
+    rank-k update on the diagonal blocks, which fills both triangles), so
+    nothing d x d is allocated beside the result, and its bits depend
+    only on the shape.  numpy takes that update only for an operand BLAS
+    reads in place, so a block in any layout but C order is copied into
+    C order first (CSV, ``synth_planted`` and sweep blocks are C order)."""
+    features = np.ascontiguousarray(features)
     d = features.shape[1]
+    if d <= CHOLESKY_TILE:
+        return features.T @ features
     gram = np.empty((d, d))
+    split = round(d / math.sqrt(2))
+    head, tail = features[:, :split], features[:, split:]
 
-    def build_tile(row, col):
-        rows, cols = slice(row, row + CHOLESKY_TILE), slice(col, col + CHOLESKY_TILE)
-        np.matmul(features[:, rows].T, features[:, cols], out=gram[rows, cols])
-        if row != col:
-            gram[cols, rows] = gram[rows, cols].T
+    def build_head():
+        np.matmul(head.T, head, out=gram[:split, :split])
 
-    starts = range(0, d, CHOLESKY_TILE)
-    _run_tasks([functools.partial(build_tile, row, col)
-                for col in starts for row in starts if row >= col])
+    def build_tail():
+        np.matmul(tail.T, head, out=gram[split:, :split])
+        np.matmul(tail.T, tail, out=gram[split:, split:])
+        gram[:split, split:] = gram[split:, :split].T
+
+    _run_tasks([build_head, build_tail])
     return gram
 
 
@@ -403,7 +411,8 @@ def _new_state(participant_id, features, gram, num_classes, seed, labels):
         features=features,
         gram=gram,
         transform=transform,
-        gram_transform=gram @ transform,
+        # G W as (W^T G)^T, the order of ``numerics._cholesky_solve_in_place``
+        gram_transform=(transform.T @ gram).T,
         pseudo_labels=init_pseudo_labels(n, num_classes, seed, participant_id),
         labels=labels,
     )
@@ -460,10 +469,12 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     built, so they are not checked again here."""
     k = state.participant_id
     targets = state.pseudo_labels
+    # X^T T and X W with the n x d block as stored, not transposed: the
+    # operand order in which OpenBLAS forms a product with a thin factor fast
     state.transform, state.gram_transform, _ = _reweighted_step(
-        state.gram, state.features.T @ targets, _sum_sq(targets), hyper.sparsity[k],
+        state.gram, (targets.T @ state.features).T, _sum_sq(targets), hyper.sparsity[k],
         hyper.eps, start=(state.transform, state.gram_transform))
-    projected = state.features @ state.transform
+    projected = (state.transform.T @ state.features.T).T
     if state.labels is not None:
         state.pseudo_labels = owner_pseudo_label_update(
             projected, consensus, state.labels,

@@ -121,7 +121,7 @@ def _scipy_solve_in_place(a, b, matrix, shift):
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
-            residual = b - matrix @ x - shift[:, None] * x
+            residual = b - (x.T @ matrix).T - shift[:, None] * x
             if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
                 break
             x = x + cho_solve(factor, residual, check_finite=False)
@@ -154,7 +154,8 @@ def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, see
     ours, product = _cholesky_solve_in_place(np.array(matrix, order="F"), b, shifts)
     theirs = _scipy_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
     assert _bits(ours) == _bits(theirs)
-    assert _bits(product) == _bits(matrix @ theirs)
+    # G x as the kernel forms it: x^T G, with the C-order G stored as is
+    assert _bits(product) == _bits((theirs.T @ matrix).T)
 
 
 # The tiled factor's forward error against scipy's one-call factor.  It
@@ -195,7 +196,7 @@ def test_tiled_cholesky_is_accurate_and_the_same_on_any_cpu_count(d, nrhs, rank_
 
     with single_blas_thread():
         x, product = _cholesky_solve_in_place(np.array(matrix, order="F"), b, shifts)
-        assert _bits(product) == _bits(matrix @ x)
+        assert _bits(product) == _bits((x.T @ matrix).T)
     # refinement meets SPD_RESIDUAL_TOL as a normwise backward error; on
     # an ill-conditioned draw the residual cannot get below rounding in
     # A x, and the one-call factor stalls above SPD_RESIDUAL_TOL ||b|| too
@@ -486,14 +487,21 @@ def test_participant_threads_see_one_thread(two_threads_before, monkeypatch):
 
 _THREAD_COUNT_RUN = """
 import hashlib
-from mmvfl import Hyperparams, one_hot, run_reference, synth_planted
+from mmvfl import (Hyperparams, one_hot, run_reference, supfl_solve, supmvlfl_solve,
+                   synth_planted)
 dataset, _ = synth_planted(num_participants=3, num_classes=6, num_samples=1000,
                            dims=(200, 80, 150), seed=3)
 hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=20)
 result = run_reference(dataset.views, one_hot(dataset.labels, dataset.num_classes),
                        hyper, 3)
-print(repr(result.objectives))
-for transform in result.transforms:
+# the baselines on a view wider than CHOLESKY_TILE
+wide, _ = synth_planted(num_participants=2, num_samples=1500, dims=(600, 30), seed=0)
+labels = one_hot(wide.labels, wide.num_classes)
+transform, supfl_objectives = supfl_solve(wide.views[0], labels, 0.1)
+transforms, supmvlfl_objectives = supmvlfl_solve(wide.views, labels, 0.1)
+for objectives in (result.objectives, supfl_objectives, supmvlfl_objectives):
+    print(repr(objectives))
+for transform in [*result.transforms, transform, *transforms]:
     print(hashlib.sha256(transform.tobytes()).hexdigest())
 """
 

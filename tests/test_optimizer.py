@@ -2,6 +2,7 @@
 objective bookkeeping, and the single-process reference loop."""
 
 import copy
+import math
 import os
 import sys
 import threading
@@ -364,8 +365,8 @@ def test_every_kernel_solve_meets_the_residual_promise(monkeypatch):
     for (gram, xty, irls_diag, sparsity), w, product in solves:
         a = gram + np.diag(sparsity * irls_diag)
         assert np.linalg.norm(a @ w - xty) <= SPD_RESIDUAL_TOL * np.linalg.norm(xty)
-        # the product the kernel's objective reads is G W itself
-        assert product.tobytes() == (gram @ w).tobytes()
+        # the product the kernel's objective reads is G W itself, formed as W^T G
+        assert product.tobytes() == (w.T @ gram).T.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1093,14 +1094,27 @@ def test_gram_matrix_is_exactly_symmetric(d, layout):
          "strided": x[:, ::2]}[layout]
     g = optimizer.gram_matrix(x)
     assert np.array_equal(g, g.T)
-    product = x.T @ x
+    # the same bits from every layout
+    x = np.ascontiguousarray(x)
+    product = x.T @ x if d <= CHOLESKY_TILE else _two_block_gram(x)
     assert g.tobytes() == ((product + product.T) * 0.5).tobytes()
+
+
+def _two_block_gram(x):
+    """X^T X as ``gram_matrix`` builds a block wider than ``CHOLESKY_TILE``,
+    in fresh arrays: split after round(d / sqrt(2)) columns, X_1^T X_1 and
+    X_2^T X_2 as numpy's symmetric rank-k products, X_2^T X_1 below the
+    head block and its transpose above it."""
+    split = round(x.shape[1] / math.sqrt(2))
+    head, tail = x[:, :split], x[:, split:]
+    below = tail.T @ head
+    return np.block([[head.T @ head, below.T], [below, tail.T @ tail]])
 
 
 def _gram_in_scope(x, cpus):
     """``gram_matrix`` inside an entry-point scope with ``cpus`` usable
-    CPUs (a helper thread from 2), and the sizes of the task batches it
-    posted."""
+    CPUs (a helper thread from 2), the sizes of the task batches it
+    posted, and the peak of the memory tracemalloc saw it allocate."""
     batches = []
 
     def run_tasks(tasks):
@@ -1111,24 +1125,36 @@ def _gram_in_scope(x, cpus):
         patch.setattr(numerics, "_usable_cpus", lambda: cpus)
         patch.setattr(optimizer, "_run_tasks", run_tasks)
         with single_blas_thread():
-            return optimizer.gram_matrix(x), batches
+            tracemalloc.start()
+            try:
+                gram = optimizer.gram_matrix(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return gram, batches, peak
 
 
 @pytest.mark.parametrize("n", [60, 1474])
 @pytest.mark.parametrize("d", [CHOLESKY_TILE, CHOLESKY_TILE + 1, 2 * CHOLESKY_TILE + 88, 1984])
 def test_a_wide_gram_is_built_in_tiles_to_the_same_bits_on_any_cpu_count(n, d):
     x = np.random.default_rng(n + d).standard_normal((n, d))
-    helped, helped_batches = _gram_in_scope(x, 2)
-    alone, alone_batches = _gram_in_scope(x, 1)
+    helped, helped_batches, helped_peak = _gram_in_scope(x, 2)
+    alone, alone_batches, alone_peak = _gram_in_scope(x, 1)
     assert np.array_equal(helped, helped.T)
     assert helped.tobytes() == alone.tobytes()
-    product = x.T @ x
-    tiles = -(-d // CHOLESKY_TILE)
-    # every lower tile in one batch
-    assert helped_batches == alone_batches == [tiles * (tiles + 1) // 2]
-    if tiles == 1:
-        # the one tile is the whole block: numpy's own product
+    # nothing d x d is allocated beside the result
+    assert max(helped_peak, alone_peak) < 1.05 * d * d * 8
+    with single_blas_thread():
+        product = x.T @ x
+        blocks = _two_block_gram(x)
+    if d <= CHOLESKY_TILE:
+        # numpy's own product, on the calling thread
+        assert helped_batches == alone_batches == []
         assert helped.tobytes() == product.tobytes()
+    else:
+        # both blocks in one batch
+        assert helped_batches == alone_batches == [2]
+        assert helped.tobytes() == blocks.tobytes()
     assert np.linalg.norm(helped - product) <= 1e-12 * np.linalg.norm(product)
 
 
