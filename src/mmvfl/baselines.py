@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .numerics import ensure_matrix, single_blas_thread
 from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, gram_matrix,
                         has_converged)
@@ -28,11 +26,12 @@ TOL = 1e-6
 MAX_ITER = 50
 
 
-def _fit_blocks(grams, xtys, targets_sq, sparsity, eps):
+def _fit_blocks(grams, xtys, target_sq, sparsity, eps):
     """``(transforms, objectives, converged)`` of the joint fit of blocks k
-    onto T from trusted X_k^T X_k, X_k^T T and ||T||_F^2.  Each iteration
-    takes one ``_reweighted_step`` of every block, each under its own
-    descent guard, and records the objectives summed in block order.  The
+    onto T from trusted X_k^T X_k, X_k^T T, ||T||_F^2 and one sparsity
+    weight for every block.  Each iteration takes one ``_reweighted_step``
+    of every block, each under its own descent guard, and records the
+    objectives summed in block order.  The
     fit stops, ``converged``, once that sum changes by at most TOL, or
     after MAX_ITER iterations, as they stand at call time.  The caller
     lends its Grams: each step factors one in place and restores it bit
@@ -43,8 +42,8 @@ def _fit_blocks(grams, xtys, targets_sq, sparsity, eps):
     converged = False
     while not converged and len(objectives) < MAX_ITER:
         total = 0.0
-        for k, block in enumerate(zip(grams, xtys, targets_sq, sparsity)):
-            w, gw, objective = _reweighted_step(*block, eps, starts[k])
+        for k, (gram, xty) in enumerate(zip(grams, xtys)):
+            w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, eps, starts[k])
             starts[k] = (w, gw)
             total += objective
         converged = bool(objectives) and has_converged(objectives[-1], total, TOL)
@@ -64,9 +63,9 @@ def supfl_solve(features, labels, sparsity: float, *, eps: float = 1e-6):
 
 
 @single_blas_thread()
-def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6):
-    """Joint row-sparse regression of every view onto the labels, BLAS on
-    one thread.
+def supmvlfl_solve(views, labels, sparsity: float, *, eps: float = 1e-6):
+    """Joint row-sparse regression of every view onto the labels, with one
+    sparsity weight for every view, BLAS on one thread.
 
     All views are stepped together and the stopping rule watches the
     summed objective; each view's step only reads that view's state and
@@ -75,17 +74,14 @@ def supmvlfl_solve(views, labels, sparsity, *, eps: float = 1e-6):
     """
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
     labels = check_one_hot(labels)
-    if np.isscalar(sparsity):
-        sparsity = [float(sparsity)] * len(views)
-    sparsity = [float(b) for b in sparsity]
-    if len(sparsity) != len(views):
-        raise ValueError("one sparsity weight per view required")
-    if any(not 0 < b < math.inf for b in sparsity):
-        raise ValueError("sparsity weights must be finite and positive")
+    sparsity = float(sparsity)
+    if not 0 < sparsity < math.inf:
+        raise ValueError("sparsity weight must be finite and positive")
     check_solver_controls(eps, TOL, MAX_ITER)
     for k, view in enumerate(views):
         if view.shape[0] != labels.shape[0]:
             raise ValueError(f"view {k} rows do not match the label rows")
-    # ||Y||_F^2 of a one-hot Y is its row count
-    return _fit_blocks([gram_matrix(v) for v in views], [v.T @ labels for v in views],
-                       [float(labels.shape[0])] * len(views), sparsity, eps)[:2]
+    # X^T Y as (Y^T X)^T, the operand order OpenBLAS runs fast; ||Y||_F^2
+    # of a one-hot Y is its row count
+    return _fit_blocks([gram_matrix(v) for v in views], [(labels.T @ v).T for v in views],
+                       float(labels.shape[0]), sparsity, eps)[:2]

@@ -119,7 +119,8 @@ class _SplitScorer:
         self.targets = one_hot(train_labels, num_classes)
         self.xtx = gram_matrix(train_features)
         self.sums = train_features.sum(axis=0)
-        self.moments = np.vstack([train_features.T @ self.targets,
+        # X^T Y as (Y^T X)^T, the operand order OpenBLAS runs fast
+        self.moments = np.vstack([(self.targets.T @ train_features).T,
                                   self.targets.sum(axis=0)])
 
     def accuracy(self, columns) -> float:
@@ -198,13 +199,12 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
                         for k, sc in enumerate(scorers)], cell, cell_seed)
                     transforms, converged = trained.transforms, trained.converged
                 elif method == "supfl":
-                    fits = [_fit_blocks([xtx], [xty], [n], [beta], cell.eps)
+                    fits = [_fit_blocks([xtx], [xty], n, beta, cell.eps)
                             for xtx, xty in zip(xtxs, xtys)]
                     transforms = [fit[0][0] for fit in fits]
                     converged = all(fit[2] for fit in fits)
                 else:
-                    transforms, _, converged = _fit_blocks(xtxs, xtys, [n] * len(xtxs),
-                                                           cell.sparsity, cell.eps)
+                    transforms, _, converged = _fit_blocks(xtxs, xtys, n, beta, cell.eps)
                 for k, transform in enumerate(transforms):
                     ranking = score_features(transform)
                     for p in p_grid:

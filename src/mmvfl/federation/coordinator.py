@@ -98,8 +98,8 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     run through ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r
     carries the consensus ``run_rounds`` chose after round r: the seeded
     one for r = 0, the plain aggregate for r = 1, and from r = 2 on the
-    Anderson-extrapolated aggregate when it does not raise the objective,
-    else the plain one.  Every upload of round r + 1 answers it.  The
+    Anderson-extrapolated aggregate when the objective fell, else the
+    plain one.  Every upload of round r + 1 answers it.  The
     last round's plain aggregate, the exact consensus minimizer, goes out
     as ``Converged``.
     Raises ``RoundTimeoutError`` when a participant misses

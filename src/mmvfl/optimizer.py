@@ -19,9 +19,9 @@ round, from its current value (see ``participant_round``), so a round is
 one block coordinate descent sweep on a jointly convex form of the
 objective, with no inner loop.  Between rounds the
 consensus that goes back to the participants may be extrapolated past
-its minimizer by a step-limited Anderson step, but only when the
-objective at it does not rise (see ``run_rounds``); the consensus a run
-returns is always the minimizer.
+its minimizer by a step-limited Anderson step, short enough that the
+objective at it stays below the last one recorded (see ``run_rounds``);
+the consensus a run returns is always the minimizer.
 ``run_reference`` executes the full schedule in a single process and
 serves as the equivalence oracle for the federated protocol.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -52,11 +53,12 @@ from .numerics import (
 MONOTONICITY_SLACK = 1e-9
 
 # Anderson extrapolation of the consensus broadcast (see ``run_rounds``):
-# the number of past differences it fits, and the share of the way back
-# to the last recorded objective a step may climb, as a square root.  On
-# the HW shape memory 1 took 25-26 rounds and memory 2 or 3 took 13, where
-# the plain schedule (memory 0) took 87.  Steps of 0.5 or 0.7 let runs of
-# small problems stop early, up to 22% and 7% above their optimum.
+# the number of past differences it fits, and the step cap theta < 1.  A
+# step alpha <= theta sqrt((f_last - f_agg) / spread) records at most
+# f_agg + theta^2 (f_last - f_agg) < f_last, so none is rejected.  On
+# HW memory 1 took 25-26 rounds, memory 2 or 3 took 13 and memory 0 (the
+# plain schedule) 87.  Caps of 0.5 or 0.7 let small problems stop early,
+# up to 22% and 7% above their optimum.
 ANDERSON_MEMORY = 2
 ANDERSON_STEP = 0.9
 
@@ -110,13 +112,13 @@ class ProblemShape:
 
 def check_solver_controls(eps, tol, max_iter):
     """Bounds every solver's controls keep: eps in (0, 1e-3], a positive
-    tolerance and an iteration limit of at least 1."""
+    tolerance and an integer iteration limit of at least 1."""
     if not 0 < eps <= 1e-3:
         raise ValueError("eps must be in (0, 1e-3]")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError("iteration limit must be >= 1")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError("iteration limit must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -525,16 +527,16 @@ def run_rounds(refit, consensus, hyper: Hyperparams):
     of the map from the broadcast Z_b to Z_agg.  The loop keeps the
     differences between the last ``ANDERSON_MEMORY`` + 1 rounds of the
     residual F = Z_agg - Z_b and of Z_agg, and takes the direction d of
-    ``_anderson_step``.  From round 2 on, when f_agg < f_last, it tries
-    Z' = Z_agg + a d with a = min(1, ``ANDERSON_STEP`` sqrt((f_last -
-    f_agg) / (sum_k zeta_k ||d||^2))).  Z_agg is the zeta-weighted mean of
-    the uploads, so f(Z') = f_agg + a^2 sum_k zeta_k ||d||^2 < f_last.
-    Z' goes out, with the objective totalled at it from the same uploads
-    and parts, when that objective does not exceed f_last; else Z_agg
-    goes out with f_agg.  Each recorded objective is the objective at the
-    consensus actually broadcast, and the trace is non-increasing as far
-    as the participants' refits descend.  The matrices are not checked
-    again here: the caller built them or checked them when they arrived.
+    ``_anderson_step``.  From round 2 on, when f_agg < f_last, it
+    broadcasts Z' = Z_agg + a d with a = min(1, ``ANDERSON_STEP``
+    sqrt((f_last - f_agg) / spread)), spread = sum_k zeta_k ||d||^2, and
+    records f_agg + a^2 spread.  Z_agg is the zeta-weighted mean of the
+    uploads, so that is f(Z') in closed form, and the cap keeps it below
+    f_last; otherwise Z_agg goes out with f_agg.  Each recorded objective
+    is the objective at the consensus actually broadcast, and the trace
+    is non-increasing as far as the participants' refits descend.  The
+    matrices are not checked again here: the caller built them or checked
+    them when they arrived.
     Returns ``(consensus, objectives, converged)``, where ``converged``
     says whether the run stopped on ``outer_tol`` rather than at
     ``outer_max``.
@@ -563,11 +565,9 @@ def run_rounds(refit, consensus, hyper: Hyperparams):
             step = _anderson_step(residual_steps, aggregate_steps, residual)
             spread = total_penalty * float(np.vdot(step, step))
             if spread > 0.0:
-                step *= min(1.0, ANDERSON_STEP * math.sqrt((objectives[-1] - value) / spread))
-                step += aggregate
-                extrapolated = round_objective(parts, pseudo_labels, penalties, step)
-                if extrapolated <= objectives[-1]:
-                    consensus, value = step, extrapolated
+                alpha = min(1.0, ANDERSON_STEP * math.sqrt((objectives[-1] - value) / spread))
+                consensus = aggregate + alpha * step
+                value += alpha * alpha * spread
         objectives.append(value)
 
 

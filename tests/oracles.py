@@ -101,7 +101,8 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
 
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    gram, xty = gram_matrix(features), features.T @ targets
+    # X^T T in the operand order ``supmvlfl_solve`` forms it, (T^T X)^T
+    gram, xty = gram_matrix(features), (targets.T @ features).T
     target_sq = float(np.sum(targets * targets))
     start, objectives = None, []
     if init is not None:

@@ -168,8 +168,8 @@ def test_supmvlfl_input_validation():
     rng = np.random.default_rng(23)
     labels = one_hot(np.arange(10) % 2, 2)
     views = [rng.standard_normal((10, 3)), rng.standard_normal((10, 4))]
-    with pytest.raises(ValueError):
-        supmvlfl_solve(views, labels, [0.1])  # one weight per view
+    with pytest.raises(TypeError):
+        supmvlfl_solve(views, labels, [0.1])  # one weight for every view
     with pytest.raises(ValueError):
         supmvlfl_solve(views, labels, -1.0)
     with pytest.raises(ValueError):

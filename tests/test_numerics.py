@@ -314,7 +314,7 @@ def test_a_step_leaves_the_gram_as_it_found_it(monkeypatch, case, d):
             with pytest.raises(NotPositiveDefiniteError):
                 _cholesky_solve_in_place(gram.T, x.T @ targets)
         else:
-            _fit_blocks([gram], [scorer.moments[:-1]], [float(n)], [0.1], 1e-6)
+            _fit_blocks([gram], [scorer.moments[:-1]], float(n), 0.1, 1e-6)
     assert gram.tobytes() == before
 
 

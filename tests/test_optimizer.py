@@ -564,6 +564,14 @@ def test_hyperparams_validation():
         Hyperparams(sparsity=(0.1,), consensus_penalty=(1.0, 1.0), label_penalty=1.0)
 
 
+@pytest.mark.parametrize("outer_max", [2.5, 2.0, math.inf, "3"])
+def test_a_non_integer_round_limit_is_refused_at_construction(outer_max):
+    # refused before any state is built, not as a TypeError in the round loop
+    with pytest.raises(ValueError, match="integer"):
+        Hyperparams.uniform(3, outer_max=outer_max)
+    assert Hyperparams.uniform(3, outer_max=np.int64(2)).outer_max == 2
+
+
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         ProblemShape(num_participants=1, num_classes=3, num_samples=9)
@@ -710,8 +718,13 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
     # against; the last round's at the consensus the run returns
     broadcasts = log["received"][1:] + [result.consensus]
     assert len(log["states"]) == result.rounds > 3
-    for value, states, consensus in zip(result.objectives, log["states"], broadcasts):
+    penalties = hyper.consensus_penalty
+    for value, states, consensus, uploads, parts in zip(
+            result.objectives, log["states"], broadcasts, log["uploads"], log["parts"]):
         assert value == pytest.approx(total_objective(states, consensus, hyper), rel=1e-9)
+        # the closed form f_agg + a^2 spread is the explicit total at the broadcast
+        explicit = round_objective(parts, uploads, penalties, consensus)
+        assert abs(value - explicit) <= 1e-12 * abs(explicit)
     aggregates, candidates = _anderson_candidates(log, result.objectives, hyper)
     extrapolated = [not np.array_equal(z, a) for z, a in zip(broadcasts, aggregates)]
     assert not extrapolated[0] and not extrapolated[-1]
@@ -721,49 +734,10 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
             assert broadcasts[r].tobytes() == aggregates[r].tobytes()
         else:
             # the cap keeps the candidate below the last objective, so
-            # the rule accepts every one it tries
+            # every one the rule tries is broadcast
             assert extrapolated[r]
+            assert result.objectives[r] < result.objectives[r - 1]
             assert _close_to_candidate(broadcasts[r], candidate, aggregates[r])
-
-
-@pytest.mark.parametrize("transport", ["in_process", "tcp"])
-def test_rejected_extrapolation_broadcasts_the_plain_aggregate(monkeypatch, transport):
-    # a step cap of 50 takes the full Anderson step, which overshoots far
-    # enough that the objective rises at some candidates and they are
-    # rejected
-    views, labels = tiny_problem(22, num_samples=30, dims=(5, 7, 4))
-    hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
-                                label_penalty=100.0, outer_tol=1e-9, outer_max=30)
-    monkeypatch.setattr(optimizer, "ANDERSON_STEP", 50.0)
-    log = _record_rounds(monkeypatch)
-    reference = run_reference(views, labels, hyper, 7)
-    trace = reference.objectives
-    assert np.diff(trace).max(initial=0.0) <= 1e-9
-    penalties = hyper.consensus_penalty
-    aggregates, candidates = _anderson_candidates(log, trace, hyper)
-    broadcasts = log["received"][1:] + [reference.consensus]
-    rejected = 0
-    for r in range(reference.rounds):
-        uploads, parts = log["uploads"][r], log["parts"][r]
-        if not np.array_equal(broadcasts[r], aggregates[r]):
-            assert _close_to_candidate(broadcasts[r], candidates[r], aggregates[r])
-            assert trace[r] == round_objective(parts, uploads, penalties, broadcasts[r])
-            assert trace[r] <= trace[r - 1]
-            continue
-        assert broadcasts[r].tobytes() == aggregates[r].tobytes()
-        assert trace[r] == round_objective(parts, uploads, penalties, aggregates[r])
-        if candidates[r] is not None:
-            assert round_objective(parts, uploads, penalties, candidates[r]) > trace[r - 1]
-            rejected += 1
-    assert rejected >= 1
-    federated = run_federated(views, labels, hyper, seed=7, transport=transport)
-    assert federated.objectives == trace
-    assert federated.converged == reference.converged
-    assert federated.consensus.tobytes() == reference.consensus.tobytes()
-    for state, transform, pseudo in zip(federated.states, reference.transforms,
-                                        reference.pseudo_labels):
-        assert state.transform.tobytes() == transform.tobytes()
-        assert state.pseudo_labels.tobytes() == pseudo.tobytes()
 
 
 def test_zero_memory_is_the_plain_schedule(monkeypatch):
