@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 
 from .numerics import ensure_matrix, single_blas_thread
-from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, gram_matrix,
-                        has_converged)
+from .optimizer import (_reweighted_step, check_one_hot, check_solver_controls, check_weight,
+                        gram_matrix, has_converged)
 
 # A baseline fit stops once the relative change of its summed objective
 # is at most TOL, or after MAX_ITER reweighted steps.
@@ -74,7 +74,7 @@ def supmvlfl_solve(views, labels, sparsity: float, *, eps: float = 1e-6):
     """
     views = [ensure_matrix(v, f"views[{k}]") for k, v in enumerate(views)]
     labels = check_one_hot(labels)
-    sparsity = float(sparsity)
+    sparsity = check_weight(sparsity)
     if not 0 < sparsity < math.inf:
         raise ValueError("sparsity weight must be finite and positive")
     check_solver_controls(eps, TOL, MAX_ITER)

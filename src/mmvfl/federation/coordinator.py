@@ -1,9 +1,9 @@
 """Coordinator side of the round-based training protocol.
 
 The coordinator never sees features, transforms, or labels: it receives
-pseudo-label uploads plus scalar objective contributions, re-aggregates
-the consensus, checks convergence on the summed objective, and
-broadcasts.  Its message trace is the audit surface for the privacy
+pseudo-label uploads plus scalar objective contributions, minimizes the
+objective over the consensus jointly with the pseudo-labels, checks
+convergence on the summed objective, and broadcasts.  Its message trace is the audit surface for the privacy
 checks.
 """
 
@@ -94,14 +94,15 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     """Drive one full training session over already-connected channels.
 
     ``channels`` are connected ``TcpChannel``s, one per participant;
-    participant identities come from their Register messages.  The rounds
-    run through ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r
-    carries the consensus ``run_rounds`` chose after round r: the seeded
-    one for r = 0, the plain aggregate for r = 1, and from r = 2 on the
-    Anderson-extrapolated aggregate when the objective fell, else the
-    plain one.  Every upload of round r + 1 answers it.  The
-    last round's plain aggregate, the exact consensus minimizer, goes out
-    as ``Converged``.
+    participant identities come from their Register messages, and the one
+    that registers as the label owner is the owner ``run_rounds`` weighs
+    with the label penalty.  The rounds run through
+    ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r carries the
+    consensus after round r: the seeded one for r = 0, else the joint
+    minimizer Z* of round r (see ``optimizer.joint_consensus``).  Every
+    upload of round r + 1 answers it.  The last round's Z* goes out as
+    ``Converged``, and each participant refreshes its pseudo-labels
+    against it.
     Raises ``RoundTimeoutError`` when a participant misses
     ``round_timeout`` and ``FederationAbortError`` on duplicate
     registration, malformed messages, or transport failure.
@@ -177,7 +178,7 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
             abort_all(f"need exactly one label owner, got {sorted(owners)}")
 
         consensus, objectives, converged = run_rounds(
-            refit, init_consensus(*matrix_shape, config.seed), config.hyper)
+            refit, init_consensus(*matrix_shape, config.seed), config.hyper, owners[0])
         broadcast(KIND_CONVERGED, len(objectives), consensus)
     finally:
         for ch in channels:

@@ -4,6 +4,8 @@ A participant keeps its feature block, transform, and (for the label
 owner) label matrix strictly local.  Per round it
 refits locally, uploads only its pseudo-label matrix plus a scalar
 objective contribution, and waits for the next consensus broadcast.
+On ``Converged`` it refreshes its pseudo-labels against the final
+consensus, as ``optimizer.train_states`` does.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from ..optimizer import (
     _new_state,
     gram_matrix,
     participant_round,
+    refresh_pseudo_labels,
 )
 from .coordinator import FederationAbortError, FederationConfig
 from .messages import (
@@ -62,6 +65,7 @@ def participant_run(participant_id: int, features, labels,
             if message.payload is None or message.payload.shape != matrix_shape:
                 raise DimensionMismatchError("broadcast consensus has the wrong shape")
             if message.kind == KIND_CONVERGED:
+                refresh_pseudo_labels(state, message.payload, config.hyper)
                 return state
             round_index += 1
             part = participant_round(state, message.payload, config.hyper)

@@ -12,16 +12,12 @@ its one-hot label matrix ``Y``.  The training objective is
     + label_penalty * ||Z_owner - Y||_F^2
 
 where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  The
-weights live in one ``Hyperparams``, which every round reads.  The
-pseudo-label and consensus updates below are the exact minimizers of
-their subproblems.  ``W_k`` takes one reweighted least-squares step per
-round, from its current value (see ``participant_round``), so a round is
-one block coordinate descent sweep on a jointly convex form of the
-objective, with no inner loop.  Between rounds the
-consensus that goes back to the participants may be extrapolated past
-its minimizer by a step-limited Anderson step, short enough that the
-objective at it stays below the last one recorded (see ``run_rounds``);
-the consensus a run returns is always the minimizer.
+weights live in one ``Hyperparams``, which every round reads.  A round
+is two-block coordinate descent on a jointly convex form of the
+objective, with no inner loop: every ``W_k`` takes one reweighted
+least-squares step from its current value (see ``participant_round``),
+then the consensus and every pseudo-label are minimized jointly, in
+closed form, from the uploads (see ``joint_consensus``).
 ``run_reference`` executes the full schedule in a single process and
 serves as the equivalence oracle for the federated protocol.
 """
@@ -31,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,20 +46,6 @@ from .numerics import (
 # block's smoothed objective by more than MONOTONICITY_SLACK * max(1,
 # |the value before the step|) is a numerical fault.
 MONOTONICITY_SLACK = 1e-9
-
-# Anderson extrapolation of the consensus broadcast (see ``run_rounds``):
-# the number of past differences it fits, and the step cap theta < 1.  A
-# step alpha <= theta sqrt((f_last - f_agg) / spread) records at most
-# f_agg + theta^2 (f_last - f_agg) < f_last, so none is rejected.  On
-# HW memory 1 took 25-26 rounds, memory 2 or 3 took 13 and memory 0 (the
-# plain schedule) 87.  Caps of 0.5 or 0.7 let small problems stop early,
-# up to 22% and 7% above their optimum.
-ANDERSON_MEMORY = 2
-ANDERSON_STEP = 0.9
-
-# Tikhonov weight of the Anderson normal equations, relative to their
-# mean diagonal entry.
-_ANDERSON_REGULARIZATION = 1e-10
 
 # Estimated multiply-adds a round needs before its participant refits are
 # shared with the scope's helper thread (see ``_share_refits``).  Threads
@@ -121,6 +102,14 @@ def check_solver_controls(eps, tol, max_iter):
         raise ValueError("iteration limit must be an integer >= 1")
 
 
+def check_weight(value) -> float:
+    """A weight as a float; ``TypeError`` unless it is a real number and
+    not a bool, so a string or a flag is never read as a weight."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"a weight must be a real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Every setting a training run reads, in one place.
@@ -141,6 +130,8 @@ class Hyperparams:
     def __post_init__(self):
         if len(self.sparsity) != len(self.consensus_penalty):
             raise ValueError("sparsity and consensus_penalty must have equal length")
+        for weight in (*self.sparsity, *self.consensus_penalty, self.label_penalty):
+            check_weight(weight)
         if any(not 0 < b < math.inf for b in self.sparsity):
             raise ValueError("sparsity weights must be finite and positive")
         if any(not 0 < z < math.inf for z in self.consensus_penalty):
@@ -155,9 +146,9 @@ class Hyperparams:
                 **kwargs) -> "Hyperparams":
         """Same sparsity/consensus weight for every participant."""
         return cls(
-            sparsity=(float(sparsity),) * num_participants,
-            consensus_penalty=(float(consensus_penalty),) * num_participants,
-            label_penalty=float(label_penalty),
+            sparsity=(check_weight(sparsity),) * num_participants,
+            consensus_penalty=(check_weight(consensus_penalty),) * num_participants,
+            label_penalty=check_weight(label_penalty),
             **kwargs,
         )
 
@@ -166,10 +157,11 @@ class Hyperparams:
 class ParticipantState:
     """Everything participant k keeps locally between rounds.
 
-    ``features``, ``transform``, and ``labels`` (the label owner's one-hot
-    matrix, else None) never leave the participant; only ``pseudo_labels``
-    and scalar objective contributions are shared.  It keeps no weights:
-    every round reads them from the run's ``Hyperparams``.
+    ``features``, ``transform``, ``labels`` (the label owner's one-hot
+    matrix, else None) and ``projection`` = X W (None before the first
+    round's step) never leave the participant; only ``pseudo_labels`` and
+    scalar objective contributions are shared.  It keeps no weights: every
+    round reads them from the run's ``Hyperparams``.
 
     ``gram`` = X^T X is the state's only d x d array: each round's step
     factors it in place and restores it bit for bit (see
@@ -185,6 +177,7 @@ class ParticipantState:
     gram_transform: np.ndarray = field(repr=False)
     pseudo_labels: np.ndarray
     labels: np.ndarray | None = None
+    projection: np.ndarray | None = field(default=None, repr=False)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -329,17 +322,41 @@ def pseudo_label_update(projected, consensus, consensus_penalty: float) -> np.nd
     return (projected + consensus_penalty * consensus) / (1.0 + consensus_penalty)
 
 
-def aggregate_consensus(pseudo_labels, penalties) -> np.ndarray:
-    """Consensus minimizer: penalty-weighted average of the local
-    pseudo-label matrices, accumulated in participant order.  The
-    matrices are trusted to be finite and of one shape (see
-    ``run_rounds``)."""
-    numerator = np.zeros(pseudo_labels[0].shape)
-    total = 0.0
-    for z, weight in zip(pseudo_labels, penalties):
-        numerator += float(weight) * z
-        total += float(weight)
-    return numerator / total
+def refresh_pseudo_labels(state: ParticipantState, consensus, hyper: Hyperparams) -> None:
+    """Set the state's pseudo-labels to their minimizer against
+    ``consensus``, from its last projection X_k W_k."""
+    zeta = hyper.consensus_penalty[state.participant_id]
+    if state.labels is not None:
+        state.pseudo_labels = owner_pseudo_label_update(
+            state.projection, consensus, state.labels, zeta, hyper.label_penalty)
+    else:
+        state.pseudo_labels = pseudo_label_update(state.projection, consensus, zeta)
+
+
+def joint_consensus(uploads, broadcast, hyper: Hyperparams, owner: int):
+    """The consensus that minimizes the objective jointly with every
+    pseudo-label while the transforms stay fixed, and the curvature s of
+    that minimization.
+
+    Each upload Z_k is participant k's pseudo-label minimizer against the
+    broadcast Z_b, Z_k = (1 - b_k) Q_k + b_k Z_b with b_k = zeta_k / (1 +
+    zeta_k + [eta for the ``owner``]), where Q_k is what its projection
+    and labels pull toward.  Minimized over Z_k, the objective is
+    sum_k zeta_k (1 - b_k) ||Z - Q_k||^2 plus a constant: a quadratic in Z
+    with Hessian 2 s I, s = sum_k zeta_k (1 - b_k), minimized by Z* =
+    sum_k zeta_k (Z_k - b_k Z_b) / s.  So its value at Z* is its value at
+    Z_b less s ||Z* - Z_b||^2.  Z* = Z_b + (sum_k zeta_k / s) (Z_agg -
+    Z_b), where Z_agg is the zeta-weighted mean of the uploads: the plain
+    consensus update, over-relaxed by a fixed factor of at least 1.  The
+    uploads are trusted to be finite and of one shape (see
+    ``run_rounds``).  Returns ``(Z*, s)``."""
+    numerator = np.zeros(broadcast.shape)
+    curvature = 0.0
+    for k, (upload, zeta) in enumerate(zip(uploads, hyper.consensus_penalty)):
+        pull = zeta / (1.0 + zeta + (hyper.label_penalty if k == owner else 0.0))
+        numerator += zeta * (upload - pull * broadcast)
+        curvature += zeta * (1.0 - pull)
+    return numerator / curvature, curvature
 
 
 # ---------------------------------------------------------------------------
@@ -454,121 +471,75 @@ def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantStat
 
 
 def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) -> float:
-    """One local round: one reweighted step of the transform from its
-    current value against the current pseudo-labels, a refresh of the
-    pseudo-labels against the broadcast consensus, and the local
-    objective contribution (the only scalar that leaves the participant).
+    """One local round against the broadcast consensus: a refresh of the
+    pseudo-labels against it from the last projection (from round 2 on),
+    one reweighted step of the transform from its current value against
+    them, a refresh from the new projection, and the local objective
+    contribution (the only scalar that leaves the participant).
 
-    The step is one ``_reweighted_step`` from the current transform, so
-    one solve with the diagonal 1/(2(||w_i|| + eps)) of its rows under the
-    step's descent guard: the exact minimizer of the fit plus the
-    eta-variational form of the penalty, sum_i (||w_i||^2 / eta_i +
-    eta_i) / 2, at eta_i = ||w_i|| + eps (Bach, Jenatton, Mairal &
-    Obozinski 2012, section 5.1).  That form is jointly convex, so the
+    The first refresh puts the pseudo-labels where the coordinator's
+    joint minimization left them (see ``joint_consensus``), so the round
+    starts from the objective last recorded; round 1 starts from the
+    seeded ones.  The step is one ``_reweighted_step`` from the current
+    transform, so one solve with the diagonal 1/(2(||w_i|| + eps)) of its
+    rows under the step's descent guard: the exact minimizer of the fit
+    plus the eta-variational form of the penalty, sum_i (||w_i||^2 /
+    eta_i + eta_i) / 2, at eta_i = ||w_i|| + eps (Bach, Jenatton, Mairal
+    & Obozinski 2012, section 5.1).  That form is jointly convex, so the
     rounds are block coordinate descent on it, with no inner loop and no
     inner stopping rule.  beta_k and zeta_k are read from ``hyper`` at
     ``participant_id``.  The state's features were checked when it was
     built, so they are not checked again here."""
-    k = state.participant_id
+    if state.projection is not None:
+        refresh_pseudo_labels(state, consensus, hyper)
     targets = state.pseudo_labels
     # X^T T and X W with the n x d block as stored, not transposed: the
     # operand order in which OpenBLAS forms a product with a thin factor fast
     state.transform, state.gram_transform, _ = _reweighted_step(
-        state.gram, (targets.T @ state.features).T, _sum_sq(targets), hyper.sparsity[k],
-        hyper.eps, start=(state.transform, state.gram_transform))
-    projected = (state.transform.T @ state.features.T).T
-    if state.labels is not None:
-        state.pseudo_labels = owner_pseudo_label_update(
-            projected, consensus, state.labels,
-            hyper.consensus_penalty[k], hyper.label_penalty)
-    else:
-        state.pseudo_labels = pseudo_label_update(
-            projected, consensus, hyper.consensus_penalty[k])
-    return local_objective_part(state, projected, hyper)
+        state.gram, (targets.T @ state.features).T, _sum_sq(targets),
+        hyper.sparsity[state.participant_id], hyper.eps,
+        start=(state.transform, state.gram_transform))
+    state.projection = (state.transform.T @ state.features.T).T
+    refresh_pseudo_labels(state, consensus, hyper)
+    return local_objective_part(state, state.projection, hyper)
 
 
-def _anderson_step(residual_steps, aggregate_steps, residual) -> np.ndarray:
-    """The Anderson direction d = -sum_j gamma_j dZ_agg,j, where gamma
-    fits the latest residual F = Z_agg - Z_b by the residual differences
-    dF_j in least squares (normal equations with a Tikhonov term of
-    ``_ANDERSON_REGULARIZATION`` times their mean diagonal entry).  Zero
-    when every dF_j is."""
-    m = len(residual_steps)
-    normal = np.empty((m, m))
-    rhs = np.empty(m)
-    for i, df in enumerate(residual_steps):
-        rhs[i] = np.vdot(df, residual)
-        for j in range(i + 1):
-            normal[i, j] = normal[j, i] = np.vdot(df, residual_steps[j])
-    step = np.zeros_like(residual)
-    trace = float(np.trace(normal))
-    if trace > 0.0:
-        normal.flat[::m + 1] += _ANDERSON_REGULARIZATION * trace / m
-        for g, dz in zip(np.linalg.solve(normal, rhs), aggregate_steps):
-            step -= g * dz
-    return step
-
-
-def run_rounds(refit, consensus, hyper: Hyperparams):
+def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
     """The one loop over training rounds, shared by ``run_reference`` and
     the coordinator.
 
     In round r (from 1), ``refit(r, consensus)`` has every participant
-    refit against the consensus broadcast after round r - 1 (the seeded
-    one in round 1) and returns ``(pseudo_labels, parts)`` in participant
-    order: the uploaded matrices and objective contributions.  The
-    uploads are aggregated with the ``consensus_penalty`` weights into
-    Z_agg, the exact consensus minimizer, and the objective f_agg is
-    totalled at Z_agg.  Once its relative change from the last recorded
-    objective f_last drops below ``outer_tol``, or in round
-    ``outer_max``, f_agg is recorded and Z_agg returned.
-
-    Otherwise the broadcast may be extrapolated by Anderson acceleration
-    of the map from the broadcast Z_b to Z_agg.  The loop keeps the
-    differences between the last ``ANDERSON_MEMORY`` + 1 rounds of the
-    residual F = Z_agg - Z_b and of Z_agg, and takes the direction d of
-    ``_anderson_step``.  From round 2 on, when f_agg < f_last, it
-    broadcasts Z' = Z_agg + a d with a = min(1, ``ANDERSON_STEP``
-    sqrt((f_last - f_agg) / spread)), spread = sum_k zeta_k ||d||^2, and
-    records f_agg + a^2 spread.  Z_agg is the zeta-weighted mean of the
-    uploads, so that is f(Z') in closed form, and the cap keeps it below
-    f_last; otherwise Z_agg goes out with f_agg.  Each recorded objective
-    is the objective at the consensus actually broadcast, and the trace
-    is non-increasing as far as the participants' refits descend.  The
-    matrices are not checked again here: the caller built them or checked
-    them when they arrived.
-    Returns ``(consensus, objectives, converged)``, where ``converged``
-    says whether the run stopped on ``outer_tol`` rather than at
+    run ``participant_round`` against the consensus Z_b broadcast after
+    round r - 1 (the seeded one in round 1) and returns
+    ``(pseudo_labels, parts)`` in participant order: the uploaded
+    matrices and objective contributions.  From them and Z_b,
+    ``joint_consensus`` gives Z*, the consensus that minimizes the
+    objective jointly with every pseudo-label, ``owner`` being the label
+    owner's index, and the curvature s.  The objective at Z* and the
+    pseudo-labels that go with it, round_objective(parts, uploads, zeta,
+    Z_b) - s ||Z* - Z_b||^2, is recorded, exactly and without a second
+    pass over the uploads, and Z* is broadcast.  So a round is two-block
+    coordinate descent, the transforms then the consensus with the
+    pseudo-labels, and the trace is non-increasing as far as the
+    participants' steps descend.  The run stops once the relative change
+    of the recorded objective drops below ``outer_tol``, or in round
+    ``outer_max``.  The matrices are not checked again here: the caller
+    built them or checked them when they arrived.
+    Returns ``(consensus, objectives, converged)``: the last Z*, the
+    trace, and whether the run stopped on ``outer_tol`` rather than at
     ``outer_max``.
     """
-    penalties = hyper.consensus_penalty
-    total_penalty = sum(float(weight) for weight in penalties)
     objectives: list[float] = []
-    residual = previous = None
-    # dF_j and dZ_agg,j, oldest first
-    residual_steps = deque(maxlen=ANDERSON_MEMORY)
-    aggregate_steps = deque(maxlen=ANDERSON_MEMORY)
     for round_index in range(1, hyper.outer_max + 1):
         pseudo_labels, parts = refit(round_index, consensus)
-        aggregate = aggregate_consensus(pseudo_labels, penalties)
-        value = round_objective(parts, pseudo_labels, penalties, aggregate)
+        joint, curvature = joint_consensus(pseudo_labels, consensus, hyper, owner)
+        value = (round_objective(parts, pseudo_labels, hyper.consensus_penalty, consensus)
+                 - curvature * _sum_sq(joint - consensus))
         converged = bool(objectives) and has_converged(objectives[-1], value, hyper.outer_tol)
-        if converged or round_index == hyper.outer_max:
-            objectives.append(value)
-            return aggregate, objectives, converged
-        current = aggregate - consensus
-        if residual is not None:
-            residual_steps.append(current - residual)
-            aggregate_steps.append(aggregate - previous)
-        residual, previous, consensus = current, aggregate, aggregate
-        if residual_steps and value < objectives[-1]:
-            step = _anderson_step(residual_steps, aggregate_steps, residual)
-            spread = total_penalty * float(np.vdot(step, step))
-            if spread > 0.0:
-                alpha = min(1.0, ANDERSON_STEP * math.sqrt((objectives[-1] - value) / spread))
-                consensus = aggregate + alpha * step
-                value += alpha * alpha * spread
         objectives.append(value)
+        consensus = joint
+        if converged or round_index == hyper.outer_max:
+            return consensus, objectives, converged
 
 
 def _share_refits(num_samples: int, num_classes: int, dims) -> bool:
@@ -608,16 +579,19 @@ def train_states(states, hyper: Hyperparams, seed) -> TrainingResult:
     builds them, and the consensus ``seed`` gives.  Each step factors its
     state's Gram in place, so no other thread may read it meanwhile.
 
-    The rounds run through ``run_rounds``, the loop the coordinator runs
-    too: per round every participant refits its transform and
-    pseudo-labels, then the consensus is re-aggregated and the objective
-    recorded.  A participant's round reads only its own state and the
-    consensus, so when the round is large enough (see ``_share_refits``)
-    its refits are one batch of ``numerics._run_tasks``: the calling
-    thread and the scope's helper thread claim them, widest block first.
-    Each part is stored at its participant's index and aggregated in
-    participant order, so the result is the same bit for bit however the
-    refits were shared, and on one CPU, where there is no helper.
+    The first state owns the labels.  The rounds run through
+    ``run_rounds``, the loop the coordinator runs too: per round every
+    participant refits its transform and pseudo-labels, then the
+    consensus and pseudo-labels are minimized jointly and the objective
+    recorded.  Afterwards every state's pseudo-labels are refreshed
+    against the final consensus, where that joint minimization put them.
+    A participant's round reads only its own state and the consensus, so
+    when the round is large enough (see ``_share_refits``) its refits are
+    one batch of ``numerics._run_tasks``: the calling thread and the
+    scope's helper thread claim them, widest block first.  Each part is
+    stored at its participant's index and summed in participant order, so
+    the result is the same bit for bit however the refits were shared,
+    and on one CPU, where there is no helper.
     """
     n, num_classes = states[0].pseudo_labels.shape
     dims = [st.features.shape[1] for st in states]
@@ -638,7 +612,9 @@ def train_states(states, hyper: Hyperparams, seed) -> TrainingResult:
         return [st.pseudo_labels for st in states], list(parts)
 
     consensus, objectives, converged = run_rounds(
-        refit, init_consensus(n, num_classes, seed), hyper)
+        refit, init_consensus(n, num_classes, seed), hyper, 0)
+    for st in states:
+        refresh_pseudo_labels(st, consensus, hyper)
     return TrainingResult(
         transforms=[st.transform for st in states],
         pseudo_labels=[st.pseudo_labels for st in states],

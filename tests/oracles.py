@@ -191,6 +191,32 @@ def loop_total_objective(views, transforms, pseudo_labels, consensus, labels,
     return total
 
 
+def _coupling(consensus_penalty, label_penalty, owner):
+    """Half the Hessian of the objective in the K pseudo-labels and the
+    consensus, one entry at a time: the (K+1) x (K+1) matrix of its normal
+    equations, the consensus last."""
+    k = len(consensus_penalty)
+    coupling = np.zeros((k + 1, k + 1))
+    for j, zeta in enumerate(consensus_penalty):
+        coupling[j, j] = 1.0 + zeta + (label_penalty if j == owner else 0.0)
+        coupling[j, k] = coupling[k, j] = -zeta
+        coupling[k, k] += zeta
+    return coupling
+
+
+def joint_minimizer(projections, labels, owner, consensus_penalty, label_penalty):
+    """The pseudo-labels and consensus that minimize
+    sum_k ||P_k - Z_k||^2 + zeta_k ||Z_k - Z||^2 + eta ||Z_owner - Y||^2
+    for fixed projections P_k, by a plain solve of its normal equations.
+    Returns ``(pseudo_labels, consensus)``."""
+    y = np.asarray(labels, dtype=np.float64)
+    rhs = np.stack([np.asarray(p, dtype=np.float64) for p in projections] + [np.zeros_like(y)])
+    rhs[owner] += label_penalty * y
+    solved = np.linalg.solve(_coupling(consensus_penalty, label_penalty, owner),
+                             rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
+    return list(solved[:-1]), solved[-1]
+
+
 def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label_penalty,
                                eps, rtol: float = 1e-13, max_iter: int = 100000):
     """Minimum of the full training objective with each row norm t in the
@@ -218,12 +244,7 @@ def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label
     y = np.asarray(labels, dtype=np.float64)
     k = len(xs)
     zeta = np.asarray(consensus_penalty, dtype=np.float64)
-    coupling = np.zeros((k + 1, k + 1))
-    for j in range(k):
-        coupling[j, j] = 1.0 + zeta[j] + (label_penalty if j == 0 else 0.0)
-        coupling[j, k] = coupling[k, j] = -zeta[j]
-    coupling[k, k] = zeta.sum()
-    inverse = np.linalg.inv(coupling)
+    inverse = np.linalg.inv(_coupling(zeta, label_penalty, 0))
     lipschitz = 2.0 * max(np.linalg.norm(x, 2) ** 2 for x in xs)
     step = 1.0 / lipschitz
 

@@ -178,6 +178,17 @@ def test_supmvlfl_input_validation():
         supmvlfl_solve([rng.standard_normal((9, 3))], labels, 0.1)  # row mismatch
 
 
+@pytest.mark.parametrize("beta", ["0.1", True])
+def test_a_weight_that_is_not_a_number_is_refused(beta):
+    rng = np.random.default_rng(25)
+    labels = one_hot(np.arange(10) % 2, 2)
+    views = [rng.standard_normal((10, 3)), rng.standard_normal((10, 4))]
+    with pytest.raises(TypeError, match="real number"):
+        supmvlfl_solve(views, labels, beta)
+    with pytest.raises(TypeError, match="real number"):
+        supfl_solve(views[0], labels, beta)
+
+
 @pytest.mark.parametrize("eps, tol, max_iter", [
     (0.01, 1e-6, 50), (0.0, 1e-6, 50), (1e-6, 0.0, 50), (1e-6, -1.0, 50), (1e-6, 1e-6, 0)])
 def test_solver_controls_share_the_training_bounds(eps, tol, max_iter):

@@ -688,45 +688,99 @@ def test_registration_timeout_names_the_channel(pairs):
     assert "unregistered channel 1" in str(error)
 
 
-def scripted_participant(side, pid, owner, payload, delay=0.0):
-    """Minimal hand-rolled participant that converges immediately."""
+def scripted_participant(side, pid, owner, projection, hyper, delay=0.0):
+    """Minimal hand-rolled participant whose projection never moves: it
+    answers each broadcast Z_b with its pseudo-label minimizer, the
+    projection P pulled toward Z_b by b = zeta / (1 + zeta + [eta for the
+    owner]), and owns labels equal to P."""
     register(side, pid, owner=owner)
-    message, _ = side.recv(timeout=5.0)
-    assert message.kind == "ZBroadcast"
+    zeta = hyper.consensus_penalty[pid]
+    label_weight = hyper.label_penalty if owner else 0.0
+    pull = zeta / (1.0 + zeta + label_weight)
     round_index = 0
     while True:
+        message, _ = side.recv(timeout=5.0)
+        if message.kind == "Converged":
+            return message.payload
+        assert message.kind == "ZBroadcast"
         round_index += 1
         if delay:
             time.sleep(delay)
+        upload = projection + pull * (message.payload - projection)
+        part = (1.0 + label_weight) * float(np.sum((upload - projection) ** 2))
         side.send(RoundMessage(kind="ZkUpload", round=round_index,
-                               participant_id=pid, payload=payload,
-                               objective_part=1.0))
-        message, _ = side.recv(timeout=5.0)
-        if message.kind == "Converged":
-            return
+                               participant_id=pid, payload=upload,
+                               objective_part=part))
+
+
+def run_scripted_session(pairs, config, projections, owner, delays=(0.0, 0.0)):
+    """A coordinator session with two scripted participants; returns the
+    coordinator's outcome and the consensus each participant received
+    with ``Converged``."""
+    thread, holder = start_coordinator(config, [a for a, _ in pairs])
+    received = {}
+
+    def participant(pid):
+        received[pid] = scripted_participant(pairs[pid][1], pid, pid == owner,
+                                             projections[pid], config.hyper, delays[pid])
+
+    runners = [threading.Thread(target=participant, args=(pid,), daemon=True)
+               for pid in range(2)]
+    for runner in runners:
+        runner.start()
+    thread.join(timeout=30.0)
+    for runner in runners:
+        runner.join(timeout=5.0)
+    return holder, received
 
 
 def test_slow_but_alive_participant_completes(pairs):
     config = FederationConfig(shape=tiny_config().shape,
                               hyper=tiny_config().hyper, seed=0,
                               round_timeout=1.0)
-    thread, holder = start_coordinator(config, [a for a, _ in pairs])
-    payload = np.ones((config.shape.num_samples, config.shape.num_classes))
-    sides = [b for _, b in pairs]
-    runners = [
-        threading.Thread(target=scripted_participant,
-                         args=(sides[0], 0, True, payload, 0.3), daemon=True),
-        threading.Thread(target=scripted_participant,
-                         args=(sides[1], 1, False, payload, 0.0), daemon=True),
-    ]
-    for runner in runners:
-        runner.start()
-    thread.join(timeout=30.0)
-    for runner in runners:
-        runner.join(timeout=5.0)
+    ones = np.ones((config.shape.num_samples, config.shape.num_classes))
+    holder, received = run_scripted_session(pairs, config, [ones, ones], 0,
+                                            delays=(0.3, 0.0))
     assert "error" not in holder
-    # constant uploads converge on the second round
-    assert len(holder["result"].objectives) == 2
+    # projections that agree have the joint minimum 0 at Z = P: round 1
+    # reaches it from the seeded consensus, and round 2 confirms it
+    result = holder["result"]
+    assert len(result.objectives) == 2 and result.converged
+    assert np.allclose(result.consensus, ones, rtol=0.0, atol=1e-12)
+    assert abs(result.objectives[0]) <= 1e-9
+    assert all(z.tobytes() == result.consensus.tobytes() for z in received.values())
+
+
+def test_the_registered_label_owner_gets_the_label_weight(pairs):
+    # unequal consensus penalties, so the owner's index changes Z*
+    hyper = Hyperparams(sparsity=(0.1, 0.1), consensus_penalty=(2.0, 50.0),
+                        label_penalty=10.0, outer_max=1)
+    config = FederationConfig(shape=tiny_config().shape, hyper=hyper, seed=0,
+                              round_timeout=5.0)
+    rng = np.random.default_rng(4)
+    shape = (config.shape.num_samples, config.shape.num_classes)
+    projections = [rng.standard_normal(shape) for _ in range(2)]
+    holder, received = run_scripted_session(pairs, config, projections, 1)
+    assert "error" not in holder
+    seeded = init_consensus(*shape, 0)
+    zetas, eta = hyper.consensus_penalty, hyper.label_penalty
+    uploads = [p + zeta / (1.0 + zeta + (eta if k == 1 else 0.0)) * (seeded - p)
+               for k, (p, zeta) in enumerate(zip(projections, zetas))]
+
+    def expected(owner):
+        # Z* = sum_k zeta_k (Z_k - b_k Z_b) / sum_k zeta_k (1 - b_k)
+        numerator, curvature = np.zeros(shape), 0.0
+        for k, (upload, zeta) in enumerate(zip(uploads, zetas)):
+            b_k = zeta / (1.0 + zeta + (eta if k == owner else 0.0))
+            numerator += zeta * (upload - b_k * seeded)
+            curvature += zeta * (1.0 - b_k)
+        return numerator / curvature
+
+    consensus = holder["result"].consensus
+    assert np.max(np.abs(consensus - expected(1))) <= 1e-12
+    # participant 0 taken as the owner gives a visibly different consensus
+    assert np.max(np.abs(consensus - expected(0))) > 1e-3
+    assert all(z.tobytes() == consensus.tobytes() for z in received.values())
 
 
 # ---------------------------------------------------------------------------

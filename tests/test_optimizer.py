@@ -24,16 +24,17 @@ from mmvfl.optimizer import (
     Hyperparams,
     NonDecreasingObjectiveError,
     ProblemShape,
-    aggregate_consensus,
     check_one_hot,
     has_converged,
     init_consensus,
+    joint_consensus,
     local_objective_part,
     make_states,
     one_hot,
     owner_pseudo_label_update,
     participant_round,
     pseudo_label_update,
+    refresh_pseudo_labels,
     round_objective,
     run_reference,
 )
@@ -43,6 +44,7 @@ from oracles import (
     fit_sparse_transform,
     gd_quadratic_minimizer,
     grid_minimize_scalar,
+    joint_minimizer,
     loop_l21,
     loop_reweight_diag,
     loop_row_norms,
@@ -428,44 +430,103 @@ def test_nonowner_update_matches_entrywise_calculus_oracle():
         assert np.max(np.abs(ours - oracle)) <= 1e-10
 
 
+def _uploads(projections, label, owner, zetas, eta, broadcast):
+    """Each participant's pseudo-label minimizer against ``broadcast``,
+    as ``participant_round`` uploads it."""
+    return [owner_pseudo_label_update(p, broadcast, label, z, eta) if k == owner
+            else pseudo_label_update(p, broadcast, z)
+            for k, (p, z) in enumerate(zip(projections, zetas))]
+
+
+def _weights(zetas, eta):
+    return Hyperparams(sparsity=(1.0,) * len(zetas), consensus_penalty=tuple(zetas),
+                       label_penalty=eta)
+
+
 def test_consensus_examples_and_oracles():
+    # uploads that equal the broadcast give it back, whatever the weights
     z0 = np.full((3, 2), 1.7)
-    assert np.allclose(aggregate_consensus([z0, z0.copy(), z0.copy()], [1.0, 2.0, 5.0]), z0)
+    for owner in (0, 2):
+        joint, _ = joint_consensus([z0, z0.copy(), z0.copy()], z0,
+                                   _weights((1.0, 2.0, 5.0), 4.0), owner)
+        assert np.allclose(joint, z0, rtol=0.0, atol=1e-15)
 
-    a, b = np.zeros((1, 1)) + 1.0, np.zeros((1, 1)) + 5.0
-    assert aggregate_consensus([a, b], [1.0, 1.0])[0, 0] == pytest.approx(3.0)
-    weighted = aggregate_consensus([a, b], [1.0, 3.0])[0, 0]
-    assert weighted == pytest.approx(4.0, abs=1e-15)
-
-    def objective(z):
-        return 1.0 * (z - 1.0) ** 2 + 3.0 * (z - 5.0) ** 2
-
-    assert weighted == pytest.approx(grid_minimize_scalar(objective, -10, 10), abs=1e-6)
+    # projections 1 and 5, labels 3 with eta 1 on participant 0, zetas 1
+    # and 3: participant 0 pulls toward (1 + 3) / 2 = 2 with weight
+    # 1 (1 - 1/3) = 2/3, participant 1 toward 5 with weight 3 (1 - 3/4) =
+    # 3/4, so Z* = (2 * 2/3 + 5 * 3/4) / (17/12) = 61/17, from any broadcast
+    hyper = _weights((1.0, 3.0), 1.0)
+    for broadcast in (0.0, -4.0, 9.5):
+        b = np.array([[broadcast]])
+        uploads = _uploads([np.array([[1.0]]), np.array([[5.0]])], np.array([[3.0]]),
+                           0, hyper.consensus_penalty, 1.0, b)
+        joint, curvature = joint_consensus(uploads, b, hyper, 0)
+        assert joint[0, 0] == pytest.approx(61.0 / 17.0, abs=1e-14)
+        assert curvature == pytest.approx(17.0 / 12.0, abs=1e-15)
+    # the owner's index decides whose pull toward the broadcast eta
+    # weakens: with participant 1 taken as the owner, the uploads that
+    # answered the broadcast 9.5 give 7.775 / 1.7
+    other, _ = joint_consensus(uploads, b, hyper, 1)
+    assert other[0, 0] == pytest.approx(7.775 / 1.7, abs=1e-14)
 
 
 def test_consensus_matches_grid_search_on_random_scalars():
+    # the joint minimizer against a grid search over the consensus of the
+    # objective with every pseudo-label at its own minimizer
     rng = np.random.default_rng(18)
     for _ in range(50):
         k = int(rng.integers(2, 5))
-        values = rng.standard_normal(k) * 4.0
-        weights = rng.uniform(0.1, 5.0, size=k)
+        owner = int(rng.integers(k))
+        projections = rng.standard_normal(k) * 4.0
+        label, broadcast = rng.standard_normal(2) * 4.0
+        zetas = rng.uniform(0.1, 5.0, size=k)
+        eta = float(rng.uniform(0.1, 5.0))
 
         def objective(z):
-            return sum(w * (z - v) ** 2 for w, v in zip(weights, values))
+            total = 0.0
+            for j, (p, zeta) in enumerate(zip(projections, zetas)):
+                if j == owner:
+                    v = owner_pseudo_label_update(p, z, label, zeta, eta)
+                    total += eta * (v - label) ** 2
+                else:
+                    v = pseudo_label_update(p, z, zeta)
+                total += (v - p) ** 2 + zeta * (v - z) ** 2
+            return total
 
         oracle = grid_minimize_scalar(objective, -25.0, 25.0)
-        ours = aggregate_consensus(
-            [np.array([[v]]) for v in values], list(weights))[0, 0]
+        b = np.array([[broadcast]])
+        uploads = _uploads([np.array([[p]]) for p in projections], np.array([[label]]),
+                           owner, zetas, eta, b)
+        ours = joint_consensus(uploads, b, _weights(zetas, eta), owner)[0][0, 0]
         assert ours == pytest.approx(oracle, abs=1e-6)
 
 
-def test_consensus_invariant_under_weight_scaling():
+def test_joint_consensus_does_not_depend_on_the_broadcast_the_uploads_answered():
+    # the uploads carry the broadcast, which the joint minimizer takes out
+    # again: the same projections give the same minimizer, which a plain
+    # solve of the normal equations confirms, and the recorded drop
+    # s ||Z* - Z_b||^2 is the objective's fall from Z_b to Z*
     rng = np.random.default_rng(19)
-    blocks = [rng.standard_normal((4, 2)) for _ in range(3)]
-    weights = [0.5, 2.0, 3.5]
-    base = aggregate_consensus(blocks, weights)
-    scaled = aggregate_consensus(blocks, [17.0 * w for w in weights])
-    assert np.max(np.abs(base - scaled)) <= 1e-12
+    projections = [rng.standard_normal((4, 2)) for _ in range(3)]
+    label = one_hot(np.array([0, 1, 1, 0]), 2)
+    zetas, eta = (0.5, 2.0, 300.0), 40.0
+    hyper = _weights(zetas, eta)
+    _, oracle = joint_minimizer(projections, label, 1, zetas, eta)
+
+    def total(consensus):
+        uploads = _uploads(projections, label, 1, zetas, eta, consensus)
+        parts = [float(np.sum((z - p) ** 2)) for z, p in zip(uploads, projections)]
+        parts[1] += eta * float(np.sum((uploads[1] - label) ** 2))
+        return round_objective(parts, uploads, zetas, consensus)
+
+    for scale in (0.0, 1.0, 30.0):
+        broadcast = scale * rng.standard_normal((4, 2))
+        uploads = _uploads(projections, label, 1, zetas, eta, broadcast)
+        joint, curvature = joint_consensus(uploads, broadcast, hyper, 1)
+        assert np.max(np.abs(joint - oracle)) <= 1e-12 * max(1.0, scale)
+        before = total(broadcast)
+        drop = curvature * float(np.sum((joint - broadcast) ** 2))
+        assert abs(before - drop - total(joint)) <= 1e-13 * before
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +633,20 @@ def test_a_non_integer_round_limit_is_refused_at_construction(outer_max):
     assert Hyperparams.uniform(3, outer_max=np.int64(2)).outer_max == 2
 
 
+@pytest.mark.parametrize("weight", ["sparsity", "consensus_penalty", "label_penalty"])
+@pytest.mark.parametrize("value", ["0.1", True, [0.1], None])
+def test_a_weight_that_is_not_a_number_is_refused(weight, value):
+    with pytest.raises(TypeError, match="real number"):
+        Hyperparams.uniform(3, **{weight: value})
+    weights = {"sparsity": (0.1, 0.1), "consensus_penalty": (1.0, 1.0), "label_penalty": 1.0}
+    weights[weight] = (value, 0.1) if weight != "label_penalty" else value
+    with pytest.raises(TypeError, match="real number"):
+        Hyperparams(**weights)
+    # any real number but a bool is read as a float
+    assert Hyperparams.uniform(3, **{weight: np.float32(2.0)}) == Hyperparams.uniform(
+        3, **{weight: 2})
+
+
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         ProblemShape(num_participants=1, num_classes=3, num_samples=9)
@@ -644,7 +719,7 @@ def test_label_attachment_tightens_with_eta():
 
 
 # ---------------------------------------------------------------------------
-# Anderson-extrapolated consensus broadcast
+# two-block rounds: the transforms, then the consensus with the pseudo-labels
 
 
 def _record_rounds(monkeypatch):
@@ -659,7 +734,7 @@ def _record_rounds(monkeypatch):
         states[state.participant_id] = state
         return original_round(state, consensus, hyper)
 
-    def run_rounds(refit, consensus, hyper):
+    def run_rounds(refit, consensus, hyper, owner):
         def recorded(round_index, consensus):
             log["received"].append(consensus)
             uploads, parts = refit(round_index, consensus)
@@ -668,44 +743,11 @@ def _record_rounds(monkeypatch):
             log["states"].append([copy.copy(states[k]) for k in sorted(states)])
             return uploads, parts
 
-        return original_rounds(recorded, consensus, hyper)
+        return original_rounds(recorded, consensus, hyper, owner)
 
     monkeypatch.setattr(optimizer, "participant_round", remember)
     monkeypatch.setattr(optimizer, "run_rounds", run_rounds)
     return log
-
-
-def _anderson_candidates(log, objectives, hyper):
-    """The plain aggregates of a logged run and, per round, the candidate
-    the step-limited Anderson rule tries (None where it tries none),
-    recomputed from the logged broadcasts and uploads by a least-squares
-    fit over stacked difference columns."""
-    penalties = hyper.consensus_penalty
-    memory, cap = optimizer.ANDERSON_MEMORY, optimizer.ANDERSON_STEP
-    aggregates = [aggregate_consensus(u, penalties) for u in log["uploads"]]
-    residuals = [a - b for a, b in zip(aggregates, log["received"])]
-    candidates = [None] * len(aggregates)
-    for r in range(1, len(aggregates) - 1):  # the last round returns
-        plain = round_objective(log["parts"][r], log["uploads"][r], penalties, aggregates[r])
-        pairs = range(max(0, r - memory), r)
-        if not pairs or not plain < objectives[r - 1]:
-            continue
-        d_res = np.stack([(residuals[j + 1] - residuals[j]).ravel() for j in pairs], axis=1)
-        d_agg = np.stack([(aggregates[j + 1] - aggregates[j]).ravel() for j in pairs], axis=1)
-        normal = d_res.T @ d_res
-        normal += 1e-10 * np.trace(normal) / len(pairs) * np.eye(len(pairs))
-        gamma = np.linalg.solve(normal, d_res.T @ residuals[r].ravel())
-        step = -(d_agg @ gamma).reshape(aggregates[r].shape)
-        spread = sum(penalties) * float(np.sum(step * step))
-        candidates[r] = aggregates[r] + min(
-            1.0, cap * np.sqrt((objectives[r - 1] - plain) / spread)) * step
-    return aggregates, candidates
-
-
-def _close_to_candidate(broadcast, candidate, aggregate):
-    # the loop and the stacked fit round the normal equations differently
-    return (np.max(np.abs(broadcast - candidate))
-            <= 1e-7 * np.max(np.abs(candidate - aggregate)))
 
 
 def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch):
@@ -718,52 +760,60 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
     # against; the last round's at the consensus the run returns
     broadcasts = log["received"][1:] + [result.consensus]
     assert len(log["states"]) == result.rounds > 3
+    for value, states, uploads, received, consensus in zip(
+            result.objectives, log["states"], log["uploads"], log["received"], broadcasts):
+        # the broadcast is the joint minimizer over the consensus and every
+        # pseudo-label, which a plain solve of the normal equations confirms
+        assert consensus.tobytes() == joint_consensus(uploads, received, hyper, 0)[0].tobytes()
+        _, oracle = joint_minimizer([st.features @ st.transform for st in states], labels, 0,
+                                    hyper.consensus_penalty, hyper.label_penalty)
+        assert np.max(np.abs(consensus - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        # the recorded value is the explicit total there, at the
+        # pseudo-labels refreshed against it
+        refreshed = [copy.copy(st) for st in states]
+        for st in refreshed:
+            refresh_pseudo_labels(st, consensus, hyper)
+        assert value == pytest.approx(total_objective(refreshed, consensus, hyper), rel=1e-9)
+    # a run returns the last round's refreshed pseudo-labels
+    for pseudo, st in zip(result.pseudo_labels, refreshed):
+        assert pseudo.tobytes() == st.pseudo_labels.tobytes()
+
+
+def _plain_schedule(views, labels, hyper, seed):
+    """The last objective of the plain schedule: per round every
+    participant runs ``participant_round`` against the consensus, which
+    then becomes the zeta-weighted mean of the uploads, its own block's
+    minimizer, and the objective is totalled there."""
+    states = make_states(views, labels, hyper, seed)
+    consensus = init_consensus(*labels.shape, seed)
     penalties = hyper.consensus_penalty
-    for value, states, consensus, uploads, parts in zip(
-            result.objectives, log["states"], broadcasts, log["uploads"], log["parts"]):
-        assert value == pytest.approx(total_objective(states, consensus, hyper), rel=1e-9)
-        # the closed form f_agg + a^2 spread is the explicit total at the broadcast
-        explicit = round_objective(parts, uploads, penalties, consensus)
-        assert abs(value - explicit) <= 1e-12 * abs(explicit)
-    aggregates, candidates = _anderson_candidates(log, result.objectives, hyper)
-    extrapolated = [not np.array_equal(z, a) for z, a in zip(broadcasts, aggregates)]
-    assert not extrapolated[0] and not extrapolated[-1]
-    assert sum(extrapolated) >= 2
-    for r, candidate in enumerate(candidates):
-        if candidate is None:
-            assert broadcasts[r].tobytes() == aggregates[r].tobytes()
-        else:
-            # the cap keeps the candidate below the last objective, so
-            # every one the rule tries is broadcast
-            assert extrapolated[r]
-            assert result.objectives[r] < result.objectives[r - 1]
-            assert _close_to_candidate(broadcasts[r], candidate, aggregates[r])
-
-
-def test_zero_memory_is_the_plain_schedule(monkeypatch):
-    views, labels = tiny_problem(23, num_samples=40, dims=(6, 9, 4))
-    hyper = Hyperparams.uniform(3, sparsity=0.05, consensus_penalty=30.0,
-                                label_penalty=100.0, outer_tol=1e-9)
-    monkeypatch.setattr(optimizer, "ANDERSON_MEMORY", 0)
-    result = run_reference(views, labels, hyper, 8)
-
-    states = make_states(views, labels, hyper, 8)
-    consensus = init_consensus(40, 3, 8)
     objectives = []
     for _ in range(hyper.outer_max):
         parts = [participant_round(st, consensus, hyper) for st in states]
         uploads = [st.pseudo_labels for st in states]
-        consensus = aggregate_consensus(uploads, hyper.consensus_penalty)
-        objectives.append(round_objective(parts, uploads, hyper.consensus_penalty, consensus))
+        consensus = sum(z * u for z, u in zip(penalties, uploads)) / sum(penalties)
+        objectives.append(round_objective(parts, uploads, penalties, consensus))
         if len(objectives) > 1 and has_converged(objectives[-2], objectives[-1],
                                                  hyper.outer_tol):
             break
-    assert 3 < len(objectives) < hyper.outer_max
-    assert result.converged
-    assert np.asarray(result.objectives).tobytes() == np.asarray(objectives).tobytes()
-    assert result.consensus.tobytes() == consensus.tobytes()
-    for transform, st in zip(result.transforms, states):
-        assert transform.tobytes() == st.transform.tobytes()
+    return objectives[-1]
+
+
+def test_a_paper_shaped_run_converges_in_a_few_rounds_near_a_tight_run():
+    # the HW shape (2000 samples, 10 classes, six views of 6 to 240
+    # columns) at the default weights: the joint consensus step takes the
+    # consensus from its seeded start to the labels in one round
+    from mmvfl.data import synth_planted
+    dataset, _ = synth_planted(num_participants=6, num_classes=10, num_samples=2000,
+                               dims=(240, 76, 216, 47, 64, 6), seed=0)
+    labels = one_hot(dataset.labels, dataset.num_classes)
+    hyper = Hyperparams.uniform(6, sparsity=0.1)
+    result = run_reference(dataset.views, labels, hyper, 0)
+    assert result.converged and result.rounds <= 5
+    tight = run_reference(dataset.views, labels, replace(hyper, outer_tol=1e-10), 0)
+    assert tight.converged
+    optimum = tight.objectives[-1]
+    assert abs(result.objectives[-1] - optimum) <= hyper.outer_tol * abs(optimum)
 
 
 def optimum_problem(seed):
@@ -789,19 +839,20 @@ def optimum_of(views, labels, hyper):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_no_run_undercuts_the_optimum_and_relaxation_keeps_the_gap(monkeypatch, seed):
+def test_no_run_undercuts_the_optimum_and_relaxation_keeps_the_gap(seed):
+    # the joint consensus is the plain mean over-relaxed by a fixed
+    # factor (see ``joint_consensus``); the two-block run may stop
+    # anywhere within one stopping tolerance of where the plain schedule
+    # stops, and no further above the optimum
     views, labels, hyper = optimum_problem(seed)
     optimum = optimum_of(views, labels, hyper)
-    extrapolated = run_reference(views, labels, hyper, seed).objectives[-1]
-    monkeypatch.setattr(optimizer, "ANDERSON_MEMORY", 0)
-    plain = run_reference(views, labels, hyper, seed).objectives[-1]
+    joint = run_reference(views, labels, hyper, seed).objectives[-1]
+    plain = _plain_schedule(views, labels, hyper, seed)
     # a recorded objective uses the plain row norm, which is never below
     # the smoothed one the oracle minimizes: only rounding may undercut
-    for value in (plain, extrapolated):
+    for value in (plain, joint):
         assert value >= optimum - 1e-12 * abs(optimum)
-    # extrapolation may stop anywhere within one stopping tolerance of
-    # where the plain schedule stops, and no further above the optimum
-    assert extrapolated - optimum <= plain - optimum + hyper.outer_tol * abs(optimum)
+    assert joint - optimum <= plain - optimum + hyper.outer_tol * abs(optimum)
 
 
 def test_extrapolation_reaches_the_optimum_where_the_plain_schedule_stalls():
