@@ -19,11 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import subprocess
 import sys
-import threading
 import typing
 from dataclasses import asdict, dataclass
 
@@ -49,8 +47,9 @@ from .evaluation import (
     write_results_csv,
 )
 from .federation import TracedMessage, audit_trace, run_federated
+from .federation.coordinator import check_round_timeout
 from .numerics import check_seed, numerics_report, single_blas_thread
-from .optimizer import Hyperparams, check_solver_controls, one_hot, run_reference
+from .optimizer import Hyperparams, check_solver_controls, check_weight, one_hot, run_reference
 
 MODES = ("reference", "federated-inproc", "federated-tcp", "supfl",
          "supmvlfl", "sweep", "synth", "audit")
@@ -87,7 +86,6 @@ class RunConfig:
     folds: int = 5
     methods: tuple[str, ...] = METHODS
     trace: str | None = None
-    eps: float = 1e-6
     outer_tol: float = 1e-5
     outer_max: int = 100
     synth_participants: int = 3
@@ -108,14 +106,15 @@ class RunConfig:
             for path in list(self.views) + [self.labels]:
                 if not os.path.isfile(path):
                     raise ConfigError(f"input file not found: {path}")
-        if not 0 < self.beta < math.inf:
-            raise ConfigError("--beta must be finite and positive")
-        if not self.beta_grid or any(not 0 < b < math.inf for b in self.beta_grid):
-            raise ConfigError("--beta-grid needs finite positive values")
+        if not self.beta_grid:
+            raise ConfigError("--beta-grid needs at least one value")
+        try:
+            for weight in (self.beta, *self.beta_grid, self.zeta, self.eta):
+                check_weight(weight)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--beta, --beta-grid, --zeta and --eta: {exc}") from None
         if not self.p_grid or any(not 0 < p <= 100 for p in self.p_grid):
             raise ConfigError("--p-grid values must lie in (0, 100]")
-        if not 0 < self.zeta < math.inf or not 0 < self.eta < math.inf:
-            raise ConfigError("--zeta and --eta must be finite and positive")
         try:
             self.seed = check_seed(self.seed)
         except (TypeError, ValueError) as exc:
@@ -124,10 +123,10 @@ class RunConfig:
             raise ConfigError("--folds must be an integer of at least 2")
         if not 0 <= self.transport_port <= 65535:
             raise ConfigError("--transport-port must be an integer in [0, 65535]")
-        # the longest wait the threading and socket timeouts accept
-        if not 0 < self.round_timeout <= threading.TIMEOUT_MAX:
-            raise ConfigError(
-                f"round_timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds")
+        try:
+            check_round_timeout(self.round_timeout)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")
@@ -139,7 +138,7 @@ class RunConfig:
         if self.trace is not None and not os.path.isfile(self.trace):
             raise ConfigError(f"trace file not found: {self.trace}")
         try:
-            check_solver_controls(self.eps, self.outer_tol, self.outer_max)
+            check_solver_controls(self.outer_tol, self.outer_max)
         except ValueError as exc:
             raise ConfigError(f"solver controls: {exc}") from None
         try:
@@ -405,7 +404,6 @@ def training_hyper(config: RunConfig, num_participants: int) -> Hyperparams:
         sparsity=config.beta,
         consensus_penalty=config.zeta,
         label_penalty=config.eta,
-        eps=config.eps,
         outer_tol=config.outer_tol,
         outer_max=config.outer_max)
 
@@ -433,6 +431,13 @@ def warn_unless_converged(converged: bool, config: RunConfig):
               file=sys.stderr)
 
 
+def warn_unless_baselines_converged(converged: bool):
+    """One stderr line when a baseline fit stopped at ``MAX_ITER``."""
+    if not converged:
+        print(f"warning: a baseline fit stopped at MAX_ITER={baselines.MAX_ITER} steps before "
+              f"its objective changed by less than TOL={baselines.TOL!r}", file=sys.stderr)
+
+
 def run_training_mode(config: RunConfig, out_dir) -> list[str]:
     dataset = obtain_dataset(config)
     labels = one_hot(dataset.labels, dataset.num_classes)
@@ -457,18 +462,20 @@ def run_training_mode(config: RunConfig, out_dir) -> list[str]:
         outputs.append("message_trace.jsonl")
     elif config.mode == "supfl":
         # views train independently, so each gets its own trace file
-        outputs = []
+        outputs, converged = [], True
         for k, view in enumerate(dataset.views):
-            transform, trace = supfl_solve(view, labels, config.beta, eps=config.eps)
+            transform, trace, view_converged = supfl_solve(view, labels, config.beta)
+            converged = converged and view_converged
             name = f"transform_{k + 1}.csv"
             write_matrix_csv(os.path.join(out_dir, name), transform)
             outputs.append(name)
             name = f"objective_trace_{k + 1}.csv"
             write_objective_trace(os.path.join(out_dir, name), trace)
             outputs.append(name)
+        warn_unless_baselines_converged(converged)
     else:  # supmvlfl
-        transforms, objectives = supmvlfl_solve(
-            dataset.views, labels, config.beta, eps=config.eps)
+        transforms, objectives, converged = supmvlfl_solve(dataset.views, labels, config.beta)
+        warn_unless_baselines_converged(converged)
         outputs = _write_training_outputs(out_dir, transforms, None, objectives)
 
     write_manifest(config, out_dir, dataset_facts(dataset), outputs)
@@ -510,9 +517,7 @@ def run_sweep_mode(config: RunConfig, out_dir) -> list[str]:
     rows = run_grid(config.methods, dataset, folds, config.beta_grid, config.p_grid,
                     training_hyper(config, dataset.num_participants), config.seed)
     warn_unless_converged(all(row.converged for row in rows if row.method == "mmvfl"), config)
-    if not all(row.converged for row in rows if row.method != "mmvfl"):
-        print(f"warning: a baseline fit stopped at MAX_ITER={baselines.MAX_ITER} steps before "
-              f"its objective changed by less than TOL={baselines.TOL!r}", file=sys.stderr)
+    warn_unless_baselines_converged(all(row.converged for row in rows if row.method != "mmvfl"))
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     curves = mean_curves(select_best(rows))
     outputs = ["results.csv"] + emit_curves(curves, out_dir)

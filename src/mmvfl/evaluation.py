@@ -158,9 +158,9 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
     (fold, participant) and shared by every method.  Its XᵀX and XᵀY are
     the only training blocks the baselines use: ``supfl`` fits each view
     alone and ``supmvlfl`` all views jointly, by the fit behind
-    ``supfl_solve`` and ``supmvlfl_solve`` with its stopping rule and
-    ``hyper.eps``; ``mmvfl`` by ``train_states`` on states over the
-    scorers' blocks, seeded ``derive_seed(seed, fold, beta_index)``.  Each
+    ``supfl_solve`` and ``supmvlfl_solve`` with its stopping rule;
+    ``mmvfl`` by ``train_states`` on states over the scorers' blocks,
+    seeded ``derive_seed(seed, fold, beta_index)``.  Each
     fit factors the XᵀX it is lent in place and restores it bit for bit.
     Returns one ``ExperimentResult`` per cell, method by method in
     ``methods`` order.  BLAS runs on one thread throughout.
@@ -199,12 +199,12 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
                         for k, sc in enumerate(scorers)], cell, cell_seed)
                     transforms, converged = trained.transforms, trained.converged
                 elif method == "supfl":
-                    fits = [_fit_blocks([xtx], [xty], n, beta, cell.eps)
+                    fits = [_fit_blocks([xtx], [xty], n, beta)
                             for xtx, xty in zip(xtxs, xtys)]
                     transforms = [fit[0][0] for fit in fits]
                     converged = all(fit[2] for fit in fits)
                 else:
-                    transforms, _, converged = _fit_blocks(xtxs, xtys, n, beta, cell.eps)
+                    transforms, _, converged = _fit_blocks(xtxs, xtys, n, beta)
                 for k, transform in enumerate(transforms):
                     ranking = score_features(transform)
                     for p in p_grid:

@@ -9,6 +9,7 @@ checks.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ class RoundTimeoutError(Exception):
         super().__init__(f"participant {participant_id} missed the deadline{suffix}")
 
 
+def check_round_timeout(seconds) -> None:
+    """``ValueError`` unless ``seconds`` is in (0, ``threading.TIMEOUT_MAX``],
+    the longest wait the threading and socket timeouts accept."""
+    if not 0 < seconds <= threading.TIMEOUT_MAX:
+        raise ValueError(f"round_timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds")
+
+
 @dataclass(frozen=True)
 class FederationConfig:
     """Static session parameters shared by coordinator and participants."""
@@ -49,8 +57,7 @@ class FederationConfig:
     round_timeout: float = 60.0
 
     def __post_init__(self):
-        if not self.round_timeout > 0:
-            raise ValueError("round_timeout must be positive")
+        check_round_timeout(self.round_timeout)
         if len(self.hyper.sparsity) != self.shape.num_participants:
             raise ValueError("hyperparameters must cover every participant")
 
@@ -104,8 +111,10 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     ``Converged``, and each participant refreshes its pseudo-labels
     against it.
     Raises ``RoundTimeoutError`` when a participant misses
-    ``round_timeout`` and ``FederationAbortError`` on duplicate
-    registration, malformed messages, or transport failure.
+    ``round_timeout``, ``FederationAbortError`` on duplicate
+    registration, malformed messages, or transport failure, and
+    ``run_rounds``'s ``ValueError`` when uploads that do not answer the
+    broadcast drive a recorded objective below zero.
     """
     expected = config.shape.num_participants
     if len(channels) != expected:

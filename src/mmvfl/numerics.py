@@ -97,7 +97,7 @@ def ensure_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_solve_in_place(system, b, shift) -> tuple[np.ndarray, np.ndarray]:
     """Solve (G + diag(shift)) x = b, a symmetric positive definite
     system, by Cholesky factorization and at most three steps of iterative
     refinement, which stop once the residual ||A x - b||_F is within
@@ -122,9 +122,8 @@ def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndar
 
     def solve(rhs):
         try:
-            if shift is not None:
-                # the diagonal as a strided view of the (contiguous) buffer
-                system.reshape(-1, order="F")[::n + 1] += shift
+            # the diagonal as a strided view of the (contiguous) buffer
+            system.reshape(-1, order="F")[::n + 1] += shift
             _cholesky_factor_in_place(system)
             return _cholesky_solve(system, rhs)
         finally:
@@ -135,9 +134,7 @@ def _cholesky_solve_in_place(system, b, shift=None) -> tuple[np.ndarray, np.ndar
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
-            residual = b - product
-            if shift is not None:
-                residual -= shift[:, None] * x
+            residual = b - product - shift[:, None] * x
             if float(np.linalg.norm(residual)) <= SPD_RESIDUAL_TOL * b_norm:
                 break
             x = x + solve(residual)

@@ -42,9 +42,14 @@ from .numerics import (
     single_blas_thread,
 )
 
+# Keeps the reweighting 1/(2(t + EPS)) finite on a zero row: a solver detail, not a weight.
+EPS = 1e-6
+
 # Relative slack, with a floor of 1: a reweighted step that raises its
 # block's smoothed objective by more than MONOTONICITY_SLACK * max(1,
-# |the value before the step|) is a numerical fault.
+# |the value before the step|) is a numerical fault, and so is a round
+# whose recorded objective is below -MONOTONICITY_SLACK * max(1, its
+# ``round_objective`` total).
 MONOTONICITY_SLACK = 1e-9
 
 # Estimated multiply-adds a round needs before its participant refits are
@@ -91,11 +96,9 @@ class ProblemShape:
             raise ValueError("need at least as many samples as classes")
 
 
-def check_solver_controls(eps, tol, max_iter):
-    """Bounds every solver's controls keep: eps in (0, 1e-3], a positive
-    tolerance and an integer iteration limit of at least 1."""
-    if not 0 < eps <= 1e-3:
-        raise ValueError("eps must be in (0, 1e-3]")
+def check_solver_controls(tol, max_iter):
+    """The bounds of the rounds' stopping controls: a positive tolerance
+    and an integer round limit of at least 1."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
@@ -103,10 +106,13 @@ def check_solver_controls(eps, tol, max_iter):
 
 
 def check_weight(value) -> float:
-    """A weight as a float; ``TypeError`` unless it is a real number and
-    not a bool, so a string or a flag is never read as a weight."""
+    """A weight (beta_k, zeta_k or eta) as a float: ``TypeError`` unless it
+    is a real number and not a bool, so a string or a flag is never read
+    as a weight, and ``ValueError`` unless it is finite and positive."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"a weight must be a real number, not {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"a weight must be finite and positive, not {value!r}")
     return float(value)
 
 
@@ -116,14 +122,13 @@ class Hyperparams:
 
     ``sparsity`` (beta_k) and ``consensus_penalty`` (zeta_k) hold one value
     per participant, indexed by ``participant_id``; ``label_penalty`` (eta)
-    applies only to the label owner.  ``eps`` smooths the reweighted step's
-    row norms, and ``outer_tol`` and ``outer_max`` stop the rounds.
+    applies only to the label owner.  ``outer_tol`` and ``outer_max`` stop
+    the rounds.
     """
 
     sparsity: tuple[float, ...]
     consensus_penalty: tuple[float, ...]
     label_penalty: float
-    eps: float = 1e-6
     outer_tol: float = 1e-5
     outer_max: int = 100
 
@@ -132,13 +137,7 @@ class Hyperparams:
             raise ValueError("sparsity and consensus_penalty must have equal length")
         for weight in (*self.sparsity, *self.consensus_penalty, self.label_penalty):
             check_weight(weight)
-        if any(not 0 < b < math.inf for b in self.sparsity):
-            raise ValueError("sparsity weights must be finite and positive")
-        if any(not 0 < z < math.inf for z in self.consensus_penalty):
-            raise ValueError("consensus penalties must be finite and positive")
-        if not 0 < self.label_penalty < math.inf:
-            raise ValueError("label penalty must be finite and positive")
-        check_solver_controls(self.eps, self.outer_tol, self.outer_max)
+        check_solver_controls(self.outer_tol, self.outer_max)
 
     @classmethod
     def uniform(cls, num_participants: int, *, sparsity: float = 0.1,
@@ -165,7 +164,7 @@ class ParticipantState:
 
     ``gram`` = X^T X is the state's only d x d array: each round's step
     factors it in place and restores it bit for bit (see
-    ``_penalized_solve``).  ``gram_transform`` = G W is the product the
+    ``_reweighted_step``).  ``gram_transform`` = G W is the product the
     step that made ``transform`` returned, which the next step's descent
     guard starts from.
     """
@@ -246,38 +245,33 @@ def gram_matrix(features) -> np.ndarray:
     return gram
 
 
-def _penalized_solve(gram, xty, irls_diag, sparsity):
-    """(G + sparsity diag) W = X^T T; G is exactly symmetric, so G.T is G
-    in Fortran order, the layout the in-place Cholesky factor needs.  G is
-    factored in its own lower triangle and restored bit for bit before the
-    solve returns (see ``numerics._cholesky_solve_in_place``), so it must
-    not be read by another thread meanwhile.  Returns ``(W, G W)``."""
-    return _cholesky_solve_in_place(gram.T, xty, sparsity * irls_diag)
-
-
-def smoothed_row_penalty(norms, eps: float) -> float:
-    """Smoothed row-sparsity penalty sum_i (t_i - eps*log(1 + t_i/eps)).
+def smoothed_row_penalty(norms) -> float:
+    """Smoothed row-sparsity penalty sum_i (t_i - EPS*log(1 + t_i/EPS)).
 
     This is the exact penalty the reweighted solve descends on: its
     derivative in the squared row norm equals the reweighting diagonal
-    1/(2(t+eps)).  It lower-bounds the plain row-norm sum and meets it
-    as eps -> 0, but unlike the raw sum it is guaranteed non-increasing
+    1/(2(t+EPS)).  It lower-bounds the plain row-norm sum and meets it
+    as EPS -> 0, but unlike the raw sum it is guaranteed non-increasing
     across reweighted iterations, so the monotonicity guard watches it
-    rather than the raw objective (which can rise by up to eps*d/2)."""
+    rather than the raw objective (which can rise by up to EPS*d/2)."""
     norms = np.asarray(norms, dtype=np.float64)
-    return float(np.sum(norms - eps * np.log1p(norms / eps)))
+    return float(np.sum(norms - EPS * np.log1p(norms / EPS)))
 
 
-def _reweighted_step(gram, xty, target_sq, sparsity, eps, start=None):
+def _reweighted_step(gram, xty, target_sq, sparsity, start=None):
     """One reweighted least-squares step for one block minimizing
     ||X W - T||_F^2 + sparsity ||W||_{2,1}, given G = X^T X, X^T T and
     ||T||_F^2, so the fit term is the Gram form
     sum(W * (G W - 2 X^T T)) + ||T||_F^2 with no n-row temporary.
-    ``start`` = ``(W0, G W0)`` sets the diagonal 1/(2(||w_i|| + eps)) of
+    ``start`` = ``(W0, G W0)`` sets the diagonal 1/(2(||w_i|| + EPS)) of
     W0's rows and arms the descent guard; ``None`` uses the unit diagonal.
-    G is the factor's buffer during the solve and comes back bit for bit
-    (see ``_penalized_solve``).  Inputs are trusted (the callers check
-    them).  Returns ``(W, G W, objective)``, the raw objective at W.
+    The step solves (G + sparsity diag) W = X^T T.  G is exactly
+    symmetric, so G.T is G in Fortran order, the layout the in-place
+    Cholesky factor needs: G is factored in its own lower triangle and
+    restored bit for bit before the solve returns (see
+    ``numerics._cholesky_solve_in_place``), so no other thread may read
+    it meanwhile.  Inputs are trusted (the callers check them).  Returns
+    ``(W, G W, objective)``, the raw objective at W.
 
     The guard raises when the smoothed objective rises from W0 by more
     than ``MONOTONICITY_SLACK`` times max(1, |its value at W0|).  It
@@ -291,16 +285,16 @@ def _reweighted_step(gram, xty, target_sq, sparsity, eps, start=None):
     else:
         w0, gw0 = start
         norms0 = np.sqrt(np.sum(w0 * w0, axis=1))
-        diag = 1.0 / (2.0 * (norms0 + eps))
-    w, gw = _penalized_solve(gram, xty, diag, sparsity)
+        diag = 1.0 / (2.0 * (norms0 + EPS))
+    w, gw = _cholesky_solve_in_place(gram.T, xty, sparsity * diag)
     if not np.isfinite(w).all():
         raise ValueError("a transform contains non-finite entries")
     norms = np.sqrt(np.sum(w * w, axis=1))
     if start is not None:
-        penalty0 = sparsity * smoothed_row_penalty(norms0, eps)
+        penalty0 = sparsity * smoothed_row_penalty(norms0)
         smoothed0 = float(np.sum(w0 * (gw0 - 2.0 * xty))) + target_sq + penalty0
         rise = (float(np.sum((w - w0) * (gw + gw0 - 2.0 * xty)))
-                + (sparsity * smoothed_row_penalty(norms, eps) - penalty0))
+                + (sparsity * smoothed_row_penalty(norms) - penalty0))
         if rise > MONOTONICITY_SLACK * max(1.0, abs(smoothed0)):
             raise NonDecreasingObjectiveError(
                 f"smoothed objective rose by {rise!r} from {smoothed0!r}")
@@ -481,10 +475,10 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     joint minimization left them (see ``joint_consensus``), so the round
     starts from the objective last recorded; round 1 starts from the
     seeded ones.  The step is one ``_reweighted_step`` from the current
-    transform, so one solve with the diagonal 1/(2(||w_i|| + eps)) of its
+    transform, so one solve with the diagonal 1/(2(||w_i|| + EPS)) of its
     rows under the step's descent guard: the exact minimizer of the fit
     plus the eta-variational form of the penalty, sum_i (||w_i||^2 /
-    eta_i + eta_i) / 2, at eta_i = ||w_i|| + eps (Bach, Jenatton, Mairal
+    eta_i + eta_i) / 2, at eta_i = ||w_i|| + EPS (Bach, Jenatton, Mairal
     & Obozinski 2012, section 5.1).  That form is jointly convex, so the
     rounds are block coordinate descent on it, with no inner loop and no
     inner stopping rule.  beta_k and zeta_k are read from ``hyper`` at
@@ -497,7 +491,7 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     # operand order in which OpenBLAS forms a product with a thin factor fast
     state.transform, state.gram_transform, _ = _reweighted_step(
         state.gram, (targets.T @ state.features).T, _sum_sq(targets),
-        hyper.sparsity[state.participant_id], hyper.eps,
+        hyper.sparsity[state.participant_id],
         start=(state.transform, state.gram_transform))
     state.projection = (state.transform.T @ state.features.T).T
     refresh_pseudo_labels(state, consensus, hyper)
@@ -524,7 +518,11 @@ def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
     participants' steps descend.  The run stops once the relative change
     of the recorded objective drops below ``outer_tol``, or in round
     ``outer_max``.  The matrices are not checked again here: the caller
-    built them or checked them when they arrived.
+    built them or checked them when they arrived.  But when the uploads
+    are the participants' minimizers, the recorded value is the minimum
+    of a sum of squares and norms, so a value below
+    -``MONOTONICITY_SLACK`` max(1, the ``round_objective`` total) raises
+    ``ValueError``: an upload did not answer the broadcast.
     Returns ``(consensus, objectives, converged)``: the last Z*, the
     trace, and whether the run stopped on ``outer_tol`` rather than at
     ``outer_max``.
@@ -533,8 +531,12 @@ def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
     for round_index in range(1, hyper.outer_max + 1):
         pseudo_labels, parts = refit(round_index, consensus)
         joint, curvature = joint_consensus(pseudo_labels, consensus, hyper, owner)
-        value = (round_objective(parts, pseudo_labels, hyper.consensus_penalty, consensus)
-                 - curvature * _sum_sq(joint - consensus))
+        total = round_objective(parts, pseudo_labels, hyper.consensus_penalty, consensus)
+        value = total - curvature * _sum_sq(joint - consensus)
+        if value < -MONOTONICITY_SLACK * max(1.0, total):
+            raise ValueError(f"round {round_index} recorded the objective {value!r}, below "
+                             "zero: an upload is not its participant's minimizer against "
+                             "the broadcast")
         converged = bool(objectives) and has_converged(objectives[-1], value, hyper.outer_tol)
         objectives.append(value)
         consensus = joint

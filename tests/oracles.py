@@ -63,13 +63,15 @@ def plain_solve_minimizer(features, targets, diag, weight) -> np.ndarray:
 def solve_transform(features, targets, irls_diag, sparsity: float) -> np.ndarray:
     """The package's exact minimizer of ||X W - T||_F^2 + sparsity *
     tr(W^T diag W) (not an oracle: it runs the kernel's Cholesky step)."""
-    from mmvfl.optimizer import _penalized_solve, gram_matrix
+    from mmvfl.numerics import _cholesky_solve_in_place
+    from mmvfl.optimizer import gram_matrix
 
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     irls_diag = np.asarray(irls_diag, dtype=np.float64)
     gram = gram_matrix(features)
-    transform, _ = _penalized_solve(gram, features.T @ targets, irls_diag, sparsity)
+    # the reweighted step's solve: G.T is the symmetric G in Fortran order
+    transform, _ = _cholesky_solve_in_place(gram.T, features.T @ targets, sparsity * irls_diag)
     return transform
 
 
@@ -80,11 +82,12 @@ def solve_spd(a, b) -> np.ndarray:
     from mmvfl.numerics import _cholesky_solve_in_place
 
     a = np.asarray(a, dtype=np.float64)
-    x, _ = _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64))
+    x, _ = _cholesky_solve_in_place(np.array(a, order="F"), np.asarray(b, dtype=np.float64),
+                                    np.zeros(len(a)))
     return x
 
 
-def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-6,
+def fit_sparse_transform(features, targets, sparsity: float, *,
                          inner_tol: float = 1e-6, inner_max: int = 50, init=None):
     """Row-sparse least squares of one block by repeated steps of the
     package's kernel (not an oracle: it runs ``optimizer._reweighted_step``),
@@ -97,7 +100,7 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
     for the ridge step, else ``loop_reweight_diag`` of the transform it
     started from), so the pair is stationary for the reweighted problem,
     and ``objectives`` is the raw objective trace."""
-    from mmvfl.optimizer import _reweighted_step, gram_matrix, has_converged
+    from mmvfl.optimizer import EPS, _reweighted_step, gram_matrix, has_converged
 
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -113,12 +116,12 @@ def fit_sparse_transform(features, targets, sparsity: float, *, eps: float = 1e-
                           + sparsity * float(np.sum(np.sqrt(np.sum(w * w, axis=1)))))
     for _ in range(inner_max):
         before = start
-        w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, eps, start)
+        w, gw, objective = _reweighted_step(gram, xty, target_sq, sparsity, start)
         start = (w, gw)
         objectives.append(objective)
         if len(objectives) > 1 and has_converged(objectives[-2], objective, inner_tol):
             break
-    diag = np.ones(len(w)) if before is None else loop_reweight_diag(before[0], eps)
+    diag = np.ones(len(w)) if before is None else loop_reweight_diag(before[0], EPS)
     return w, diag, objectives
 
 

@@ -27,6 +27,7 @@ from mmvfl.evaluation import (
 from mmvfl.featsel import score_features, select_top
 from mmvfl.federation import audit_trace, run_federated
 from mmvfl.optimizer import (
+    EPS,
     Hyperparams,
     joint_consensus,
     make_states,
@@ -140,7 +141,7 @@ def test_converged_runs_stop_near_the_optimum():
         result = run_reference(views, labels, hyper, seed=index)
         optimum, _ = smoothed_objective_optimum(
             views, labels, hyper.sparsity, hyper.consensus_penalty, hyper.label_penalty,
-            hyper.eps, rtol=1e-10)
+            EPS, rtol=1e-10)
         excess = (result.objectives[-1] - optimum) / abs(optimum)
         if not result.converged:
             stopped_at_outer_max[index] = excess
@@ -438,9 +439,9 @@ def test_baseline_separability(monkeypatch):
         raw[:c] = np.arange(c)
         labels = one_hot(raw, c)
         beta = float(10.0 ** rng.uniform(-3.0, 0.5))
-        joint, _ = supmvlfl_solve(views, labels, beta)
+        joint, _, _ = supmvlfl_solve(views, labels, beta)
         for view, transform in zip(views, joint):
-            solo, _ = supfl_solve(view, labels, beta)
+            solo, _, _ = supfl_solve(view, labels, beta)
             worst = max(worst, float(np.max(np.abs(transform - solo))))
     report("baseline-separability", worst <= 1e-10,
            f"20 instances, worst transform gap {worst:.3e} <= 1e-10")

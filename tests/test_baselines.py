@@ -6,7 +6,7 @@ import pytest
 import mmvfl.baselines as baselines
 import mmvfl.optimizer as optimizer
 from mmvfl.baselines import supfl_solve, supmvlfl_solve
-from mmvfl.optimizer import Hyperparams, NonDecreasingObjectiveError, one_hot
+from mmvfl.optimizer import EPS, NonDecreasingObjectiveError, one_hot
 
 from oracles import fit_objective, fit_sparse_transform, loop_reweight_diag, plain_solve_minimizer
 
@@ -26,7 +26,7 @@ def test_supfl_zero_labels_rejected_but_zero_features_shrink():
     rng = np.random.default_rng(0)
     labels = one_hot(np.arange(9) % 3, 3)
     x = np.zeros((9, 4))
-    w, _ = supfl_solve(x, labels, 0.5)
+    w, _, _ = supfl_solve(x, labels, 0.5)
     assert np.max(np.abs(w)) == 0.0
 
 
@@ -36,7 +36,7 @@ def test_supfl_interpolates_with_tiny_weight(monkeypatch):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     labels = one_hot(np.array([0, 1, 2]), 3)
-    w, _ = supfl_solve(x, labels, 1e-10)
+    w, _, _ = supfl_solve(x, labels, 1e-10)
     assert np.max(np.abs(x @ w - labels)) <= 1e-6
 
 
@@ -44,7 +44,7 @@ def test_supfl_matches_generic_sparse_fit():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((20, 6))
     labels = one_hot(np.arange(20) % 2, 2)
-    ours, trace = supfl_solve(x, labels, 0.3)
+    ours, trace, _ = supfl_solve(x, labels, 0.3)
     generic, _, generic_trace = fit_sparse_transform(x, labels, 0.3)
     assert np.array_equal(ours, generic)
     assert trace == generic_trace
@@ -54,7 +54,7 @@ def test_supfl_beats_random_probes():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 6))
     labels = one_hot(np.arange(20) % 3, 3)
-    w, trace = supfl_solve(x, labels, 0.4)
+    w, trace, _ = supfl_solve(x, labels, 0.4)
     scale = np.max(np.abs(w)) + 1.0
     for _ in range(100):
         probe = rng.standard_normal(w.shape) * scale
@@ -65,17 +65,18 @@ def test_supmvlfl_single_view_equals_supfl():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((18, 5))
     labels = one_hot(np.arange(18) % 3, 3)
-    joint, joint_trace = supmvlfl_solve([x], labels, 0.2)
-    solo, solo_trace = supfl_solve(x, labels, 0.2)
+    joint, joint_trace, joint_converged = supmvlfl_solve([x], labels, 0.2)
+    solo, solo_trace, solo_converged = supfl_solve(x, labels, 0.2)
     assert np.array_equal(joint[0], solo)
     assert joint_trace == solo_trace
+    assert joint_converged and solo_converged
 
 
 def test_supmvlfl_identical_views_produce_identical_transforms():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((15, 4))
     labels = one_hot(np.arange(15) % 3, 3)
-    transforms, _ = supmvlfl_solve([x, x.copy(), x.copy()], labels, 0.3)
+    transforms, _, _ = supmvlfl_solve([x, x.copy(), x.copy()], labels, 0.3)
     assert np.array_equal(transforms[0], transforms[1])
     assert np.array_equal(transforms[0], transforms[2])
 
@@ -90,9 +91,9 @@ def test_supmvlfl_separates_into_per_view_fits(monkeypatch):
     matched_bitwise = 0
     for seed in range(20):
         views, labels, beta = random_instance(seed)
-        joint, joint_trace = supmvlfl_solve(views, labels, beta)
+        joint, joint_trace, _ = supmvlfl_solve(views, labels, beta)
         for k, view in enumerate(views):
-            solo, solo_trace = supfl_solve(view, labels, beta)
+            solo, solo_trace, _ = supfl_solve(view, labels, beta)
             assert np.max(np.abs(joint[k] - solo)) <= 1e-10
             if len(joint_trace) == len(solo_trace):
                 assert np.array_equal(joint[k], solo)
@@ -102,24 +103,24 @@ def test_supmvlfl_separates_into_per_view_fits(monkeypatch):
 
 def test_supmvlfl_trace_descends():
     views, labels, _ = random_instance(21)
-    _, trace = supmvlfl_solve(views, labels, 0.2)
+    _, trace, _ = supmvlfl_solve(views, labels, 0.2)
     assert trace[-1] <= trace[0] + 1e-9
     assert np.diff(np.asarray(trace)).max(initial=0.0) <= 1e-9 * max(1.0, abs(trace[0]))
 
 
 def test_supmvlfl_guard_fires_on_broken_solver(monkeypatch):
     views, labels, _ = random_instance(22)
-    good = optimizer._penalized_solve
+    good = optimizer._cholesky_solve_in_place
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity):
+    def sabotage(system, b, shift):
         calls["n"] += 1
         if calls["n"] > len(views):
-            broken = np.full((gram.shape[0], xty.shape[1]), 50.0)
-            return broken, gram @ broken
-        return good(gram, xty, diag, sparsity)
+            broken = np.full((system.shape[0], b.shape[1]), 50.0)
+            return broken, system @ broken
+        return good(system, b, shift)
 
-    monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    monkeypatch.setattr(optimizer, "_cholesky_solve_in_place", sabotage)
     monkeypatch.setattr(baselines, "MAX_ITER", 4)
     with pytest.raises(NonDecreasingObjectiveError):
         supmvlfl_solve(views, labels, 0.1)
@@ -132,20 +133,20 @@ def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkey
     rng = np.random.default_rng(24)
     labels = one_hot(np.arange(40) % 2, 2)
     views = [rng.standard_normal((40, 5)), rng.standard_normal((40, 6))]
-    beta, eps = 0.1, 1e-6
-    good = optimizer._penalized_solve
+    beta = 0.1
+    good = optimizer._cholesky_solve_in_place
     solves = []
 
-    def sabotage(gram, xty, diag, sparsity):
-        w, gw = good(gram, xty, diag, sparsity)
+    def sabotage(system, b, shift):
+        w, gw = good(system, b, shift)
         if len(solves) == 1:  # view 1's first step, which nothing guards, lands far off
             w = np.full_like(w, 50.0)
         elif len(solves) == 2:  # view 0's second step climbs away from its first
             w = 3.0 * solves[0]
         solves.append(w)
-        return w, gram @ w
+        return w, system @ w
 
-    monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    monkeypatch.setattr(optimizer, "_cholesky_solve_in_place", sabotage)
     monkeypatch.setattr(baselines, "MAX_ITER", 4)
     with pytest.raises(NonDecreasingObjectiveError):
         supmvlfl_solve(views, labels, beta)
@@ -154,13 +155,13 @@ def test_supmvlfl_guard_fires_on_a_view_whose_rise_another_view_outweighs(monkey
     def smoothed(x, w):
         norms = np.linalg.norm(w, axis=1)
         return (float(np.sum((x @ w - labels) ** 2))
-                + beta * optimizer.smoothed_row_penalty(norms, eps))
+                + beta * optimizer.smoothed_row_penalty(norms))
 
     before = smoothed(views[0], solves[0])
     rise = smoothed(views[0], solves[2]) - before
     assert rise > optimizer.MONOTONICITY_SLACK * max(1.0, abs(before))
     fall = smoothed(views[1], solves[1]) - smoothed(views[1], plain_solve_minimizer(
-        views[1], labels, loop_reweight_diag(solves[1], eps), beta))
+        views[1], labels, loop_reweight_diag(solves[1], EPS), beta))
     assert fall > rise  # the summed objective falls
 
 
@@ -187,18 +188,3 @@ def test_a_weight_that_is_not_a_number_is_refused(beta):
         supmvlfl_solve(views, labels, beta)
     with pytest.raises(TypeError, match="real number"):
         supfl_solve(views[0], labels, beta)
-
-
-@pytest.mark.parametrize("eps, tol, max_iter", [
-    (0.01, 1e-6, 50), (0.0, 1e-6, 50), (1e-6, 0.0, 50), (1e-6, -1.0, 50), (1e-6, 1e-6, 0)])
-def test_solver_controls_share_the_training_bounds(eps, tol, max_iter):
-    views, labels, beta = random_instance(24)
-    with pytest.raises(ValueError):
-        Hyperparams.uniform(len(views), eps=eps, outer_tol=tol, outer_max=max_iter)
-    if eps != 1e-6:  # the baselines' tolerance and limit are TOL and MAX_ITER
-        with pytest.raises(ValueError):
-            supfl_solve(views[0], labels, beta, eps=eps)
-        with pytest.raises(ValueError):
-            supmvlfl_solve(views, labels, beta, eps=eps)
-    # the largest eps training accepts is accepted here too
-    supfl_solve(views[0], labels, beta, eps=1e-3)

@@ -351,8 +351,7 @@ def test_module_is_runnable_as_a_script():
 def test_solver_controls_are_config_errors(tmp_path, capsys):
     # rejected before any data is loaded or output written
     for mode in ("reference", "supfl", "sweep"):
-        for control, value in (("eps", 0.01), ("eps", 0.0), ("outer_tol", -1e-5),
-                               ("outer_max", 0)):
+        for control, value in (("outer_tol", -1e-5), ("outer_tol", 0.0), ("outer_max", 0)):
             config = write_config(tmp_path, **{control: value})
             out = tmp_path / f"{mode}_{control}"
             assert main(["--mode", mode, "--config", config, "--out", str(out)]) == 2
@@ -409,7 +408,7 @@ def test_bad_run_controls_are_config_errors(tmp_path, capsys, flags, fields):
     pytest.param({"synth_samples": 300.0}, id="samples-float"),
     pytest.param({"outer_max": 3.5}, id="outer-max-float"),
     pytest.param({"transport_port": False}, id="port-bool"),
-    pytest.param({"eps": "small"}, id="eps-text"),
+    pytest.param({"outer_tol": "small"}, id="outer-tol-text"),
     pytest.param({"synth_dims": ["a", "b"]}, id="synth-dims-text"),
     pytest.param({"synth_dims": [4, 5.0]}, id="synth-dims-float"),
     pytest.param({"beta_grid": [0.1, True]}, id="beta-grid-bool"),
@@ -493,7 +492,8 @@ def test_a_config_integer_too_large_for_a_float_is_a_config_error(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1)])
+# eps is the solver constant optimizer.EPS, no longer a setting
+@pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1), ("eps", 1e-6)])
 def test_removed_inner_stopping_controls_are_unknown_keys(tmp_path, capsys, key, value):
     config = write_config(tmp_path, **{key: value})
     out = tmp_path / "out"
@@ -554,6 +554,25 @@ def test_a_sweep_warns_once_when_a_baseline_fit_stops_at_max_iter(tmp_path, caps
         "changed by less than TOL=1e-06\n")
     for name in os.listdir(tmp_path / "limited"):
         assert b"converged" not in read_bytes(tmp_path / "limited", name), name
+
+
+@pytest.mark.parametrize("mode", ["supfl", "supmvlfl"])
+def test_a_baseline_run_warns_once_when_a_fit_stops_at_max_iter(tmp_path, capsys,
+                                                                monkeypatch, mode):
+    config = write_config(tmp_path)
+    assert main(["--mode", mode, "--config", config, "--out", str(tmp_path / "default")]) == 0
+    assert capsys.readouterr().err == ""
+    # the limit is read when each fit runs; supfl fits each of the two
+    # views on its own, and still warns once
+    monkeypatch.setattr(baselines, "MAX_ITER", 1)
+    limited = tmp_path / "limited"
+    assert main(["--mode", mode, "--config", config, "--out", str(limited)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: a baseline fit stopped at MAX_ITER=1 steps before its objective "
+        "changed by less than TOL=1e-06\n")
+    assert sorted(os.listdir(limited)) == sorted(os.listdir(tmp_path / "default"))
+    for name in os.listdir(limited):
+        assert b"MAX_ITER" not in read_bytes(limited, name), name
 
 
 def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):

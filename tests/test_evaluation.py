@@ -359,7 +359,7 @@ def test_run_grid_trains_mmvfl_cells_on_the_run_hyperparams(monkeypatch):
     dataset = small_dataset(seed=9)
     folds = make_folds(dataset, 3, seed=6)
     hyper = default_hyper(dataset, consensus_penalty=50.0, label_penalty=20.0,
-                          eps=1e-4, outer_tol=1e-3, outer_max=1)
+                          outer_tol=1e-3, outer_max=1)
     seen = []
     train_states = evaluation.train_states
 

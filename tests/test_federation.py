@@ -560,6 +560,19 @@ def test_bad_inputs_raise_what_the_reference_raises(transport, spoil):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("round_timeout", [float("inf"), 1e300, float("nan")])
+def test_a_round_timeout_past_what_the_sockets_accept_is_refused(transport, round_timeout):
+    # the CLI's bound, (0, threading.TIMEOUT_MAX], refused before any thread
+    # starts rather than as an OverflowError in the socket layer
+    views, labels = tiny_problem(2)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="round_timeout must be in"):
+        run_federated(views, labels, Hyperparams.uniform(2, sparsity=0.1), 0,
+                      transport=transport, round_timeout=round_timeout)
+    assert threading.active_count() == threads
+
+
 def fail_refit_of_participant_1(monkeypatch, failure):
     def refit(state, consensus, hyper):
         if state.participant_id == 1:
@@ -749,6 +762,40 @@ def test_slow_but_alive_participant_completes(pairs):
     assert np.allclose(result.consensus, ones, rtol=0.0, atol=1e-12)
     assert abs(result.objectives[0]) <= 1e-9
     assert all(z.tobytes() == result.consensus.tobytes() for z in received.values())
+
+
+def test_participants_that_ignore_the_broadcast_end_the_session(pairs):
+    # constant uploads that never answer the broadcast drive the recorded
+    # objective below zero in round 1 (zeta = eta = 1000); the coordinator
+    # raises there and closes the channels instead of running to outer_max
+    config = tiny_config()
+    ones = np.ones((config.shape.num_samples, config.shape.num_classes))
+    thread, holder = start_coordinator(config, [a for a, _ in pairs])
+    uploads = {0: 0, 1: 0}
+
+    def participant(pid):
+        side = pairs[pid][1]
+        register(side, pid, owner=pid == 0)
+        try:
+            while True:
+                message, _ = side.recv(timeout=5.0)
+                uploads[pid] += 1
+                side.send(RoundMessage(kind="ZkUpload", round=message.round + 1,
+                                       participant_id=pid, payload=ones, objective_part=0.0))
+        except ChannelClosedError:
+            pass
+
+    runners = [threading.Thread(target=participant, args=(pid,), daemon=True)
+               for pid in range(2)]
+    for runner in runners:
+        runner.start()
+    thread.join(timeout=30.0)
+    for runner in runners:
+        runner.join(timeout=5.0)
+    assert not thread.is_alive() and not any(runner.is_alive() for runner in runners)
+    assert isinstance(holder.get("error"), ValueError)
+    assert "round 1 recorded the objective" in str(holder["error"])
+    assert uploads == {0: 1, 1: 1}
 
 
 def test_the_registered_label_owner_gets_the_label_weight(pairs):

@@ -265,7 +265,7 @@ def test_lapack_cholesky_rejects_non_positive_definite(d):
     with pytest.raises(NotPositiveDefiniteError, match=f"{d}-th leading minor"):
         _cholesky_factor_in_place(indefinite)
     with pytest.raises(NotPositiveDefiniteError):
-        _cholesky_solve_in_place(np.zeros((d, d), order="F"), np.ones((d, 1)))
+        _cholesky_solve_in_place(np.zeros((d, d), order="F"), np.ones((d, 1)), np.zeros(d))
 
 
 def test_lapack_cholesky_rejects_layouts_it_cannot_read():
@@ -308,13 +308,13 @@ def test_a_step_leaves_the_gram_as_it_found_it(monkeypatch, case, d):
 
             monkeypatch.setattr(numerics, "_cholesky_solve", fail)
             with pytest.raises(RuntimeError, match="the solve failed"):
-                mmvfl.optimizer._penalized_solve(gram, x.T @ targets, np.ones(d), 0.1)
+                mmvfl.optimizer._reweighted_step(gram, x.T @ targets, float(n), 0.1)
             assert factored == [True]
         elif case == "not positive definite":
             with pytest.raises(NotPositiveDefiniteError):
-                _cholesky_solve_in_place(gram.T, x.T @ targets)
+                _cholesky_solve_in_place(gram.T, x.T @ targets, np.zeros(d))
         else:
-            _fit_blocks([gram], [scorer.moments[:-1]], float(n), 0.1, 1e-6)
+            _fit_blocks([gram], [scorer.moments[:-1]], float(n), 0.1)
     assert gram.tobytes() == before
 
 
@@ -450,13 +450,13 @@ def test_scope_survives_many_racing_threads(two_threads_before):
 def _probe_solves(monkeypatch):
     """Record, per solve, the calling thread and the BLAS thread counts."""
     calls = []
-    original = mmvfl.optimizer._penalized_solve
+    original = mmvfl.optimizer._cholesky_solve_in_place
 
-    def probe(gram, xty, irls_diag, sparsity):
+    def probe(system, b, shift):
         calls.append((threading.current_thread().name, set(thread_counts())))
-        return original(gram, xty, irls_diag, sparsity)
+        return original(system, b, shift)
 
-    monkeypatch.setattr(mmvfl.optimizer, "_penalized_solve", probe)
+    monkeypatch.setattr(mmvfl.optimizer, "_cholesky_solve_in_place", probe)
     return calls
 
 
@@ -497,8 +497,8 @@ result = run_reference(dataset.views, one_hot(dataset.labels, dataset.num_classe
 # the baselines on a view wider than CHOLESKY_TILE
 wide, _ = synth_planted(num_participants=2, num_samples=1500, dims=(600, 30), seed=0)
 labels = one_hot(wide.labels, wide.num_classes)
-transform, supfl_objectives = supfl_solve(wide.views[0], labels, 0.1)
-transforms, supmvlfl_objectives = supmvlfl_solve(wide.views, labels, 0.1)
+transform, supfl_objectives, _ = supfl_solve(wide.views[0], labels, 0.1)
+transforms, supmvlfl_objectives, _ = supmvlfl_solve(wide.views, labels, 0.1)
 for objectives in (result.objectives, supfl_objectives, supmvlfl_objectives):
     print(repr(objectives))
 for transform in [*result.transforms, transform, *transforms]:

@@ -21,6 +21,7 @@ from mmvfl.baselines import supmvlfl_solve
 from mmvfl.federation import run_federated
 from mmvfl.numerics import CHOLESKY_TILE, SPD_RESIDUAL_TOL, single_blas_thread
 from mmvfl.optimizer import (
+    EPS,
     Hyperparams,
     NonDecreasingObjectiveError,
     ProblemShape,
@@ -99,32 +100,32 @@ def test_check_one_hot_rejects_bad_rows():
 # reweighting diagonal
 
 
-def irls_diagonal(transform, eps):
+def irls_diagonal(transform):
     """The diagonal the kernel's reweighted step from ``transform`` hands
-    to its solve."""
+    to its solve: the solve's shift at sparsity 1."""
     rng = np.random.default_rng(0)
     d, c = transform.shape
     x, t = rng.standard_normal((3 * d, d)), rng.standard_normal((3 * d, c))
     gram = optimizer.gram_matrix(x)
     diags = []
-    original = optimizer._penalized_solve
+    original = optimizer._cholesky_solve_in_place
 
-    def record(gram, xty, diag, sparsity):
-        diags.append(diag)
-        return original(gram, xty, diag, sparsity)
+    def record(system, b, shift):
+        diags.append(shift)
+        return original(system, b, shift)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimizer, "_penalized_solve", record)
-        optimizer._reweighted_step(gram, x.T @ t, float(np.sum(t * t)), 0.1, eps,
+        patch.setattr(optimizer, "_cholesky_solve_in_place", record)
+        optimizer._reweighted_step(gram, x.T @ t, float(np.sum(t * t)), 1.0,
                                    (transform, gram @ transform))
     [diag] = diags
     return diag
 
 
 def test_irls_diagonal_examples():
-    entry = irls_diagonal(np.array([[3.0, 4.0]]), 1e-12)[0]
-    assert entry == pytest.approx(0.1, abs=1e-12)
-    zero_row = irls_diagonal(np.array([[0.0, 0.0]]), 1e-6)[0]
+    entry = irls_diagonal(np.array([[3.0, 4.0]]))[0]
+    assert entry == pytest.approx(1.0 / (2.0 * (5.0 + EPS)), rel=1e-12)
+    zero_row = irls_diagonal(np.array([[0.0, 0.0]]))[0]
     assert zero_row == pytest.approx(5e5, rel=1e-12)
 
 
@@ -132,7 +133,7 @@ def test_irls_diagonal_matches_loop_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = rng.standard_normal((4, 3))
-        assert np.allclose(irls_diagonal(w, 1e-6), loop_reweight_diag(w, 1e-6),
+        assert np.allclose(irls_diagonal(w), loop_reweight_diag(w, EPS),
                            rtol=1e-12, atol=0)
 
 
@@ -259,17 +260,17 @@ def test_fit_sparse_transform_guard_fires_on_broken_solver(monkeypatch):
     rng = np.random.default_rng(13)
     x = rng.standard_normal((10, 4))
     z = rng.standard_normal((10, 2))
-    good = optimizer._penalized_solve
+    good = optimizer._cholesky_solve_in_place
     calls = {"n": 0}
 
-    def sabotage(gram, xty, diag, sparsity):
+    def sabotage(system, b, shift):
         calls["n"] += 1
         if calls["n"] >= 2:
-            broken = np.full((gram.shape[0], xty.shape[1]), 100.0)
-            return broken, gram @ broken
-        return good(gram, xty, diag, sparsity)
+            broken = np.full((system.shape[0], b.shape[1]), 100.0)
+            return broken, system @ broken
+        return good(system, b, shift)
 
-    monkeypatch.setattr(optimizer, "_penalized_solve", sabotage)
+    monkeypatch.setattr(optimizer, "_cholesky_solve_in_place", sabotage)
     with pytest.raises(NonDecreasingObjectiveError):
         fit_sparse_transform(x, z, 0.1, inner_max=5)
 
@@ -285,26 +286,28 @@ def test_fit_sparse_transform_deterministic():
 
 
 def _record_solves(monkeypatch):
-    """Wrap the kernel's solve step; returns the list of (args, W, G W)."""
+    """Wrap the kernel's solve step; returns the list of ((G^T, X^T T,
+    shift), W, G W), where shift is the sparsity times the reweighting
+    diagonal."""
     solves = []
-    original = optimizer._penalized_solve
+    original = optimizer._cholesky_solve_in_place
 
-    def record(gram, xty, irls_diag, sparsity):
-        result = original(gram, xty, irls_diag, sparsity)
-        solves.append(((gram, xty, irls_diag, sparsity), *result))
+    def record(system, b, shift):
+        result = original(system, b, shift)
+        solves.append(((system, b, shift), *result))
         return result
 
-    monkeypatch.setattr(optimizer, "_penalized_solve", record)
+    monkeypatch.setattr(optimizer, "_cholesky_solve_in_place", record)
     return solves
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), d=st.integers(1, 40), c=st.integers(1, 4),
        zero_rows=st.integers(0, 40), sparsity=st.floats(1e-3, 10.0),
-       eps=st.sampled_from([1e-6, 1e-4, 1e-3]), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 def test_gram_form_objective_matches_residual_form_at_every_iterate(
-        n, d, c, zero_rows, sparsity, eps, seed):
-    # zero rows in the warm start put 1/(2 eps) on the first reweighting
+        n, d, c, zero_rows, sparsity, seed):
+    # zero rows in the warm start put 1/(2 EPS) on the first reweighting
     # diagonal; d > n leaves the gram singular
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
@@ -313,7 +316,7 @@ def test_gram_form_objective_matches_residual_form_at_every_iterate(
     init[:zero_rows] = 0.0
     with pytest.MonkeyPatch.context() as patch:
         solves = _record_solves(patch)
-        _, _, trace = fit_sparse_transform(x, t, sparsity, eps=eps, init=init, inner_max=8)
+        _, _, trace = fit_sparse_transform(x, t, sparsity, init=init, inner_max=8)
     gram, xty, t_sq = optimizer.gram_matrix(x), x.T @ t, float(np.sum(t * t))
     iterates = [init] + [w for _, w, _ in solves]
     assert len(trace) == len(iterates)
@@ -324,7 +327,7 @@ def test_gram_form_objective_matches_residual_form_at_every_iterate(
         tolerance = 1e-12 * max(1.0, t_sq, cancelled)
         assert abs(value - fit_objective(x, t, w, sparsity)) <= tolerance
     if zero_rows:
-        assert solves[0][0][2].max() == 1.0 / (2.0 * eps)
+        assert solves[0][0][2].max() == sparsity * (1.0 / (2.0 * EPS))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -345,7 +348,7 @@ def test_descent_guard_holds_on_ill_conditioned_block(seed):
         _, _, trace = fit_sparse_transform(x, t, sparsity, inner_max=50, inner_tol=1e-14)
     assert len(trace) == len(solves) >= 2
     smoothed = [float(np.sum((x @ w - t) ** 2))
-                + sparsity * optimizer.smoothed_row_penalty(np.linalg.norm(w, axis=1), 1e-6)
+                + sparsity * optimizer.smoothed_row_penalty(np.linalg.norm(w, axis=1))
                 for _, w, _ in solves]
     for before, after in zip(smoothed, smoothed[1:]):
         assert after <= before + optimizer.MONOTONICITY_SLACK * max(1.0, abs(before))
@@ -364,8 +367,9 @@ def test_every_kernel_solve_meets_the_residual_promise(monkeypatch):
     views, labels = tiny_problem(16)
     run_reference(views, labels, Hyperparams.uniform(2, sparsity=0.1), 16)
     assert len(solves) > 100
-    for (gram, xty, irls_diag, sparsity), w, product in solves:
-        a = gram + np.diag(sparsity * irls_diag)
+    for (system, xty, shift), w, product in solves:
+        gram = system.T  # the C-order Gram the step was lent
+        a = gram + np.diag(shift)
         assert np.linalg.norm(a @ w - xty) <= SPD_RESIDUAL_TOL * np.linalg.norm(xty)
         # the product the kernel's objective reads is G W itself, formed as W^T G
         assert product.tobytes() == (w.T @ gram).T.tobytes()
@@ -617,12 +621,21 @@ def test_hyperparams_validation():
         Hyperparams.uniform(2, label_penalty=0.0)
     for weight in ("sparsity", "consensus_penalty", "label_penalty"):
         for value in (float("inf"), float("nan")):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="finite and positive"):
                 Hyperparams.uniform(2, **{weight: value})
-    with pytest.raises(ValueError):
-        Hyperparams.uniform(2, eps=1e-2)
+    # a tuple entry meets the same rule as a uniform weight
+    with pytest.raises(ValueError, match="finite and positive"):
+        Hyperparams(sparsity=(0.1, -0.1), consensus_penalty=(1.0, 1.0), label_penalty=1.0)
     with pytest.raises(ValueError):
         Hyperparams(sparsity=(0.1,), consensus_penalty=(1.0, 1.0), label_penalty=1.0)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(0.0, 50), (-1.0, 50), (1e-6, 0)])
+def test_the_round_stopping_controls_are_bounded(tol, max_iter):
+    with pytest.raises(ValueError):
+        Hyperparams.uniform(3, outer_tol=tol, outer_max=max_iter)
+    with pytest.raises(ValueError):
+        optimizer.check_solver_controls(tol, max_iter)
 
 
 @pytest.mark.parametrize("outer_max", [2.5, 2.0, math.inf, "3"])
@@ -779,6 +792,24 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
         assert pseudo.tobytes() == st.pseudo_labels.tobytes()
 
 
+def test_uploads_that_ignore_the_broadcast_stop_the_rounds():
+    # honest uploads make every recorded value the minimum of a sum of
+    # squares and norms; two constant uploads that never answer the
+    # broadcast make the joint step over-relax them into a negative value,
+    # which must stop the run in round 1 rather than run on to outer_max
+    hyper = Hyperparams.uniform(2)  # zeta = eta = 1000
+    ones = np.ones((12, 3))
+    rounds = []
+
+    def refit(round_index, consensus):
+        rounds.append(round_index)
+        return [ones, ones], [0.0, 0.0]
+
+    with pytest.raises(ValueError, match="round 1 recorded the objective -.*below zero"):
+        optimizer.run_rounds(refit, init_consensus(12, 3, 0), hyper, 0)
+    assert rounds == [1]
+
+
 def _plain_schedule(views, labels, hyper, seed):
     """The last objective of the plain schedule: per round every
     participant runs ``participant_round`` against the consensus, which
@@ -833,8 +864,7 @@ def optimum_problem(seed):
 
 def optimum_of(views, labels, hyper):
     value, _ = smoothed_objective_optimum(views, labels, hyper.sparsity,
-                                          hyper.consensus_penalty, hyper.label_penalty,
-                                          hyper.eps)
+                                          hyper.consensus_penalty, hyper.label_penalty, EPS)
     return value
 
 
@@ -875,7 +905,7 @@ def test_a_tightly_converged_run_attains_the_optimum(seed):
     recorded = loop_total_objective(views, result.transforms, result.pseudo_labels,
                                     result.consensus, labels, hyper.sparsity,
                                     hyper.consensus_penalty, hyper.label_penalty)
-    smoothing = sum(beta * hyper.eps * float(np.sum(np.log1p(loop_row_norms(w) / hyper.eps)))
+    smoothing = sum(beta * EPS * float(np.sum(np.log1p(loop_row_norms(w) / EPS)))
                     for beta, w in zip(hyper.sparsity, result.transforms))
     assert abs(recorded - smoothing - optimum) <= 1e-10 * abs(optimum)
 
@@ -1007,7 +1037,7 @@ def test_a_failing_refit_raises_its_error_and_leaves_no_thread(monkeypatch, fail
     views, labels = tiny_problem(9, num_samples=20, dims=(4, 6, 5))
     hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=5)
     error = RuntimeError(f"solve failed on the {failing}")
-    original = optimizer._penalized_solve
+    original = optimizer._cholesky_solve_in_place
 
     def solve(*args):
         on_helper = threading.current_thread().name == "mmvfl-tiles"
@@ -1017,7 +1047,7 @@ def test_a_failing_refit_raises_its_error_and_leaves_no_thread(monkeypatch, fail
         time.sleep(0.01)
         return original(*args)
 
-    monkeypatch.setattr(optimizer, "_penalized_solve", solve)
+    monkeypatch.setattr(optimizer, "_cholesky_solve_in_place", solve)
     monkeypatch.setattr(optimizer, "_share_refits", lambda *args: True)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
