@@ -88,7 +88,6 @@ class RunConfig:
     trace: str | None = None
     outer_tol: float = 1e-5
     outer_max: int = 100
-    synth_participants: int = 3
     synth_classes: int = 3
     synth_samples: int = 300
     synth_dims: tuple[int, ...] = (30, 30, 30)
@@ -142,7 +141,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"solver controls: {exc}") from None
         try:
-            check_synth_shape(self.synth_participants, self.synth_classes,
+            check_synth_shape(len(self.synth_dims), self.synth_classes,
                               self.synth_samples, self.synth_dims,
                               self.synth_informative, self.synth_noise)
         except ValueError as exc:
@@ -373,7 +372,7 @@ def synth_dataset(config: RunConfig):
     """The seeded synthetic dataset the ``synth_*`` fields describe, with
     its planted columns per view."""
     return synth_planted(
-        num_participants=config.synth_participants,
+        num_participants=len(config.synth_dims),
         num_classes=config.synth_classes,
         num_samples=config.synth_samples,
         dims=config.synth_dims,

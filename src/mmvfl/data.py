@@ -204,7 +204,6 @@ class FoldPlan:
 
     assignments: np.ndarray
     num_folds: int
-    seed: int
 
     def __post_init__(self):
         if self.assignments.ndim != 1:
@@ -242,7 +241,7 @@ def make_folds(dataset: MultiViewDataset, num_folds: int = 5, seed=0) -> FoldPla
         members = rng.permutation(members)
         for fold, chunk in enumerate(np.array_split(members, num_folds)):
             assignments[chunk] = fold
-    return FoldPlan(assignments=assignments, num_folds=num_folds, seed=seed)
+    return FoldPlan(assignments=assignments, num_folds=num_folds)
 
 
 def check_synth_shape(num_participants, num_classes, num_samples, dims,

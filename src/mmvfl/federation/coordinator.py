@@ -28,7 +28,8 @@ from .messages import (
 
 
 class FederationAbortError(Exception):
-    """The session ended on a protocol violation or transport failure."""
+    """The session ended on a protocol fault or a failed send or receive;
+    a participant raises it on the coordinator's ``Abort``."""
 
 
 class RoundTimeoutError(Exception):
@@ -110,11 +111,12 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     upload of round r + 1 answers it.  The last round's Z* goes out as
     ``Converged``, and each participant refreshes its pseudo-labels
     against it.
-    Raises ``RoundTimeoutError`` when a participant misses
-    ``round_timeout``, ``FederationAbortError`` on duplicate
-    registration, malformed messages, or transport failure, and
-    ``run_rounds``'s ``ValueError`` when uploads that do not answer the
-    broadcast drive a recorded objective below zero.
+    Any failure sends ``Abort`` on every channel that still takes it,
+    closes the channels and re-raises: ``RoundTimeoutError`` when a
+    participant misses ``round_timeout``, ``FederationAbortError`` on a
+    protocol fault or on a failed send or receive (naming the
+    participant), and ``run_rounds``'s ``ValueError`` when uploads that
+    do not answer the broadcast drive a recorded objective below zero.
     """
     expected = config.shape.num_participants
     if len(channels) != expected:
@@ -123,23 +125,16 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     trace: list[TracedMessage] = []
     by_id: dict[int, TcpChannel] = {}
 
-    def abort_all(reason: str):
-        notice = RoundMessage(kind=KIND_ABORT, round=0, participant_id=0)
-        for ch in channels:
-            try:
-                nbytes = ch.send(notice)
-            except (ChannelClosedError, ProtocolError):
-                continue
-            trace.append(_trace_entry("sent", notice, nbytes))
-        raise FederationAbortError(reason)
-
-    def receive(ch: TcpChannel, who, failure: str) -> RoundMessage:
+    def exchange(who, operation, *args):
         try:
-            message, nbytes = ch.recv(timeout=config.round_timeout)
+            return operation(*args)
         except ChannelTimeoutError as exc:
             raise RoundTimeoutError(who, str(exc)) from exc
         except (ChannelClosedError, ProtocolError) as exc:
-            abort_all(f"{failure}: {exc}")
+            raise FederationAbortError(f"transport failure on participant {who}: {exc}") from exc
+
+    def receive(ch: TcpChannel, who) -> RoundMessage:
+        message, nbytes = exchange(who, ch.recv, config.round_timeout)
         trace.append(_trace_entry("recv", message, nbytes))
         return message
 
@@ -147,18 +142,18 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
         for pid in sorted(by_id):
             message = RoundMessage(kind=kind, round=round_index,
                                    participant_id=pid, payload=consensus)
-            trace.append(_trace_entry("sent", message, by_id[pid].send(message)))
+            trace.append(_trace_entry("sent", message, exchange(pid, by_id[pid].send, message)))
 
     def upload(pid: int, round_index: int) -> RoundMessage:
-        message = receive(by_id[pid], pid, f"transport failure on participant {pid}")
+        message = receive(by_id[pid], pid)
         if message.kind != KIND_ZK_UPLOAD:
-            abort_all(f"expected ZkUpload, got {message.kind}")
+            raise FederationAbortError(f"expected ZkUpload, got {message.kind}")
         if message.round != round_index or message.participant_id != pid:
-            abort_all(f"out-of-order upload from participant {pid}")
+            raise FederationAbortError(f"out-of-order upload from participant {pid}")
         if message.payload is None or message.payload.shape != matrix_shape:
-            abort_all(f"bad upload payload shape from participant {pid}")
+            raise FederationAbortError(f"bad upload payload shape from participant {pid}")
         if message.objective_part is None:
-            abort_all(f"upload without objective part from participant {pid}")
+            raise FederationAbortError(f"upload without objective part from participant {pid}")
         return message
 
     def refit(round_index: int, consensus):
@@ -171,24 +166,31 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
         # one label owner.
         owners = []
         for index, ch in enumerate(channels):
-            message = receive(ch, f"<unregistered channel {index}>",
-                              f"registration failed on channel {index}")
+            message = receive(ch, f"<unregistered channel {index}>")
             if message.kind != KIND_REGISTER:
-                abort_all(f"expected Register, got {message.kind}")
+                raise FederationAbortError(f"expected Register, got {message.kind}")
             pid = message.participant_id
             if pid >= expected:
-                abort_all(f"participant id {pid} out of range")
+                raise FederationAbortError(f"participant id {pid} out of range")
             if pid in by_id:
-                abort_all(f"duplicate registration for participant {pid}")
+                raise FederationAbortError(f"duplicate registration for participant {pid}")
             if message.label_owner:
                 owners.append(pid)
             by_id[pid] = ch
         if len(owners) != 1:
-            abort_all(f"need exactly one label owner, got {sorted(owners)}")
+            raise FederationAbortError(f"need exactly one label owner, got {sorted(owners)}")
 
         consensus, objectives, converged = run_rounds(
             refit, init_consensus(*matrix_shape, config.seed), config.hyper, owners[0])
         broadcast(KIND_CONVERGED, len(objectives), consensus)
+    except BaseException:
+        notice = RoundMessage(kind=KIND_ABORT, round=0, participant_id=0)
+        for ch in channels:
+            try:
+                ch.send(notice)
+            except ChannelClosedError:
+                pass  # that participant has already gone
+        raise
     finally:
         for ch in channels:
             ch.close()

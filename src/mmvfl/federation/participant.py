@@ -55,7 +55,9 @@ def participant_run(participant_id: int, features, labels,
         # upload of round r + 1, until the coordinator says Converged.
         round_index = 0
         while True:
-            message, _ = channel.recv(timeout=config.round_timeout)
+            # no deadline here: the coordinator holds them all, and however
+            # it stops it sends Abort or closes its end, which ends this wait
+            message, _ = channel.recv()
             if message.kind == KIND_ABORT:
                 raise FederationAbortError("session aborted by the coordinator")
             if (message.kind not in (KIND_Z_BROADCAST, KIND_CONVERGED)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..numerics import check_seed, single_blas_thread
 from ..optimizer import Hyperparams, ParticipantState, _check_inputs
-from .channels import ChannelClosedError, ChannelTimeoutError, TcpChannel
+from .channels import ChannelClosedError, TcpChannel
 from .coordinator import (
     CoordinatorResult,
     FederationAbortError,
@@ -31,7 +31,7 @@ _JOIN_GRACE = 30.0
 
 # What a participant raises when the session fails around it; any other
 # participant error is the failure itself.
-_SESSION_ERRORS = (FederationAbortError, ChannelClosedError, ChannelTimeoutError)
+_SESSION_ERRORS = (FederationAbortError, ChannelClosedError)
 
 
 @dataclass
@@ -129,9 +129,6 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
         coordinator_result = coordinator_run(config, coordinator_side)
     except BaseException as exc:
         coordinator_error = exc
-        # unblock any participant still waiting on a dead session
-        for side in participant_side:
-            side.close()
 
     deadline = round_timeout + _JOIN_GRACE
     for worker in workers:

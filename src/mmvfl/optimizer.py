@@ -184,6 +184,8 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D integer array")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
     if num_classes < 2:
         raise ValueError("need at least two classes")
     if labels.size == 0:
@@ -191,7 +193,7 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError("labels out of range")
     encoded = np.zeros((labels.size, num_classes), dtype=np.float64)
-    encoded[np.arange(labels.size), labels.astype(int)] = 1.0
+    encoded[np.arange(labels.size), labels] = 1.0
     return encoded
 
 

@@ -14,7 +14,6 @@ from mmvfl.cli import FLAG_HELP, emit_curves, main, read_message_trace, version_
 from mmvfl.evaluation import ExperimentResult, mean_curves, select_best
 
 TINY_SYNTH = {
-    "synth_participants": 2,
     "synth_classes": 3,
     "synth_samples": 30,
     "synth_dims": [4, 5],
@@ -492,8 +491,10 @@ def test_a_config_integer_too_large_for_a_float_is_a_config_error(tmp_path, caps
     assert not out.exists()
 
 
-# eps is the solver constant optimizer.EPS, no longer a setting
-@pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1), ("eps", 1e-6)])
+# eps is the solver constant optimizer.EPS and the synthetic participant
+# count is len(synth_dims); neither is a setting any more
+@pytest.mark.parametrize("key, value", [("inner_tol", 0.1), ("inner_max", 1), ("eps", 1e-6),
+                                        ("synth_participants", 3)])
 def test_removed_inner_stopping_controls_are_unknown_keys(tmp_path, capsys, key, value):
     config = write_config(tmp_path, **{key: value})
     out = tmp_path / "out"
@@ -576,15 +577,13 @@ def test_a_baseline_run_warns_once_when_a_fit_stops_at_max_iter(tmp_path, capsys
 
 
 def test_bad_synthetic_shapes_are_config_errors(tmp_path, capsys):
-    # the default three participants against two feature counts
-    two_dims = tmp_path / "two_dims.json"
-    two_dims.write_text('{"synth_dims": [4, 5]}')
-    configs = [str(two_dims)] + [
-        write_config(tmp_path, name=f"{key}.json", **{key: value})
-        for key, value in (("synth_participants", 3), ("synth_classes", 1),
-                           ("synth_samples", 2), ("synth_informative", 5),
-                           ("synth_informative", -1), ("synth_noise", -0.5),
-                           ("synth_noise", float("nan")), ("synth_noise", float("inf")))]
+    # an empty synth_dims means no participants; one file per case, since
+    # cases that share a key would overwrite each other's file
+    cases = (("synth_dims", []), ("synth_classes", 1), ("synth_samples", 2),
+             ("synth_informative", 5), ("synth_informative", -1), ("synth_noise", -0.5),
+             ("synth_noise", float("nan")), ("synth_noise", float("inf")))
+    configs = [write_config(tmp_path, name=f"{index}.json", **{key: value})
+               for index, (key, value) in enumerate(cases)]
     for mode in ("synth", "reference", "sweep"):
         for config in configs:
             out = tmp_path / "out"

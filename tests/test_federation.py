@@ -31,6 +31,7 @@ from mmvfl.federation import (
 )
 from mmvfl.federation import messages as messages_module
 from mmvfl.federation import participant as participant_module
+from mmvfl.federation import session as session_module
 from mmvfl.federation.session import _tcp_channel_pairs
 from mmvfl.optimizer import (
     Hyperparams,
@@ -610,6 +611,41 @@ def test_a_participant_failure_comes_out_as_itself(monkeypatch, transport, injec
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_missed_deadline_aborts_every_other_participant(monkeypatch, transport):
+    round_timeout = 0.5
+
+    def slow_refit(state, consensus, hyper):
+        if state.participant_id == 1:
+            time.sleep(round_timeout + 0.5)
+        return participant_round(state, consensus, hyper)
+
+    endings = {}
+
+    def recording_run(participant_id, *args):
+        try:
+            return participant_module.participant_run(participant_id, *args)
+        except BaseException as exc:
+            endings[participant_id] = exc
+            raise
+
+    monkeypatch.setattr(participant_module, "participant_round", slow_refit)
+    monkeypatch.setattr(session_module, "participant_run", recording_run)
+    views, labels = tiny_problem(2, dims=(3, 4, 5))
+    hyper = Hyperparams.uniform(3, sparsity=0.1)
+    threads = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(RoundTimeoutError) as raised:
+        run_federated(views, labels, hyper, seed=0, transport=transport,
+                      round_timeout=round_timeout)
+    # the Abort and the coordinator's own close end the session for all
+    assert time.monotonic() - started < round_timeout + 2.0
+    assert raised.value.participant_id == 1
+    assert {pid: type(exc) for pid, exc in endings.items() if pid != 1} == {
+        0: FederationAbortError, 2: FederationAbortError}
+    assert threading.active_count() == threads
+
+
 @pytest.fixture
 def pairs():
     """Two (coordinator side, participant side) channel pairs over
@@ -638,6 +674,16 @@ def start_coordinator(config, channels):
 def register(channel, pid, owner=False):
     channel.send(RoundMessage(kind="Register", round=0, participant_id=pid,
                               label_owner=owner))
+
+
+def kinds_until_closed(side):
+    """The kinds of the frames ``side`` reads before its channel closes."""
+    kinds = []
+    try:
+        while True:
+            kinds.append(side.recv(timeout=5.0)[0].kind)
+    except ChannelClosedError:
+        return kinds
 
 
 def test_duplicate_registration_aborts_session(pairs):
@@ -686,6 +732,21 @@ def test_round_timeout_names_the_silent_participant(pairs):
     assert isinstance(error, RoundTimeoutError)
     assert error.participant_id == 1
     assert "participant 1" in str(error)
+    assert [kinds_until_closed(side) for side in sides] == [["Abort"], ["Abort"]]
+
+
+def test_a_participant_that_leaves_after_registering_aborts_the_session(pairs):
+    config = tiny_config()
+    sides = [b for _, b in pairs]
+    register(sides[0], 0, owner=True)
+    register(sides[1], 1)
+    sides[1].close()  # gone before the first broadcast reaches it
+    thread, holder = start_coordinator(config, [a for a, _ in pairs])
+    thread.join(timeout=10.0)
+    error = holder.get("error")
+    assert isinstance(error, FederationAbortError)
+    assert "participant 1" in str(error)
+    assert kinds_until_closed(sides[0]) == ["ZBroadcast", "Abort"]
 
 
 def test_registration_timeout_names_the_channel(pairs):
@@ -767,23 +828,23 @@ def test_slow_but_alive_participant_completes(pairs):
 def test_participants_that_ignore_the_broadcast_end_the_session(pairs):
     # constant uploads that never answer the broadcast drive the recorded
     # objective below zero in round 1 (zeta = eta = 1000); the coordinator
-    # raises there and closes the channels instead of running to outer_max
+    # raises there and aborts the session instead of running to outer_max
     config = tiny_config()
     ones = np.ones((config.shape.num_samples, config.shape.num_classes))
     thread, holder = start_coordinator(config, [a for a, _ in pairs])
     uploads = {0: 0, 1: 0}
+    endings = {}
 
     def participant(pid):
         side = pairs[pid][1]
         register(side, pid, owner=pid == 0)
-        try:
-            while True:
-                message, _ = side.recv(timeout=5.0)
-                uploads[pid] += 1
-                side.send(RoundMessage(kind="ZkUpload", round=message.round + 1,
-                                       participant_id=pid, payload=ones, objective_part=0.0))
-        except ChannelClosedError:
-            pass
+        message, _ = side.recv(timeout=5.0)
+        while message.kind == "ZBroadcast":
+            uploads[pid] += 1
+            side.send(RoundMessage(kind="ZkUpload", round=message.round + 1,
+                                   participant_id=pid, payload=ones, objective_part=0.0))
+            message, _ = side.recv(timeout=5.0)
+        endings[pid] = [message.kind] + kinds_until_closed(side)
 
     runners = [threading.Thread(target=participant, args=(pid,), daemon=True)
                for pid in range(2)]
@@ -796,6 +857,7 @@ def test_participants_that_ignore_the_broadcast_end_the_session(pairs):
     assert isinstance(holder.get("error"), ValueError)
     assert "round 1 recorded the objective" in str(holder["error"])
     assert uploads == {0: 1, 1: 1}
+    assert endings == {0: ["Abort"], 1: ["Abort"]}
 
 
 def test_the_registered_label_owner_gets_the_label_weight(pairs):

@@ -87,6 +87,16 @@ def test_one_hot_roundtrip():
     check_one_hot(y)
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.5, 1.9]), np.array([0.0, 1.0]),
+                                    np.array([True, False])],
+                         ids=["fractional", "integral-floats", "bools"])
+def test_one_hot_refuses_labels_that_are_not_integers(labels):
+    # the rule MultiViewDataset applies, rather than truncating or
+    # reading bools as classes
+    with pytest.raises(ValueError, match="labels must be integers"):
+        one_hot(labels, 2)
+
+
 def test_check_one_hot_rejects_bad_rows():
     with pytest.raises(ValueError):
         check_one_hot(np.array([[1.0, 1.0], [0.0, 1.0]]))
