@@ -46,6 +46,7 @@ from .evaluation import (
     select_best,
     write_results_csv,
 )
+from .featsel import check_percent
 from .federation import TracedMessage, audit_trace, run_federated
 from .federation.coordinator import check_round_timeout
 from .numerics import check_seed, numerics_report, single_blas_thread
@@ -105,18 +106,21 @@ class RunConfig:
             for path in list(self.views) + [self.labels]:
                 if not os.path.isfile(path):
                     raise ConfigError(f"input file not found: {path}")
-        if not self.beta_grid:
-            raise ConfigError("--beta-grid needs at least one value")
+        if not self.beta_grid or not self.p_grid:
+            raise ConfigError("--beta-grid and --p-grid need at least one value")
         try:
             for weight in (self.beta, *self.beta_grid, self.zeta, self.eta):
                 check_weight(weight)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"--beta, --beta-grid, --zeta and --eta: {exc}") from None
-        if not self.p_grid or any(not 0 < p <= 100 for p in self.p_grid):
-            raise ConfigError("--p-grid values must lie in (0, 100]")
+        try:
+            for p in self.p_grid:
+                check_percent(p)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--p-grid: {exc}") from None
         try:
             self.seed = check_seed(self.seed)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
         if self.folds < 2:
             raise ConfigError("--folds must be an integer of at least 2")

@@ -19,7 +19,7 @@ from scipy.linalg import lapack
 
 from .baselines import _fit_blocks
 from .data import FoldPlan, MultiViewDataset
-from .featsel import score_features, select_top
+from .featsel import check_percent, score_features, select_top
 from .numerics import (
     NotPositiveDefiniteError,
     _cholesky_factor_in_place,
@@ -28,7 +28,8 @@ from .numerics import (
     derive_seed,
     single_blas_thread,
 )
-from .optimizer import Hyperparams, ProblemShape, _new_state, gram_matrix, one_hot, train_states
+from .optimizer import (Hyperparams, ProblemShape, _new_state, check_weight, gram_matrix,
+                        one_hot, train_states)
 
 METHODS = ("mmvfl", "supfl", "supmvlfl")
 
@@ -162,14 +163,16 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
     ``mmvfl`` by ``train_states`` on states over the scorers' blocks,
     seeded ``derive_seed(seed, fold, beta_index)``.  Each
     fit factors the XᵀX it is lent in place and restores it bit for bit.
-    Returns one ``ExperimentResult`` per cell, method by method in
-    ``methods`` order.  BLAS runs on one thread throughout.
+    Each beta is read through ``check_weight`` and each p through
+    ``check_percent`` before any fit.  Returns one ``ExperimentResult``
+    per cell, method by method in ``methods`` order.  BLAS runs on one
+    thread throughout.
     """
     methods = tuple(methods)
     if not methods or any(m not in METHODS for m in methods):
         raise ValueError(f"methods must be drawn from {METHODS}, got {methods!r}")
-    beta_grid = [float(b) for b in beta_grid]
-    p_grid = [float(p) for p in p_grid]
+    beta_grid = [check_weight(beta) for beta in beta_grid]
+    p_grid = [check_percent(p) for p in p_grid]
     if not beta_grid or not p_grid:
         raise ValueError("beta_grid and p_grid must be non-empty")
     seed = check_seed(seed)

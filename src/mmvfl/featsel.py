@@ -8,6 +8,7 @@ features the model does not use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,24 @@ def score_features(transform) -> FeatureRanking:
     return FeatureRanking(scores=scores, order=order)
 
 
+def check_percent(p) -> float:
+    """A selection percentage as a float: ``TypeError`` unless it is a real
+    number and not a bool, so a string or a flag is never read as one,
+    and ``ValueError`` unless it lies in (0, 100]."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError(f"p must be a real number, not {p!r}")
+    if not 0 < p <= 100:
+        raise ValueError(f"p must be in (0, 100], got {p!r}")
+    return float(p)
+
+
 def select_top(ranking: FeatureRanking, p: float) -> np.ndarray:
     """Indices of the top p percent of features, rounded up.
 
     Selections are nested: a larger p always contains the selection of a
     smaller p, because both are prefixes of the same ranking.
     """
-    if not 0 < p <= 100:
-        raise ValueError(f"p must be in (0, 100], got {p}")
+    p = check_percent(p)
     d = ranking.scores.size
     exact = p * d / 100.0
     nearest = round(exact)

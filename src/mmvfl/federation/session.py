@@ -1,15 +1,16 @@
 """One-call federated training session over either transport.
 
-Spawns the coordinator and one thread per participant, wires them
-together with socket pairs or loopback TCP connections, and collects
-everything a run produces.  Given the same seed and inputs the result is
-bit-identical to ``optimizer.run_reference`` regardless of transport.
+Runs the coordinator on the calling thread and each participant on a
+thread of its own, wires them together with socket pairs or loopback TCP
+connections, and collects everything a run produces.  Given the same
+seed and inputs the result is bit-identical to ``optimizer.run_reference``
+regardless of transport.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +19,12 @@ from ..numerics import check_seed, single_blas_thread
 from ..optimizer import Hyperparams, ParticipantState, _check_inputs
 from .channels import ChannelClosedError, TcpChannel
 from .coordinator import (
-    CoordinatorResult,
     FederationAbortError,
     FederationConfig,
     TracedMessage,
     coordinator_run,
 )
 from .participant import participant_run
-
-# Generous join allowance on top of the protocol's own timeouts.
-_JOIN_GRACE = 30.0
 
 # What a participant raises when the session fails around it; any other
 # participant error is the failure itself.
@@ -44,23 +41,6 @@ class FederatedResult:
     objectives: list[float]
     trace: list[TracedMessage]
     converged: bool
-
-
-class _Worker(threading.Thread):
-    """Thread that keeps its target's return value or exception."""
-
-    def __init__(self, target, args):
-        super().__init__(daemon=True)
-        self._target_fn = target
-        self._args = args
-        self.result = None
-        self.error = None
-
-    def run(self):
-        try:
-            self.result = self._target_fn(*self._args)
-        except BaseException as exc:  # surfaced by the caller
-            self.error = exc
 
 
 def _tcp_channel_pairs(count: int, port: int, timeout: float):
@@ -96,9 +76,11 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
     one.  The inputs are checked as ``run_reference`` checks them, with
     the same errors, before any thread starts.  When a participant
     fails, the session raises that participant's own exception rather
-    than the abort it caused.  BLAS is pinned to one thread for the whole
-    session, so the participant threads' solves do not oversubscribe the
-    cores.
+    than the abort it caused.  The participants' threads are joined with
+    no deadline of their own: the coordinator holds every deadline, and
+    its close ends each participant, so no thread outlives the call.
+    BLAS is pinned to one thread for the whole session, so the
+    participant threads' solves do not oversubscribe the cores.
     """
     seed = check_seed(seed)
     views, labels, shape = _check_inputs(views, labels, hyper)
@@ -115,38 +97,35 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
     else:
         raise ValueError(f"unknown transport {transport!r}")
 
-    workers = []
-    for k, view in enumerate(views):
-        worker = _Worker(participant_run,
-                         (k, view, labels if k == 0 else None, config,
-                          participant_side[k]))
-        workers.append(worker)
-        worker.start()
-
     coordinator_error = None
-    coordinator_result: CoordinatorResult | None = None
-    try:
-        coordinator_result = coordinator_run(config, coordinator_side)
-    except BaseException as exc:
-        coordinator_error = exc
-
-    deadline = round_timeout + _JOIN_GRACE
-    for worker in workers:
-        worker.join(timeout=deadline)
+    futures = []
+    # Each participant holds its thread for the whole session, waiting on
+    # the coordinator between rounds, so a smaller pool would deadlock.
+    with ThreadPoolExecutor(max_workers=len(views)) as pool:
+        try:
+            for k, view in enumerate(views):
+                futures.append(pool.submit(participant_run, k, view,
+                                           labels if k == 0 else None, config,
+                                           participant_side[k]))
+            coordinator_result = coordinator_run(config, coordinator_side)
+        except BaseException as exc:
+            coordinator_error = exc
+            # coordinator_run closes these on its way out, but a participant
+            # thread that fails to start stops the session before it runs
+            for channel in coordinator_side:
+                channel.close()
     if coordinator_error is not None:
-        for worker in workers:
-            if worker.error is not None and not isinstance(worker.error, _SESSION_ERRORS):
-                raise worker.error
+        # the end of a participant that never ran is still open
+        for channel in participant_side:
+            channel.close()
+        for future in futures:
+            error = future.exception()
+            if error is not None and not isinstance(error, _SESSION_ERRORS):
+                raise error
         raise coordinator_error
-    for worker in workers:
-        if worker.is_alive():
-            raise RuntimeError("a participant thread failed to finish")
-        if worker.error is not None:
-            raise worker.error
 
-    states = [worker.result for worker in workers]
     return FederatedResult(
-        states=states,
+        states=[future.result() for future in futures],
         consensus=coordinator_result.consensus,
         objectives=coordinator_result.objectives,
         trace=coordinator_result.trace,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import numbers
 import os
 import queue
 import re
@@ -66,8 +67,10 @@ class NotPositiveDefiniteError(Exception):
 
 
 def check_seed(seed) -> int:
-    """Validate a seed as a 64-bit unsigned integer and return it as int."""
-    if isinstance(seed, (bool, float)):
+    """Validate a seed as a 64-bit unsigned integer and return it as int:
+    ``ValueError`` unless it is an integer, not a bool, in [0, 2**64), so
+    a float, a string or a flag is never truncated into a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:

@@ -309,12 +309,24 @@ def test_run_grid_singleton_grids():
     assert {row.p for row in rows} == {100.0}
 
 
-def test_run_grid_covers_all_methods():
+def test_run_grid_covers_all_methods(monkeypatch):
     dataset = small_dataset(seed=5)
     folds = make_folds(dataset, 3, seed=2)
     hyper = default_hyper(dataset, outer_max=5)
     rows = run_grid(("mmvfl", "supfl", "supmvlfl"), dataset, folds, [0.1], [50.0], hyper)
     assert [row.method for row in rows] == ["mmvfl"] * 6 + ["supfl"] * 6 + ["supmvlfl"] * 6
+
+    def forbidden(*_):
+        raise AssertionError("a scorer was built")
+
+    monkeypatch.setattr(evaluation, "_SplitScorer", forbidden)
+    # a string or a flag is neither a beta nor a p, refused before any fit
+    for beta_grid, p_grid in ((["0.1"], [50.0]), ([True], [50.0]),
+                              ([0.1], ["50"]), ([0.1], [True]), ([0.1], ["1e2"])):
+        with pytest.raises(TypeError):
+            run_grid(("supfl",), dataset, folds, beta_grid, p_grid, hyper)
+    with pytest.raises(ValueError):
+        run_grid(("supfl",), dataset, folds, [0.1], [0.0], hyper)
     for methods in (("ridge",), ("supfl", "ridge"), ()):
         with pytest.raises(ValueError):
             run_grid(methods, dataset, folds, [0.1], [50.0], hyper)

@@ -80,3 +80,6 @@ def test_select_top_rejects_bad_percent():
     for bad in (0.0, -3.0, 101.0):
         with pytest.raises(ValueError):
             select_top(ranking, bad)
+    for bad in ("50", True, None):
+        with pytest.raises(TypeError):
+            select_top(ranking, bad)

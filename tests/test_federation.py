@@ -1,9 +1,12 @@
 """Wire protocol, transports, coordinator behavior, and the privacy audit."""
 
+import contextlib
+import dataclasses
 import socket
 import struct
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +36,10 @@ from mmvfl.federation import messages as messages_module
 from mmvfl.federation import participant as participant_module
 from mmvfl.federation import session as session_module
 from mmvfl.federation.session import _tcp_channel_pairs
+from mmvfl.numerics import single_blas_thread
 from mmvfl.optimizer import (
     Hyperparams,
+    ParticipantState,
     ProblemShape,
     init_consensus,
     make_states,
@@ -518,6 +523,10 @@ def test_federated_matches_reference_bitwise(transport, dims):
     hyper = Hyperparams.uniform(len(dims), sparsity=0.1, outer_max=15)
     reference = run_reference(views, labels, hyper, seed=3)
     federated = run_federated(views, labels, hyper, seed=3, transport=transport)
+    assert_matches_reference(federated, reference)
+
+
+def assert_matches_reference(federated, reference):
     assert federated.objectives == reference.objectives
     assert federated.consensus.tobytes() == reference.consensus.tobytes()
     for state, transform, pseudo in zip(federated.states, reference.transforms,
@@ -571,6 +580,19 @@ def test_a_round_timeout_past_what_the_sockets_accept_is_refused(transport, roun
     with pytest.raises(ValueError, match="round_timeout must be in"):
         run_federated(views, labels, Hyperparams.uniform(2, sparsity=0.1), 0,
                       transport=transport, round_timeout=round_timeout)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_round_timeout_at_the_bound_is_accepted(transport):
+    # run_federated keeps no deadline of its own, so none can overflow
+    views, labels = tiny_problem(2)
+    hyper = Hyperparams.uniform(2, sparsity=0.1)
+    reference = run_reference(views, labels, hyper, seed=0)
+    threads = threading.active_count()
+    federated = run_federated(views, labels, hyper, 0, transport=transport,
+                              round_timeout=threading.TIMEOUT_MAX)
+    assert_matches_reference(federated, reference)
     assert threading.active_count() == threads
 
 
@@ -644,6 +666,156 @@ def test_a_missed_deadline_aborts_every_other_participant(monkeypatch, transport
     assert {pid: type(exc) for pid, exc in endings.items() if pid != 1} == {
         0: FederationAbortError, 2: FederationAbortError}
     assert threading.active_count() == threads
+
+
+@contextlib.contextmanager
+def channels_opened():
+    """Every ``TcpChannel`` made inside the block."""
+    opened = []
+    init = TcpChannel.__init__
+
+    def record(channel, sock):
+        init(channel, sock)
+        opened.append(channel)
+
+    with mock.patch.object(TcpChannel, "__init__", record):
+        yield opened
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_participant_thread_that_fails_to_start_ends_the_session(monkeypatch, transport):
+    # participant 0 starts and waits for a coordinator that never runs
+    failure = RuntimeError("can't start new thread")
+    start = threading.Thread.start
+    started = []
+
+    def start_once(thread):
+        if started:
+            raise failure
+        started.append(thread)
+        start(thread)
+
+    views, labels = tiny_problem(2, dims=(3, 4, 5))
+    hyper = Hyperparams.uniform(3, sparsity=0.1)
+    threads = threading.active_count()
+    begun = time.monotonic()
+    # the session's helper thread, if any, starts with this scope
+    with single_blas_thread(), channels_opened() as opened:
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError) as raised:
+            run_federated(views, labels, hyper, seed=0, transport=transport,
+                          round_timeout=5.0)
+        monkeypatch.undo()
+    assert time.monotonic() - begun < 2.5
+    assert raised.value is failure
+    assert threading.active_count() == threads
+    # participant 2 never ran, and its end is closed all the same
+    assert len(opened) == 6 and all(channel._closed for channel in opened)
+
+
+class FaultyChannel:
+    """A participant's channel that commits ``fault`` on its Register or on
+    its upload of round ``fault_round``; everything else passes through."""
+
+    def __init__(self, channel, fault, fault_round):
+        self.channel = channel
+        self.fault = fault
+        self.fault_round = fault_round
+
+    def recv(self, timeout=None):
+        return self.channel.recv(timeout)
+
+    def close(self):
+        self.channel.close()
+
+    def send(self, message):
+        fault = self.fault
+        if message.kind == "Register":
+            if fault == "owner-flag":  # a second label owner, or none
+                message = dataclasses.replace(message, label_owner=not message.label_owner)
+            nbytes = self.channel.send(message)
+            if fault == "leave-after-register":
+                self.channel.close()
+            return nbytes
+        if fault == "ignore-broadcast" and message.round >= self.fault_round:
+            # a constant upload with a zero part, whatever was broadcast
+            return self.channel.send(dataclasses.replace(
+                message, payload=np.ones_like(message.payload), objective_part=0.0))
+        if message.round != self.fault_round:
+            return self.channel.send(message)
+        if fault == "silence":
+            while True:  # never upload; ends when the coordinator closes
+                self.channel.recv()
+        if fault == "wrong-round":
+            return self.channel.send(dataclasses.replace(message, round=message.round + 1))
+        if fault == "wrong-id":
+            return self.channel.send(dataclasses.replace(
+                message, participant_id=message.participant_id + 1))
+        assert fault == "malformed"
+        self.channel.send_bytes(encode_body(message)[:-1])
+        return 0
+
+
+# What the session raises for each fault: the silent participant's missed
+# deadline, an abort for a protocol or transport fault, and the negative
+# recorded objective a constant upload causes at zeta = eta = 1000 (at
+# zeta = eta <= 1 such an upload can look like an honest one).
+SESSION_FAULTS = {
+    "silence": RoundTimeoutError,
+    "wrong-round": FederationAbortError,
+    "wrong-id": FederationAbortError,
+    "malformed": FederationAbortError,
+    "leave-after-register": FederationAbortError,
+    "owner-flag": FederationAbortError,
+    "ignore-broadcast": ValueError,
+}
+
+
+# The draws span 126 sessions; hypothesis runs each once, then stops.
+@settings(max_examples=200, deadline=None)
+@given(transport=st.sampled_from(["in_process", "tcp"]),
+       faulty=st.integers(0, 2),
+       fault_round=st.integers(1, 3),
+       fault=st.sampled_from(sorted(SESSION_FAULTS)))
+def test_every_faulty_session_ends_for_every_party(transport, faulty, fault_round, fault):
+    round_timeout = 0.5
+    endings = {}
+
+    def run(participant_id, features, labels, config, channel):
+        if participant_id == faulty:
+            channel = FaultyChannel(channel, fault, fault_round)
+        try:
+            endings[participant_id] = participant_module.participant_run(
+                participant_id, features, labels, config, channel)
+        except BaseException as exc:
+            endings[participant_id] = exc
+            raise
+        return endings[participant_id]
+
+    views, labels = tiny_problem(2, dims=(3, 4, 5))
+    # no round converges before outer_max, so every fault round is reached
+    hyper = Hyperparams.uniform(3, sparsity=0.1, outer_max=3, outer_tol=1e-300)
+    threads = threading.active_count()
+    started = time.monotonic()
+    with mock.patch.object(session_module, "participant_run", run), \
+            channels_opened() as opened, pytest.raises(SESSION_FAULTS[fault]) as raised:
+        run_federated(views, labels, hyper, seed=0, transport=transport,
+                      round_timeout=round_timeout)
+    assert time.monotonic() - started < round_timeout + 2.0
+    if fault == "silence":
+        assert raised.value.participant_id == faulty
+    if fault == "ignore-broadcast":
+        assert f"round {fault_round} recorded the objective" in str(raised.value)
+    elif fault != "owner-flag":
+        assert f"participant {faulty}" in str(raised.value)
+    # an honest participant reads the Abort, or meets the close while sending
+    assert sorted(endings) == [0, 1, 2]
+    for pid, ending in endings.items():
+        if pid != faulty:
+            assert isinstance(ending, (ParticipantState, FederationAbortError,
+                                       ChannelClosedError))
+    assert threading.active_count() == threads
+    assert len(opened) == 6 and all(channel._closed for channel in opened)
 
 
 @pytest.fixture

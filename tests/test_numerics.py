@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ def test_check_seed_accepts_plain_ints():
     assert check_seed(np.uint64(7)) == 7
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "seed", None])
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "seed", None, np.float32(2.7), "12",
+                                 Decimal("1.5"), np.True_])
 def test_check_seed_rejects_bad_values(bad):
     with pytest.raises((ValueError, TypeError)):
         check_seed(bad)
