@@ -7,7 +7,7 @@ writes a ``run_manifest.json`` that echoes the full effective
 configuration (defaults included), so passing a manifest back through
 ``--config`` reproduces the run's numeric outputs bit for bit.  BLAS
 runs on one thread for the whole invocation; the manifest's ``numerics``
-key records the numpy/scipy versions and each OpenBLAS build.
+key records the numpy version and each OpenBLAS build.
 
 Exit codes: 0 on success, 2 on configuration errors (unknown flags or keys,
 values that do not fit their ``RunConfig`` field, missing files, bad grids,

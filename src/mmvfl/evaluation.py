@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .baselines import _fit_blocks
 from .data import FoldPlan, MultiViewDataset
@@ -24,6 +23,7 @@ from .numerics import (
     NotPositiveDefiniteError,
     _cholesky_factor_in_place,
     _cholesky_solve,
+    _dpocon,
     check_seed,
     derive_seed,
     single_blas_thread,
@@ -80,7 +80,7 @@ def _cholesky_coef(gram, rhs):
         _cholesky_factor_in_place(factor)
     except NotPositiveDefiniteError:
         return None
-    rcond, info = lapack.dpocon(factor, anorm, uplo="L")
+    rcond, info = _dpocon(factor, anorm)
     if info != 0 or not rcond >= MIN_RCOND:
         return None
     return _cholesky_solve(factor, rhs)

@@ -27,14 +27,12 @@ import functools
 import numbers
 import os
 import queue
-import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg import cython_blas, cython_lapack
+from numpy.linalg import _umath_linalg
 
 MAX_SEED = 2**64 - 1
 
@@ -175,53 +173,56 @@ def _restore_lower(system, diagonal) -> None:
 # Tiled LAPACK Cholesky without the interpreter lock
 
 
-def _scipy_function(module, name: str, signature: str, *argtypes):
-    """A BLAS or LAPACK routine from scipy's ``cython_blas`` or
-    ``cython_lapack`` capsules as a ``ctypes`` function.
-
-    scipy's f2py wrappers (``cho_factor``, ``cho_solve``) hold the
-    interpreter lock while LAPACK runs; a ``ctypes`` call through the same
-    function pointer releases it, so threads can factor side by side.  It
-    is the library and routine scipy itself calls, so results are the
-    same bit for bit.  ``signature`` is the C signature the capsule must
-    name (with scipy's double typedef written as ``double``)."""
-    capsule = module.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule_name = get_name(capsule)
-    found = re.sub(r"__pyx_t_\w*cython_(blas|lapack)_d\b", "double", capsule_name.decode())
-    if found != signature:
-        raise ImportError(f"scipy's {name} has signature {found!r}, expected {signature!r}")
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, capsule_name))
+def _symbol_names(stem: str, ilp64: str, lp64: str):
+    """The names an OpenBLAS build may export ``stem`` under, ILP64
+    (64-bit integer) ones first, each paired with whether it is ILP64:
+    ``stem`` plus ``ilp64`` or ``lp64``, with or without a ``scipy_``
+    prefix.  numpy bundles an ILP64 build and scipy an LP64 one, both
+    prefixed; a system OpenBLAS is not."""
+    return [(f"{prefix}{stem}{suffix}", wide)
+            for suffix, wide in ((ilp64, True), (lp64, False)) for prefix in ("scipy_", "")]
 
 
-_INT_P = ctypes.POINTER(ctypes.c_int)
+def _lapack_function(routine: str, *argtypes):
+    """numpy's own LAPACK or BLAS ``routine`` as a ``ctypes`` function
+    taking ``argtypes``; ``ImportError`` unless numpy's library has it
+    with the integer width ``_INT`` of its ``dpotrf``.
+
+    ``dlsym`` on the handle of numpy's ``_umath_linalg`` extension
+    searches the extension and the libraries it links: the OpenBLAS
+    behind ``np.linalg.cholesky``, so a one-call factor is bit-identical
+    to it.  A ``ctypes`` call releases the interpreter lock while the
+    routine runs, so threads can factor side by side."""
+    for name, ilp64 in _symbol_names(routine, "_64_", "_"):
+        function = getattr(_NUMPY_LAPACK, name, None)
+        if function is not None and ilp64 == _ILP64:
+            function.argtypes, function.restype = argtypes, None
+            return function
+    raise ImportError(f"numpy's LAPACK has no {routine} with {8 * ctypes.sizeof(_INT)}-bit "
+                      "integers")
+
+
+_NUMPY_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
+_ILP64 = any(hasattr(_NUMPY_LAPACK, name)
+             for name, ilp64 in _symbol_names("dpotrf", "_64_", "_") if ilp64)
+_INT = ctypes.c_int64 if _ILP64 else ctypes.c_int
+_INT_P = ctypes.POINTER(_INT)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _CHAR = ctypes.c_char_p
 _MATRIX = ctypes.c_void_p
-_dpotrf = _scipy_function(
-    cython_lapack, "dpotrf", "void (char *, int *, double *, int *, int *)",
-    _CHAR, _INT_P, _MATRIX, _INT_P, _INT_P)
-_dpotrs = _scipy_function(
-    cython_lapack, "dpotrs", "void (char *, int *, int *, double *, int *, double *, int *, int *)",
-    _CHAR, _INT_P, _INT_P, _MATRIX, _INT_P, _MATRIX, _INT_P, _INT_P)
-_dtrsm = _scipy_function(
-    cython_blas, "dtrsm",
-    "void (char *, char *, char *, char *, int *, int *, double *, double *, int *, "
-    "double *, int *)",
-    _CHAR, _CHAR, _CHAR, _CHAR, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _MATRIX, _INT_P)
-_dsyrk = _scipy_function(
-    cython_blas, "dsyrk",
-    "void (char *, char *, int *, int *, double *, double *, int *, double *, double *, int *)",
-    _CHAR, _CHAR, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _DOUBLE_P, _MATRIX, _INT_P)
-_dgemm = _scipy_function(
-    cython_blas, "dgemm",
-    "void (char *, char *, int *, int *, int *, double *, double *, int *, double *, int *, "
-    "double *, double *, int *)",
-    _CHAR, _CHAR, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _MATRIX, _INT_P,
+_dpotrf = _lapack_function("dpotrf", _CHAR, _INT_P, _MATRIX, _INT_P, _INT_P)
+_dpotrs = _lapack_function(
+    "dpotrs", _CHAR, _INT_P, _INT_P, _MATRIX, _INT_P, _MATRIX, _INT_P, _INT_P)
+_dtrsm = _lapack_function(
+    "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _MATRIX,
+    _INT_P)
+_dsyrk = _lapack_function(
+    "dsyrk", _CHAR, _CHAR, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _DOUBLE_P, _MATRIX, _INT_P)
+_dgemm = _lapack_function(
+    "dgemm", _CHAR, _CHAR, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _MATRIX, _INT_P, _MATRIX, _INT_P,
     _DOUBLE_P, _MATRIX, _INT_P)
+_dpocon_routine = _lapack_function(
+    "dpocon", _CHAR, _INT_P, _MATRIX, _INT_P, _DOUBLE_P, _DOUBLE_P, _MATRIX, _MATRIX, _INT_P)
 _ONE = ctypes.byref(ctypes.c_double(1.0))
 _MINUS_ONE = ctypes.byref(ctypes.c_double(-1.0))
 
@@ -250,13 +251,13 @@ def _cholesky_factor_in_place(system) -> None:
     one ``dpotrf`` call."""
     n = len(system)
     _check_lapack_matrix(system, n, "system", square=True)
-    lead, tile, base = ctypes.byref(ctypes.c_int(n)), CHOLESKY_TILE, system.ctypes.data
+    lead, tile, base = ctypes.byref(_INT(n)), CHOLESKY_TILE, system.ctypes.data
 
     def at(row, col):
         return base + system.itemsize * (row + col * n)
 
     def width(start):
-        return ctypes.byref(ctypes.c_int(min(tile, n - start)))
+        return ctypes.byref(_INT(min(tile, n - start)))
 
     def solve_tile(row, k):
         _dtrsm(b"R", b"L", b"T", b"N", width(row), width(k), _ONE, at(k, k), lead,
@@ -266,12 +267,12 @@ def _cholesky_factor_in_place(system) -> None:
         _dsyrk(b"L", b"N", width(col), width(k), _MINUS_ONE, at(col, k), lead, _ONE,
                at(col, col), lead)
         if col + tile < n:
-            _dgemm(b"N", b"T", ctypes.byref(ctypes.c_int(n - col - tile)), width(col), width(k),
+            _dgemm(b"N", b"T", ctypes.byref(_INT(n - col - tile)), width(col), width(k),
                    _MINUS_ONE, at(col + tile, k), lead, at(col, k), lead, _ONE,
                    at(col + tile, col), lead)
 
     for k in range(0, n, tile):
-        info = ctypes.c_int(0)
+        info = _INT(0)
         _dpotrf(b"L", width(k), at(k, k), lead, ctypes.byref(info))
         if info.value > 0:
             raise NotPositiveDefiniteError(
@@ -290,12 +291,26 @@ def _cholesky_solve(factor, b) -> np.ndarray:
     _check_lapack_matrix(factor, n, "factor", square=True)
     x = np.array(b, dtype=np.float64, order="F")
     _check_lapack_matrix(x, n, "b")
-    size, nrhs, info = ctypes.c_int(n), ctypes.c_int(x.shape[1]), ctypes.c_int(0)
+    size, nrhs, info = _INT(n), _INT(x.shape[1]), _INT(0)
     _dpotrs(b"L", ctypes.byref(size), ctypes.byref(nrhs), factor.ctypes.data,
             ctypes.byref(size), x.ctypes.data, ctypes.byref(size), ctypes.byref(info))
     if info.value != 0:
         raise ValueError(f"illegal value in argument {-info.value} of dpotrs")
     return x
+
+
+def _dpocon(factor, anorm: float) -> tuple[float, int]:
+    """LAPACK ``dpocon`` on a factor from ``_cholesky_factor_in_place``:
+    the estimated reciprocal 1-norm condition number of the matrix whose
+    1-norm is ``anorm``, and LAPACK's ``info``."""
+    n = len(factor)
+    _check_lapack_matrix(factor, n, "factor", square=True)
+    size, rcond, info = _INT(n), ctypes.c_double(0.0), _INT(0)
+    work, iwork = np.empty(3 * n), np.empty(n, dtype=_INT)
+    _dpocon_routine(b"L", ctypes.byref(size), factor.ctypes.data, ctypes.byref(size),
+                    ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond), work.ctypes.data,
+                    iwork.ctypes.data, ctypes.byref(info))
+    return rcond.value, info.value
 
 
 def random_orthonormal(rows: int, cols: int, seed) -> np.ndarray:
@@ -422,16 +437,11 @@ def _run_tasks(tasks) -> None:
 
 
 def _openblas_symbol(lib, stem: str):
-    """The ``stem`` entry point of an OpenBLAS build, or None.
-
-    numpy bundles an ILP64 build whose symbols carry a ``64_`` suffix;
-    scipy bundles an LP64 one; a system OpenBLAS has no ``scipy_`` prefix.
-    """
-    for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}",
-                 f"openblas_{stem}64_", f"openblas_{stem}"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            return fn
+    """The ``openblas_{stem}`` entry point of an OpenBLAS build, or None."""
+    for name, _ in _symbol_names(f"openblas_{stem}", "64_", ""):
+        function = getattr(lib, name, None)
+        if function is not None:
+            return function
     return None
 
 
@@ -462,8 +472,9 @@ class OpenBlasLibrary:
 def openblas_libraries() -> tuple[OpenBlasLibrary, ...]:
     """Every OpenBLAS build mapped into this process, found once.
 
-    numpy and scipy each bundle their own build, so both are listed by
-    scanning ``/proc/self/maps``.  Empty on platforms without it or when
+    The program calls only numpy's build, but a caller may load another
+    (scipy bundles its own), so every one is listed by scanning
+    ``/proc/self/maps``.  Empty on platforms without it or when
     the BLAS is not OpenBLAS.
     """
     try:
@@ -553,12 +564,11 @@ def single_blas_thread():
 
 
 def numerics_report() -> dict:
-    """numpy and scipy versions plus each OpenBLAS build with its current
-    thread count (None when the build exposes no thread symbols).  An
-    empty ``openblas`` list means nothing could be pinned."""
+    """The numpy version plus each OpenBLAS build with its current thread
+    count (None when the build exposes no thread symbols).  An empty
+    ``openblas`` list means nothing could be pinned."""
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas": [{"library": os.path.basename(lib.path), "config": lib.config,
                       "threads": lib.threads()}
                      for lib in openblas_libraries()],

@@ -92,7 +92,7 @@ def test_manifest_reproduces_a_training_run(tmp_path):
     manifest = os.path.join(first, "run_manifest.json")
     with open(manifest, encoding="utf-8") as handle:
         numerics = json.load(handle)["numerics"]
-    assert set(numerics) == {"numpy", "scipy", "openblas"}
+    assert set(numerics) == {"numpy", "openblas"}
     for entry in numerics["openblas"]:
         assert set(entry) == {"library", "config", "threads"}
         assert entry["threads"] == 1

@@ -185,6 +185,30 @@ def test_scorer_matches_lstsq_oracle_on_nested_prefixes(kind, num_classes, extra
             assert calls == []
 
 
+def test_a_rank_deficient_gram_that_factors_is_refused_by_its_condition_estimate():
+    # a column that is the sum of two others makes the Gram of [X 1]
+    # singular; rounding lets the factor finish on some draws, and there
+    # the dpocon estimate, below MIN_RCOND, sends the cell to lstsq
+    dpocon, lstsq = evaluation._dpocon, np.linalg.lstsq
+    estimates = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        train, val = rng.standard_normal((20, 5)), rng.standard_normal((6, 5))
+        train[:, 4] = train[:, 0] + train[:, 1]
+        labels, val_labels = np.arange(20) % 3, np.arange(6) % 3
+        expected = lstsq_accuracy(train, labels, val, val_labels)
+        scorer = _SplitScorer(train, labels, val, val_labels)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_dpocon",
+                          lambda *a: estimates.append(dpocon(*a)) or estimates[-1])
+            patch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+            assert scorer.accuracy(np.arange(5)) == expected
+        assert calls == [1]
+    assert estimates
+    assert all(info == 0 and rcond < evaluation.MIN_RCOND for rcond, info in estimates)
+
+
 def test_building_a_scorer_holds_one_d_by_d_array():
     # the scorer keeps gram_matrix's XᵀX and borders a subset's block per
     # accuracy call, so building it makes no second d x d copy

@@ -1112,6 +1112,23 @@ def test_audit_flags_a_transform_sized_payload():
     assert "(4, 3)" in report.violations[0]
 
 
+@pytest.mark.parametrize("kind, direction, objective_part",
+                         [("ZkUpload", "recv", 1.0), ("ZBroadcast", "sent", None)])
+def test_audit_flags_a_feature_shaped_payload(kind, direction, objective_part):
+    # participant 1's own view is 12 x 4: the protocol's row count, but
+    # d_k = 4 columns where the protocol allows only c = 3
+    views, _, result = run_small_session(dims=(3, 4))
+    assert views[1].shape == (12, 4)
+    tampered = list(result.trace) + [TracedMessage(
+        direction=direction, kind=kind, round=1, participant_id=1,
+        nbytes=30 + views[1].nbytes, payload_shape=views[1].shape,
+        objective_part=objective_part)]
+    report = audit_trace(tampered, 12, 3)
+    assert not report.ok
+    assert len(report.violations) == 1
+    assert kind in report.violations[0] and "(12, 4)" in report.violations[0]
+
+
 def test_audit_flags_other_schema_violations():
     base = dict(direction="recv", round=1, participant_id=0, nbytes=10)
     trace = [

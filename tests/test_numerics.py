@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 import mmvfl
 import mmvfl.optimizer
@@ -28,6 +29,7 @@ from mmvfl.numerics import (
     _cholesky_factor_in_place,
     _cholesky_solve,
     _cholesky_solve_in_place,
+    _dpocon,
     check_seed,
     derive_seed,
     ensure_matrix,
@@ -116,17 +118,17 @@ def _bits(m):
     return m.flags.f_contiguous, m.shape, np.asarray(m).tobytes(order="A")
 
 
-def _scipy_solve_in_place(a, b, matrix, shift):
-    """The in-place solve as written on scipy's f2py wrappers."""
-    factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-    x = cho_solve(factor, b, check_finite=False)
+def _scipy_solve_in_place(factor, b, matrix, shift):
+    """The refined solve as written on scipy's ``cho_solve``, with a
+    given lower Cholesky factor of G + diag(shift)."""
+    x = cho_solve((factor, True), b, check_finite=False)
     b_norm = float(np.linalg.norm(b))
     if b_norm > 0.0:
         for _ in range(3):
             residual = b - (x.T @ matrix).T - shift[:, None] * x
             if float(np.linalg.norm(residual)) <= 1e-13 * b_norm:
                 break
-            x = x + cho_solve(factor, residual, check_finite=False)
+            x = x + cho_solve((factor, True), residual, check_finite=False)
     return x
 
 
@@ -141,23 +143,40 @@ def _spd_system(d, nrhs, rank_gap, shift, seed):
     return matrix, shifts, matrix + np.diag(shifts), rng.standard_normal((d, nrhs))
 
 
-# an order up to one tile is one dpotrf call, the very call scipy makes
+# An order up to one tile is one dpotrf call, the very call
+# np.linalg.cholesky makes in the same library.  scipy's solves run on
+# that factor in scipy's own LAPACK build, an independent oracle for
+# dpotrs, the refinement and the product.
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(1, CHOLESKY_TILE), nrhs=st.integers(1, 12), rank_gap=st.integers(-3, 3),
        shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
-def test_lapack_cholesky_matches_scipy_bit_for_bit(d, nrhs, rank_gap, shift, seed):
+def test_one_tile_factor_matches_numpy_and_its_solves_match_scipy_bit_for_bit(
+        d, nrhs, rank_gap, shift, seed):
     matrix, shifts, system, b = _spd_system(d, nrhs, rank_gap, shift, seed)
     work = np.array(system, order="F")
     _cholesky_factor_in_place(work)
-    factor, _ = cho_factor(system, lower=True, check_finite=False)
-    assert _bits(work) == _bits(factor)
-    assert _bits(_cholesky_solve(work, b)) == _bits(cho_solve((factor, True), b))
+    assert np.tril(work).tobytes() == np.linalg.cholesky(system).tobytes()
+    assert _bits(_cholesky_solve(work, b)) == _bits(cho_solve((work, True), b))
 
     ours, product = _cholesky_solve_in_place(np.array(matrix, order="F"), b, shifts)
-    theirs = _scipy_solve_in_place(np.array(system, order="F"), b, matrix, shifts)
+    theirs = _scipy_solve_in_place(work, b, matrix, shifts)
     assert _bits(ours) == _bits(theirs)
     # G x as the kernel forms it: x^T G, with the C-order G stored as is
     assert _bits(product) == _bits((theirs.T @ matrix).T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, CHOLESKY_TILE), rank_gap=st.integers(-3, 3),
+       shift=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_dpocon_matches_scipy_bit_for_bit(d, rank_gap, shift, seed):
+    _, _, system, _ = _spd_system(d, 1, rank_gap, shift, seed)
+    factor = np.array(system, order="F")
+    _cholesky_factor_in_place(factor)
+    anorm = float(np.abs(system).sum(axis=0).max())
+    rcond, info = _dpocon(factor, anorm)
+    expected_rcond, expected_info = lapack.dpocon(factor, anorm, uplo="L")
+    assert (np.float64(rcond).tobytes(), info) == (np.float64(expected_rcond).tobytes(),
+                                                   expected_info)
 
 
 # The tiled factor's forward error against scipy's one-call factor.  It
@@ -280,6 +299,18 @@ def test_lapack_cholesky_rejects_layouts_it_cannot_read():
             _cholesky_solve(factor, b)
     with pytest.raises(ValueError):
         _cholesky_solve(np.eye(3), np.ones((3, 1)))
+    for factor in (np.eye(3), np.ones((3, 2), order="F")):
+        with pytest.raises(ValueError):
+            _dpocon(factor, 1.0)
+
+
+def test_a_routine_missing_from_numpys_lapack_or_of_another_width_fails_the_import(
+        monkeypatch):
+    other_width = "scipy_dpocon_" if numerics._ILP64 else "scipy_dpocon_64_"
+    for library in (types.SimpleNamespace(), types.SimpleNamespace(**{other_width: object()})):
+        monkeypatch.setattr(numerics, "_NUMPY_LAPACK", library)
+        with pytest.raises(ImportError, match="dpocon"):
+            numerics._lapack_function("dpocon")
 
 
 @pytest.mark.parametrize("d", [40, CHOLESKY_TILE + 44])
