@@ -161,7 +161,8 @@ def run_grid(methods, dataset: MultiViewDataset, folds: FoldPlan, beta_grid, p_g
     alone and ``supmvlfl`` all views jointly, by the fit behind
     ``supfl_solve`` and ``supmvlfl_solve`` with its stopping rule;
     ``mmvfl`` by ``train_states`` on states over the scorers' blocks,
-    seeded ``derive_seed(seed, fold, beta_index)``.  Each
+    participant 0 getting the labels, seeded ``derive_seed(seed, fold,
+    beta_index)``.  Each
     fit factors the XᵀX it is lent in place and restores it bit for bit.
     Each beta is read through ``check_weight`` and each p through
     ``check_percent`` before any fit.  Returns one ``ExperimentResult``

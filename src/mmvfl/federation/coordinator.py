@@ -102,9 +102,9 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     """Drive one full training session over already-connected channels.
 
     ``channels`` are connected ``TcpChannel``s, one per participant;
-    participant identities come from their Register messages, and the one
-    that registers as the label owner is the owner ``run_rounds`` weighs
-    with the label penalty.  The rounds run through
+    participant identities come from their Register messages, and the
+    participants that register as holding the labels are the ones
+    ``run_rounds`` weighs with the label penalty.  The rounds run through
     ``optimizer.run_rounds``.  The ``ZBroadcast`` of round r carries the
     consensus after round r: the seeded one for r = 0, else the joint
     minimizer Z* of round r (see ``optimizer.joint_consensus``).  Every
@@ -164,7 +164,7 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
     try:
         # Registration: one Register per channel, distinct ids, exactly
         # one label owner.
-        owners = []
+        owners = set()
         for index, ch in enumerate(channels):
             message = receive(ch, f"<unregistered channel {index}>")
             if message.kind != KIND_REGISTER:
@@ -175,13 +175,13 @@ def coordinator_run(config: FederationConfig, channels) -> CoordinatorResult:
             if pid in by_id:
                 raise FederationAbortError(f"duplicate registration for participant {pid}")
             if message.label_owner:
-                owners.append(pid)
+                owners.add(pid)
             by_id[pid] = ch
         if len(owners) != 1:
             raise FederationAbortError(f"need exactly one label owner, got {sorted(owners)}")
 
         consensus, objectives, converged = run_rounds(
-            refit, init_consensus(*matrix_shape, config.seed), config.hyper, owners[0])
+            refit, init_consensus(*matrix_shape, config.seed), config.hyper, owners)
         broadcast(KIND_CONVERGED, len(objectives), consensus)
     except BaseException:
         notice = RoundMessage(kind=KIND_ABORT, round=0, participant_id=0)

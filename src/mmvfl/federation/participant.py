@@ -1,9 +1,9 @@
 """Participant side of the round-based training protocol.
 
-A participant keeps its feature block, transform, and (for the label
-owner) label matrix strictly local.  Per round it
-refits locally, uploads only its pseudo-label matrix plus a scalar
-objective contribution, and waits for the next consensus broadcast.
+A participant keeps its feature block, transform, and (if it holds
+them) the labels strictly local.  Per round it refits locally, uploads
+only its pseudo-label matrix plus a scalar objective contribution, and
+waits for the next consensus broadcast.
 On ``Converged`` it refreshes its pseudo-labels against the final
 consensus, as ``optimizer.train_states`` does.
 """
@@ -33,8 +33,8 @@ def participant_run(participant_id: int, features, labels,
                     config: FederationConfig, channel) -> ParticipantState:
     """Run one participant to completion and return its final state.
 
-    ``labels`` is the one-hot label matrix for the label owner and None
-    for everyone else.  Initialization is a pure function of
+    ``labels`` is the one-hot label matrix if the participant holds the
+    labels, else None.  Initialization is a pure function of
     ``config.seed`` and ``participant_id``, so a federated session and
     the single-process reference start from identical blocks.  The
     channel is closed on every exit, a failed set-up included, so the

@@ -71,7 +71,7 @@ def run_federated(views, labels, hyper: Hyperparams, seed, *,
                   port: int = 0) -> FederatedResult:
     """Train over the federated protocol and return all final blocks.
 
-    The first participant owns the labels.  ``transport`` selects
+    Participant 0 gets the labels.  ``transport`` selects
     in-process socket pairs or loopback TCP; ``port`` 0 lets the OS pick
     one.  The inputs are checked as ``run_reference`` checks them, with
     the same errors, before any thread starts.  When a participant

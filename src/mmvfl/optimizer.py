@@ -3,13 +3,13 @@
 Each participant k holds a private feature block ``X_k`` (same rows, its
 own columns) and learns a transformation matrix ``W_k`` plus a local
 pseudo-label matrix.  A shared consensus matrix ties the local
-pseudo-labels together, and the label owner is additionally pulled toward
-its one-hot label matrix ``Y``.  The training objective is
+pseudo-labels together; a participant that holds the labels has its own
+pulled toward the one-hot labels ``Y`` as well.  The training objective is
 
     sum_k  ||X_k W_k - Z_k||_F^2
          + sparsity_k * ||W_k||_{2,1}
          + consensus_penalty_k * ||Z_k - Z||_F^2
-    + label_penalty * ||Z_owner - Y||_F^2
+         + label_penalty * [k holds the labels] * ||Z_k - Y||_F^2
 
 where ``Z_k`` are the local pseudo-labels and ``Z`` the consensus.  The
 weights live in one ``Hyperparams``, which every round reads.  A round
@@ -122,8 +122,8 @@ class Hyperparams:
 
     ``sparsity`` (beta_k) and ``consensus_penalty`` (zeta_k) hold one value
     per participant, indexed by ``participant_id``; ``label_penalty`` (eta)
-    applies only to the label owner.  ``outer_tol`` and ``outer_max`` stop
-    the rounds.
+    applies only to the participants that hold the labels.  ``outer_tol``
+    and ``outer_max`` stop the rounds.
     """
 
     sparsity: tuple[float, ...]
@@ -156,8 +156,8 @@ class Hyperparams:
 class ParticipantState:
     """Everything participant k keeps locally between rounds.
 
-    ``features``, ``transform``, ``labels`` (the label owner's one-hot
-    matrix, else None) and ``projection`` = X W (None before the first
+    ``features``, ``transform``, ``labels`` (one-hot if it holds the
+    labels, else None) and ``projection`` = X W (None before the first
     round's step) never leave the participant; only ``pseudo_labels`` and
     scalar objective contributions are shared.  It keeps no weights: every
     round reads them from the run's ``Hyperparams``.
@@ -304,43 +304,40 @@ def _reweighted_step(gram, xty, target_sq, sparsity, start=None):
     return w, gw, fit + sparsity * float(norms.sum())
 
 
-def owner_pseudo_label_update(projected, consensus, labels, consensus_penalty: float,
-                              label_penalty: float) -> np.ndarray:
-    """Label owner's pseudo-label minimizer: weighted average of the local
-    projection, the consensus, and the one-hot labels."""
-    return (projected + consensus_penalty * consensus + label_penalty * labels) / (
-        1.0 + consensus_penalty + label_penalty)
-
-
-def pseudo_label_update(projected, consensus, consensus_penalty: float) -> np.ndarray:
-    """Non-owner pseudo-label minimizer: weighted average of the local
-    projection and the consensus."""
-    return (projected + consensus_penalty * consensus) / (1.0 + consensus_penalty)
+def pseudo_label_update(projected, consensus, consensus_penalty: float, labels=None,
+                        label_penalty: float = 0.0) -> np.ndarray:
+    """Pseudo-label minimizer: weighted average of the local projection,
+    the consensus and, for a participant that holds ``labels``, the
+    one-hot labels."""
+    pull = projected + consensus_penalty * consensus
+    weight = 1.0 + consensus_penalty
+    if labels is not None:
+        pull += label_penalty * labels
+        weight += label_penalty
+    return pull / weight
 
 
 def refresh_pseudo_labels(state: ParticipantState, consensus, hyper: Hyperparams) -> None:
     """Set the state's pseudo-labels to their minimizer against
     ``consensus``, from its last projection X_k W_k."""
-    zeta = hyper.consensus_penalty[state.participant_id]
-    if state.labels is not None:
-        state.pseudo_labels = owner_pseudo_label_update(
-            state.projection, consensus, state.labels, zeta, hyper.label_penalty)
-    else:
-        state.pseudo_labels = pseudo_label_update(state.projection, consensus, zeta)
+    state.pseudo_labels = pseudo_label_update(
+        state.projection, consensus, hyper.consensus_penalty[state.participant_id],
+        state.labels, hyper.label_penalty)
 
 
-def joint_consensus(uploads, broadcast, hyper: Hyperparams, owner: int):
+def joint_consensus(uploads, broadcast, hyper: Hyperparams, owners):
     """The consensus that minimizes the objective jointly with every
     pseudo-label while the transforms stay fixed, and the curvature s of
     that minimization.
 
     Each upload Z_k is participant k's pseudo-label minimizer against the
     broadcast Z_b, Z_k = (1 - b_k) Q_k + b_k Z_b with b_k = zeta_k / (1 +
-    zeta_k + [eta for the ``owner``]), where Q_k is what its projection
-    and labels pull toward.  Minimized over Z_k, the objective is
-    sum_k zeta_k (1 - b_k) ||Z - Q_k||^2 plus a constant: a quadratic in Z
-    with Hessian 2 s I, s = sum_k zeta_k (1 - b_k), minimized by Z* =
-    sum_k zeta_k (Z_k - b_k Z_b) / s.  So its value at Z* is its value at
+    zeta_k + [eta if k is in ``owners``, the ids of the participants that
+    hold the labels]), where Q_k is what its projection and labels pull
+    toward.  Minimized over Z_k, the objective is sum_k zeta_k (1 - b_k)
+    ||Z - Q_k||^2 plus a constant: a quadratic in Z with Hessian 2 s I,
+    s = sum_k zeta_k (1 - b_k), minimized by Z* = sum_k zeta_k (Z_k - b_k
+    Z_b) / s.  So its value at Z* is its value at
     Z_b less s ||Z* - Z_b||^2.  Z* = Z_b + (sum_k zeta_k / s) (Z_agg -
     Z_b), where Z_agg is the zeta-weighted mean of the uploads: the plain
     consensus update, over-relaxed by a fixed factor of at least 1.  The
@@ -349,7 +346,7 @@ def joint_consensus(uploads, broadcast, hyper: Hyperparams, owner: int):
     numerator = np.zeros(broadcast.shape)
     curvature = 0.0
     for k, (upload, zeta) in enumerate(zip(uploads, hyper.consensus_penalty)):
-        pull = zeta / (1.0 + zeta + (hyper.label_penalty if k == owner else 0.0))
+        pull = zeta / (1.0 + zeta + (hyper.label_penalty if k in owners else 0.0))
         numerator += zeta * (upload - pull * broadcast)
         curvature += zeta * (1.0 - pull)
     return numerator / curvature, curvature
@@ -366,8 +363,8 @@ def _sum_sq(m) -> float:
 
 def local_objective_part(state: ParticipantState, projected, hyper: Hyperparams) -> float:
     """The objective terms participant k can evaluate alone: fit error,
-    sparsity penalty, and (owner only) the label attachment term, given
-    ``projected`` = ``X_k W_k``."""
+    sparsity penalty, and (if it holds the labels) the label attachment
+    term, given ``projected`` = ``X_k W_k``."""
     w = state.transform
     value = _sum_sq(projected - state.pseudo_labels)
     value += hyper.sparsity[state.participant_id] * float(np.sum(np.sqrt(np.sum(w * w, axis=1))))
@@ -417,8 +414,8 @@ def init_consensus(num_samples: int, num_classes: int, seed) -> np.ndarray:
 
 def _new_state(participant_id, features, gram, num_classes, seed, labels):
     """A participant's starting state from the shared seed, on checked
-    inputs: ``gram`` is X^T X of ``features``, and ``labels`` (the label
-    owner's, else None) is samples x ``num_classes``."""
+    inputs: ``gram`` is X^T X of ``features``, and ``labels`` (if the
+    participant holds the labels, else None) is samples x ``num_classes``."""
     n, d = features.shape
     transform = init_transform(d, num_classes, seed, participant_id)
     return ParticipantState(
@@ -453,7 +450,7 @@ def _check_inputs(views, labels, hyper: Hyperparams):
 
 
 def make_states(views, labels, hyper: Hyperparams, seed) -> list[ParticipantState]:
-    """States for all participants; the first one owns the labels.  Each
+    """States for all participants; participant 0 gets the labels.  Each
     view and the labels are checked once, by ``_check_inputs``."""
     views, labels, shape = _check_inputs(views, labels, hyper)
     return [
@@ -500,7 +497,7 @@ def participant_round(state: ParticipantState, consensus, hyper: Hyperparams) ->
     return local_objective_part(state, state.projection, hyper)
 
 
-def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
+def run_rounds(refit, consensus, hyper: Hyperparams, owners):
     """The one loop over training rounds, shared by ``run_reference`` and
     the coordinator.
 
@@ -510,11 +507,12 @@ def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
     ``(pseudo_labels, parts)`` in participant order: the uploaded
     matrices and objective contributions.  From them and Z_b,
     ``joint_consensus`` gives Z*, the consensus that minimizes the
-    objective jointly with every pseudo-label, ``owner`` being the label
-    owner's index, and the curvature s.  The objective at Z* and the
-    pseudo-labels that go with it, round_objective(parts, uploads, zeta,
-    Z_b) - s ||Z* - Z_b||^2, is recorded, exactly and without a second
-    pass over the uploads, and Z* is broadcast.  So a round is two-block
+    objective jointly with every pseudo-label, ``owners`` being the ids of
+    the participants that hold the labels, and the curvature s.  The
+    objective at Z* and the pseudo-labels that go with it,
+    round_objective(parts, uploads, zeta, Z_b) - s ||Z* - Z_b||^2, is
+    recorded, exactly and without a second pass over the uploads, and Z*
+    is broadcast.  So a round is two-block
     coordinate descent, the transforms then the consensus with the
     pseudo-labels, and the trace is non-increasing as far as the
     participants' steps descend.  The run stops once the relative change
@@ -532,7 +530,7 @@ def run_rounds(refit, consensus, hyper: Hyperparams, owner: int):
     objectives: list[float] = []
     for round_index in range(1, hyper.outer_max + 1):
         pseudo_labels, parts = refit(round_index, consensus)
-        joint, curvature = joint_consensus(pseudo_labels, consensus, hyper, owner)
+        joint, curvature = joint_consensus(pseudo_labels, consensus, hyper, owners)
         total = round_objective(parts, pseudo_labels, hyper.consensus_penalty, consensus)
         value = total - curvature * _sum_sq(joint - consensus)
         if value < -MONOTONICITY_SLACK * max(1.0, total):
@@ -583,8 +581,8 @@ def train_states(states, hyper: Hyperparams, seed) -> TrainingResult:
     builds them, and the consensus ``seed`` gives.  Each step factors its
     state's Gram in place, so no other thread may read it meanwhile.
 
-    The first state owns the labels.  The rounds run through
-    ``run_rounds``, the loop the coordinator runs too: per round every
+    The states that hold labels get the label penalty.  The rounds run
+    through ``run_rounds``, the loop the coordinator runs too: per round every
     participant refits its transform and pseudo-labels, then the
     consensus and pseudo-labels are minimized jointly and the objective
     recorded.  Afterwards every state's pseudo-labels are refreshed
@@ -615,8 +613,9 @@ def train_states(states, hyper: Hyperparams, seed) -> TrainingResult:
                 task()
         return [st.pseudo_labels for st in states], list(parts)
 
+    owners = {st.participant_id for st in states if st.labels is not None}
     consensus, objectives, converged = run_rounds(
-        refit, init_consensus(n, num_classes, seed), hyper, 0)
+        refit, init_consensus(n, num_classes, seed), hyper, owners)
     for st in states:
         refresh_pseudo_labels(st, consensus, hyper)
     return TrainingResult(

@@ -179,9 +179,10 @@ def grid_minimize_scalar(fun, lo: float, hi: float, rounds: int = 40,
     return (lo + hi) / 2.0
 
 
-def loop_total_objective(views, transforms, pseudo_labels, consensus, labels,
+def loop_total_objective(views, transforms, pseudo_labels, consensus, labels, owners,
                          sparsity, consensus_penalty, label_penalty) -> float:
-    """Hand-summed full training objective, term by term."""
+    """Hand-summed full training objective, term by term; the label term
+    for each participant in ``owners``."""
     total = 0.0
     for k in range(len(views)):
         residual = np.asarray(views[k]) @ np.asarray(transforms[k]) - pseudo_labels[k]
@@ -189,43 +190,48 @@ def loop_total_objective(views, transforms, pseudo_labels, consensus, labels,
         total += sparsity[k] * loop_l21(transforms[k])
         gap = np.asarray(pseudo_labels[k]) - np.asarray(consensus)
         total += consensus_penalty[k] * loop_frobenius_sq(gap)
-    owner_gap = np.asarray(pseudo_labels[0]) - np.asarray(labels)
-    total += label_penalty * loop_frobenius_sq(owner_gap)
+        if k in owners:
+            owner_gap = np.asarray(pseudo_labels[k]) - np.asarray(labels)
+            total += label_penalty * loop_frobenius_sq(owner_gap)
     return total
 
 
-def _coupling(consensus_penalty, label_penalty, owner):
+def _coupling(consensus_penalty, label_penalty, owners):
     """Half the Hessian of the objective in the K pseudo-labels and the
     consensus, one entry at a time: the (K+1) x (K+1) matrix of its normal
-    equations, the consensus last."""
+    equations, the consensus last; ``owners`` are the participants whose
+    pseudo-labels the label term pulls."""
     k = len(consensus_penalty)
     coupling = np.zeros((k + 1, k + 1))
     for j, zeta in enumerate(consensus_penalty):
-        coupling[j, j] = 1.0 + zeta + (label_penalty if j == owner else 0.0)
+        coupling[j, j] = 1.0 + zeta + (label_penalty if j in owners else 0.0)
         coupling[j, k] = coupling[k, j] = -zeta
         coupling[k, k] += zeta
     return coupling
 
 
-def joint_minimizer(projections, labels, owner, consensus_penalty, label_penalty):
+def joint_minimizer(projections, labels, owners, consensus_penalty, label_penalty):
     """The pseudo-labels and consensus that minimize
-    sum_k ||P_k - Z_k||^2 + zeta_k ||Z_k - Z||^2 + eta ||Z_owner - Y||^2
+    sum_k ||P_k - Z_k||^2 + zeta_k ||Z_k - Z||^2 + [k in owners] eta ||Z_k - Y||^2
     for fixed projections P_k, by a plain solve of its normal equations.
     Returns ``(pseudo_labels, consensus)``."""
     y = np.asarray(labels, dtype=np.float64)
     rhs = np.stack([np.asarray(p, dtype=np.float64) for p in projections] + [np.zeros_like(y)])
-    rhs[owner] += label_penalty * y
-    solved = np.linalg.solve(_coupling(consensus_penalty, label_penalty, owner),
+    for j in owners:
+        rhs[j] += label_penalty * y
+    solved = np.linalg.solve(_coupling(consensus_penalty, label_penalty, owners),
                              rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
     return list(solved[:-1]), solved[-1]
 
 
-def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label_penalty,
-                               eps, rtol: float = 1e-13, max_iter: int = 100000):
+def smoothed_objective_optimum(views, labels, owners, sparsity, consensus_penalty,
+                               label_penalty, eps, rtol: float = 1e-13,
+                               max_iter: int = 100000):
     """Minimum of the full training objective with each row norm t in the
     sparsity term replaced by t - eps*log(1 + t/eps), the smoothed penalty
-    the package's reweighted solve descends on; participant 0 owns the
-    labels.  Returns ``(value, transforms)``.
+    the package's reweighted solve descends on; the label term pulls the
+    pseudo-labels of each participant in ``owners``.  Returns
+    ``(value, transforms)``.
 
     For fixed transforms the pseudo-labels and the consensus enter the
     objective as one strictly convex quadratic that couples them entry by
@@ -247,16 +253,17 @@ def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label
     y = np.asarray(labels, dtype=np.float64)
     k = len(xs)
     zeta = np.asarray(consensus_penalty, dtype=np.float64)
-    inverse = np.linalg.inv(_coupling(zeta, label_penalty, 0))
+    inverse = np.linalg.inv(_coupling(zeta, label_penalty, owners))
     lipschitz = 2.0 * max(np.linalg.norm(x, 2) ** 2 for x in xs)
     step = 1.0 / lipschitz
 
     def smooth(ws):
         projected = [x @ w for x, w in zip(xs, ws)]
         rhs = np.stack(projected + [np.zeros_like(y)])
-        rhs[0] += label_penalty * y
+        for j in owners:
+            rhs[j] += label_penalty * y
         zs = np.einsum("ij,jnc->inc", inverse, rhs)
-        value = label_penalty * float(np.sum((zs[0] - y) ** 2))
+        value = sum(label_penalty * float(np.sum((zs[j] - y) ** 2)) for j in owners)
         grads = []
         for j in range(k):
             residual = projected[j] - zs[j]
@@ -304,9 +311,10 @@ def smoothed_objective_optimum(views, labels, sparsity, consensus_penalty, label
     raise RuntimeError(f"FISTA did not converge in {max_iter} iterations")
 
 
-def analytic_block_gradients(views, transforms, pseudo_labels, consensus, labels,
+def analytic_block_gradients(views, transforms, pseudo_labels, consensus, labels, owners,
                              sparsity, consensus_penalty, label_penalty):
-    """Analytic gradients of the full objective for each block.
+    """Analytic gradients of the full objective for each block, the label
+    term pulling the pseudo-labels of each participant in ``owners``.
 
     Valid wherever no transform row is exactly zero (the row-norm term
     is smooth there).  Returns (transform grads, pseudo-label grads,
@@ -324,7 +332,7 @@ def analytic_block_gradients(views, transforms, pseudo_labels, consensus, labels
         grad_w = 2.0 * x.T @ (x @ w - z) + sparsity[k] * (w / norms[:, None])
         g_transforms.append(grad_w)
         grad_z = 2.0 * (z - x @ w) + 2.0 * consensus_penalty[k] * (z - consensus)
-        if k == 0:
+        if k in owners:
             grad_z = grad_z + 2.0 * label_penalty * (z - np.asarray(labels))
         g_pseudo.append(grad_z)
     grad_c = np.zeros_like(np.asarray(consensus, dtype=np.float64))

@@ -32,7 +32,6 @@ from mmvfl.optimizer import (
     joint_consensus,
     make_states,
     one_hot,
-    owner_pseudo_label_update,
     pseudo_label_update,
     run_reference,
 )
@@ -140,7 +139,7 @@ def test_converged_runs_stop_near_the_optimum():
         views, labels, hyper = monotone_problem(index)
         result = run_reference(views, labels, hyper, seed=index)
         optimum, _ = smoothed_objective_optimum(
-            views, labels, hyper.sparsity, hyper.consensus_penalty, hyper.label_penalty,
+            views, labels, {0}, hyper.sparsity, hyper.consensus_penalty, hyper.label_penalty,
             EPS, rtol=1e-10)
         excess = (result.objectives[-1] - optimum) / abs(optimum)
         if not result.converged:
@@ -160,8 +159,10 @@ def test_converged_runs_stop_near_the_optimum():
 
 
 def test_closed_form_updates_match_oracles():
-    """All four closed-form updates agree with independent minimizers
-    within 1e-6 on 200 random instances."""
+    """The closed-form updates (the transform, the pseudo-label rule with
+    and without labels, and the joint consensus over a random owner set)
+    agree with independent minimizers within 1e-6 on 200 random
+    instances."""
     worst = 0.0
 
     # 50 x transform update vs gradient descent run to stationarity
@@ -176,21 +177,21 @@ def test_closed_form_updates_match_oracles():
         oracle = gd_quadratic_minimizer(features, targets, diag, weight)
         worst = max(worst, float(np.max(np.abs(ours - oracle))))
 
-    # 50 x owner pseudo-label update vs scalar grid search
+    # 50 x pseudo-label update with labels vs scalar grid search
     for index in range(50):
         rng = np.random.default_rng(3000 + index)
         projected, consensus, label = rng.standard_normal(3) * 2.0
         zeta = float(10.0 ** rng.uniform(-1.0, 3.0))
         eta = float(10.0 ** rng.uniform(-1.0, 3.0))
-        ours = owner_pseudo_label_update(
-            np.array([[projected]]), np.array([[consensus]]),
-            np.array([[label]]), zeta, eta)[0, 0]
+        ours = pseudo_label_update(
+            np.array([[projected]]), np.array([[consensus]]), zeta,
+            np.array([[label]]), eta)[0, 0]
         oracle = grid_minimize_scalar(
             lambda v: (v - projected) ** 2 + zeta * (v - consensus) ** 2
             + eta * (v - label) ** 2, -10.0, 10.0)
         worst = max(worst, abs(float(ours) - oracle))
 
-    # 50 x non-owner pseudo-label update vs scalar grid search
+    # 50 x pseudo-label update without labels vs scalar grid search
     for index in range(50):
         rng = np.random.default_rng(4000 + index)
         projected, consensus = rng.standard_normal(2) * 2.0
@@ -203,11 +204,14 @@ def test_closed_form_updates_match_oracles():
         worst = max(worst, abs(float(ours) - oracle))
 
     # 50 x joint consensus (and the pseudo-labels refreshed against it)
-    # vs a plain solve of the normal equations
+    # vs a plain solve of the normal equations, the labels held by a
+    # random non-empty set of participants
+    owner_counts = []
     for index in range(50):
         rng = np.random.default_rng(5000 + index)
         k = int(rng.integers(2, 6))
-        owner = int(rng.integers(k))
+        owners = {int(j) for j in rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)}
+        owner_counts.append(len(owners))
         hyper = Hyperparams(
             sparsity=(1.0,) * k,
             consensus_penalty=tuple(float(10.0 ** rng.uniform(-1.0, 3.0)) for _ in range(k)),
@@ -216,19 +220,19 @@ def test_closed_form_updates_match_oracles():
         label, broadcast = rng.standard_normal((2, 3, 2)) * 2.0
 
         def refresh(j, consensus):
-            if j == owner:
-                return owner_pseudo_label_update(projections[j], consensus, label,
-                                                 hyper.consensus_penalty[j], hyper.label_penalty)
-            return pseudo_label_update(projections[j], consensus, hyper.consensus_penalty[j])
+            return pseudo_label_update(projections[j], consensus, hyper.consensus_penalty[j],
+                                       label if j in owners else None, hyper.label_penalty)
 
         ours, _ = joint_consensus([refresh(j, broadcast) for j in range(k)], broadcast,
-                                  hyper, owner)
-        pseudo, oracle = joint_minimizer(projections, label, owner,
+                                  hyper, owners)
+        pseudo, oracle = joint_minimizer(projections, label, owners,
                                          hyper.consensus_penalty, hyper.label_penalty)
         worst = max(worst, float(np.max(np.abs(ours - oracle))))
         for j in range(k):
             worst = max(worst, float(np.max(np.abs(refresh(j, ours) - pseudo[j]))))
 
+    # the draws cover one owner, two owners, and more
+    assert {1, 2} <= set(owner_counts) and max(owner_counts) > 2
     report("closed-form-oracle-equivalence", worst <= 1e-6,
            f"200 instances, worst gap {worst:.3e} <= 1e-6")
 
@@ -270,7 +274,7 @@ def test_stationarity_and_block_gradients():
 
         analytic_w, analytic_z, analytic_c = analytic_block_gradients(
             views, [st.transform for st in states],
-            [st.pseudo_labels for st in states], consensus, labels,
+            [st.pseudo_labels for st in states], consensus, labels, {0},
             list(hyper.sparsity), list(hyper.consensus_penalty),
             hyper.label_penalty)
 

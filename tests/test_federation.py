@@ -1188,3 +1188,22 @@ def test_consensus_light_uploads_reduce_to_local_projections(wire):
     projected = state.features @ state.transform
     scale = max(1.0, float(np.linalg.norm(projected)))
     assert np.linalg.norm(first_upload - projected) <= 1e-10 * scale
+
+
+def test_the_coordinator_reads_every_non_owner_projection_off_its_upload(wire):
+    # what the shape audit does not show: a non-owner's upload is
+    # Z_k = (X_k W_k + zeta_k Z_b) / (1 + zeta_k), and the coordinator
+    # holds Z_b and zeta_k, so (1 + zeta_k) Z_k - zeta_k Z_b is X_k W_k
+    views, labels = tiny_problem(9, dims=(3, 4, 5))
+    hyper = Hyperparams(sparsity=(0.1,) * 3, consensus_penalty=(4.0, 0.5, 60.0),
+                        label_penalty=20.0)
+    result = run_federated(views, labels, hyper, seed=9)
+    assert audit_trace(result.trace, 12, 3).ok
+    last = len(result.objectives)
+    for k in (1, 2):
+        upload = wire["ZkUpload", last, k].payload
+        answered = wire["ZBroadcast", last - 1, k].payload
+        zeta = hyper.consensus_penalty[k]
+        rebuilt = (1.0 + zeta) * upload - zeta * answered
+        projected = views[k] @ result.states[k].transform
+        assert np.linalg.norm(rebuilt - projected) <= 1e-12 * np.linalg.norm(projected)

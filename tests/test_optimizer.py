@@ -32,7 +32,6 @@ from mmvfl.optimizer import (
     local_objective_part,
     make_states,
     one_hot,
-    owner_pseudo_label_update,
     participant_round,
     pseudo_label_update,
     refresh_pseudo_labels,
@@ -391,16 +390,16 @@ def test_every_kernel_solve_meets_the_residual_promise(monkeypatch):
 
 def test_owner_update_consensus_case():
     y = one_hot(np.array([0, 1, 2, 0]), 3)
-    out = owner_pseudo_label_update(y, y, y, 5.0, 5.0)
+    out = pseudo_label_update(y, y, 5.0, y, 5.0)
     assert np.allclose(out, y, atol=1e-15)
 
 
 def test_owner_update_scalar_examples():
-    simple = owner_pseudo_label_update(
-        np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]), 1.0, 1.0)
+    simple = pseudo_label_update(
+        np.array([[2.0]]), np.array([[1.0]]), 1.0, np.array([[0.0]]), 1.0)
     assert simple[0, 0] == pytest.approx(1.0, abs=1e-15)
-    weighted = owner_pseudo_label_update(
-        np.array([[2.0]]), np.array([[1.0]]), np.array([[4.0]]), 3.0, 2.0)
+    weighted = pseudo_label_update(
+        np.array([[2.0]]), np.array([[1.0]]), 3.0, np.array([[4.0]]), 2.0)
     assert weighted[0, 0] == pytest.approx(13.0 / 6.0, abs=1e-15)
 
 
@@ -415,8 +414,8 @@ def test_owner_update_matches_grid_search_oracle():
             return (z - a) ** 2 + zeta * (z - c) ** 2 + eta * (z - y) ** 2
 
         oracle = grid_minimize_scalar(objective, -20.0, 20.0)
-        ours = owner_pseudo_label_update(
-            np.array([[a]]), np.array([[c]]), np.array([[y]]), zeta, eta)[0, 0]
+        ours = pseudo_label_update(
+            np.array([[a]]), np.array([[c]]), zeta, np.array([[y]]), eta)[0, 0]
         assert ours == pytest.approx(oracle, abs=1e-6)
 
 
@@ -444,11 +443,22 @@ def test_nonowner_update_matches_entrywise_calculus_oracle():
         assert np.max(np.abs(ours - oracle)) <= 1e-10
 
 
-def _uploads(projections, label, owner, zetas, eta, broadcast):
+def test_the_label_term_comes_last_in_the_rule():
+    # left to right, (P + zeta Z + eta Y) / (1 + zeta + eta) with labels
+    # and (P + zeta Z) / (1 + zeta) without, bit for bit, so runs with one
+    # participant holding the labels keep their bits
+    # (zeta, eta) = (0.1, 0.3), where (1 + zeta) + eta != 1 + (zeta + eta)
+    rng = np.random.default_rng(23)
+    p, c, y = rng.standard_normal((3, 7, 4))
+    with_labels = (p + 0.1 * c + 0.3 * y) / (1.0 + 0.1 + 0.3)
+    assert pseudo_label_update(p, c, 0.1, y, 0.3).tobytes() == with_labels.tobytes()
+    assert pseudo_label_update(p, c, 0.1).tobytes() == ((p + 0.1 * c) / (1.0 + 0.1)).tobytes()
+
+
+def _uploads(projections, label, owners, zetas, eta, broadcast):
     """Each participant's pseudo-label minimizer against ``broadcast``,
-    as ``participant_round`` uploads it."""
-    return [owner_pseudo_label_update(p, broadcast, label, z, eta) if k == owner
-            else pseudo_label_update(p, broadcast, z)
+    as ``participant_round`` uploads it; ``owners`` hold ``label``."""
+    return [pseudo_label_update(p, broadcast, z, label if k in owners else None, eta)
             for k, (p, z) in enumerate(zip(projections, zetas))]
 
 
@@ -460,9 +470,9 @@ def _weights(zetas, eta):
 def test_consensus_examples_and_oracles():
     # uploads that equal the broadcast give it back, whatever the weights
     z0 = np.full((3, 2), 1.7)
-    for owner in (0, 2):
+    for owners in ({0}, {2}, {0, 2}):
         joint, _ = joint_consensus([z0, z0.copy(), z0.copy()], z0,
-                                   _weights((1.0, 2.0, 5.0), 4.0), owner)
+                                   _weights((1.0, 2.0, 5.0), 4.0), owners)
         assert np.allclose(joint, z0, rtol=0.0, atol=1e-15)
 
     # projections 1 and 5, labels 3 with eta 1 on participant 0, zetas 1
@@ -473,14 +483,14 @@ def test_consensus_examples_and_oracles():
     for broadcast in (0.0, -4.0, 9.5):
         b = np.array([[broadcast]])
         uploads = _uploads([np.array([[1.0]]), np.array([[5.0]])], np.array([[3.0]]),
-                           0, hyper.consensus_penalty, 1.0, b)
-        joint, curvature = joint_consensus(uploads, b, hyper, 0)
+                           {0}, hyper.consensus_penalty, 1.0, b)
+        joint, curvature = joint_consensus(uploads, b, hyper, {0})
         assert joint[0, 0] == pytest.approx(61.0 / 17.0, abs=1e-14)
         assert curvature == pytest.approx(17.0 / 12.0, abs=1e-15)
-    # the owner's index decides whose pull toward the broadcast eta
-    # weakens: with participant 1 taken as the owner, the uploads that
-    # answered the broadcast 9.5 give 7.775 / 1.7
-    other, _ = joint_consensus(uploads, b, hyper, 1)
+    # the owner set decides whose pull toward the broadcast eta weakens:
+    # with participant 1 taken as the owner, the uploads that answered the
+    # broadcast 9.5 give 7.775 / 1.7
+    other, _ = joint_consensus(uploads, b, hyper, {1})
     assert other[0, 0] == pytest.approx(7.775 / 1.7, abs=1e-14)
 
 
@@ -488,9 +498,11 @@ def test_consensus_matches_grid_search_on_random_scalars():
     # the joint minimizer against a grid search over the consensus of the
     # objective with every pseudo-label at its own minimizer
     rng = np.random.default_rng(18)
+    owner_counts = []
     for _ in range(50):
         k = int(rng.integers(2, 5))
-        owner = int(rng.integers(k))
+        owners = {int(j) for j in rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)}
+        owner_counts.append(len(owners))
         projections = rng.standard_normal(k) * 4.0
         label, broadcast = rng.standard_normal(2) * 4.0
         zetas = rng.uniform(0.1, 5.0, size=k)
@@ -499,8 +511,8 @@ def test_consensus_matches_grid_search_on_random_scalars():
         def objective(z):
             total = 0.0
             for j, (p, zeta) in enumerate(zip(projections, zetas)):
-                if j == owner:
-                    v = owner_pseudo_label_update(p, z, label, zeta, eta)
+                if j in owners:
+                    v = pseudo_label_update(p, z, zeta, label, eta)
                     total += eta * (v - label) ** 2
                 else:
                     v = pseudo_label_update(p, z, zeta)
@@ -510,9 +522,11 @@ def test_consensus_matches_grid_search_on_random_scalars():
         oracle = grid_minimize_scalar(objective, -25.0, 25.0)
         b = np.array([[broadcast]])
         uploads = _uploads([np.array([[p]]) for p in projections], np.array([[label]]),
-                           owner, zetas, eta, b)
-        ours = joint_consensus(uploads, b, _weights(zetas, eta), owner)[0][0, 0]
+                           owners, zetas, eta, b)
+        ours = joint_consensus(uploads, b, _weights(zetas, eta), owners)[0][0, 0]
         assert ours == pytest.approx(oracle, abs=1e-6)
+    # the draws cover one owner, two owners, and more
+    assert {1, 2} <= set(owner_counts) and max(owner_counts) > 2
 
 
 def test_joint_consensus_does_not_depend_on_the_broadcast_the_uploads_answered():
@@ -525,18 +539,18 @@ def test_joint_consensus_does_not_depend_on_the_broadcast_the_uploads_answered()
     label = one_hot(np.array([0, 1, 1, 0]), 2)
     zetas, eta = (0.5, 2.0, 300.0), 40.0
     hyper = _weights(zetas, eta)
-    _, oracle = joint_minimizer(projections, label, 1, zetas, eta)
+    _, oracle = joint_minimizer(projections, label, {1}, zetas, eta)
 
     def total(consensus):
-        uploads = _uploads(projections, label, 1, zetas, eta, consensus)
+        uploads = _uploads(projections, label, {1}, zetas, eta, consensus)
         parts = [float(np.sum((z - p) ** 2)) for z, p in zip(uploads, projections)]
         parts[1] += eta * float(np.sum((uploads[1] - label) ** 2))
         return round_objective(parts, uploads, zetas, consensus)
 
     for scale in (0.0, 1.0, 30.0):
         broadcast = scale * rng.standard_normal((4, 2))
-        uploads = _uploads(projections, label, 1, zetas, eta, broadcast)
-        joint, curvature = joint_consensus(uploads, broadcast, hyper, 1)
+        uploads = _uploads(projections, label, {1}, zetas, eta, broadcast)
+        joint, curvature = joint_consensus(uploads, broadcast, hyper, {1})
         assert np.max(np.abs(joint - oracle)) <= 1e-12 * max(1.0, scale)
         before = total(broadcast)
         drop = curvature * float(np.sum((joint - broadcast) ** 2))
@@ -581,7 +595,7 @@ def test_total_objective_matches_loop_oracle():
             [st.features for st in states],
             [st.transform for st in states],
             [st.pseudo_labels for st in states],
-            consensus, labels,
+            consensus, labels, {0},
             list(hyper.sparsity), list(hyper.consensus_penalty),
             hyper.label_penalty)
         assert ours == pytest.approx(oracle, rel=1e-10)
@@ -757,7 +771,7 @@ def _record_rounds(monkeypatch):
         states[state.participant_id] = state
         return original_round(state, consensus, hyper)
 
-    def run_rounds(refit, consensus, hyper, owner):
+    def run_rounds(refit, consensus, hyper, owners):
         def recorded(round_index, consensus):
             log["received"].append(consensus)
             uploads, parts = refit(round_index, consensus)
@@ -766,7 +780,7 @@ def _record_rounds(monkeypatch):
             log["states"].append([copy.copy(states[k]) for k in sorted(states)])
             return uploads, parts
 
-        return original_rounds(recorded, consensus, hyper, owner)
+        return original_rounds(recorded, consensus, hyper, owners)
 
     monkeypatch.setattr(optimizer, "participant_round", remember)
     monkeypatch.setattr(optimizer, "run_rounds", run_rounds)
@@ -787,8 +801,8 @@ def test_every_recorded_objective_is_the_objective_at_the_broadcast(monkeypatch)
             result.objectives, log["states"], log["uploads"], log["received"], broadcasts):
         # the broadcast is the joint minimizer over the consensus and every
         # pseudo-label, which a plain solve of the normal equations confirms
-        assert consensus.tobytes() == joint_consensus(uploads, received, hyper, 0)[0].tobytes()
-        _, oracle = joint_minimizer([st.features @ st.transform for st in states], labels, 0,
+        assert consensus.tobytes() == joint_consensus(uploads, received, hyper, {0})[0].tobytes()
+        _, oracle = joint_minimizer([st.features @ st.transform for st in states], labels, {0},
                                     hyper.consensus_penalty, hyper.label_penalty)
         assert np.max(np.abs(consensus - oracle)) <= 1e-9 * np.max(np.abs(oracle))
         # the recorded value is the explicit total there, at the
@@ -816,7 +830,7 @@ def test_uploads_that_ignore_the_broadcast_stop_the_rounds():
         return [ones, ones], [0.0, 0.0]
 
     with pytest.raises(ValueError, match="round 1 recorded the objective -.*below zero"):
-        optimizer.run_rounds(refit, init_consensus(12, 3, 0), hyper, 0)
+        optimizer.run_rounds(refit, init_consensus(12, 3, 0), hyper, {0})
     assert rounds == [1]
 
 
@@ -873,7 +887,7 @@ def optimum_problem(seed):
 
 
 def optimum_of(views, labels, hyper):
-    value, _ = smoothed_objective_optimum(views, labels, hyper.sparsity,
+    value, _ = smoothed_objective_optimum(views, labels, {0}, hyper.sparsity,
                                           hyper.consensus_penalty, hyper.label_penalty, EPS)
     return value
 
@@ -913,11 +927,36 @@ def test_a_tightly_converged_run_attains_the_optimum(seed):
     result = run_reference(views, labels, tight, seed)
     assert result.rounds < tight.outer_max
     recorded = loop_total_objective(views, result.transforms, result.pseudo_labels,
-                                    result.consensus, labels, hyper.sparsity,
+                                    result.consensus, labels, {0}, hyper.sparsity,
                                     hyper.consensus_penalty, hyper.label_penalty)
     smoothing = sum(beta * EPS * float(np.sum(np.log1p(loop_row_norms(w) / EPS)))
                     for beta, w in zip(hyper.sparsity, result.transforms))
     assert abs(recorded - smoothing - optimum) <= 1e-10 * abs(optimum)
+
+
+def test_labels_held_by_a_later_participant_train_to_the_optimum():
+    # the states say who holds the labels: with them on participant 1 the
+    # rounds weigh participant 1 with eta, record a non-increasing trace
+    # and stop within the FISTA gate's 20 outer_tol of the optimum, taken
+    # on the same problem with the views and zetas permuted so that the
+    # holder comes first
+    from mmvfl.data import synth_planted
+    dataset, _ = synth_planted(num_samples=120, dims=(10, 8, 6), seed=0)
+    views = dataset.views
+    labels = one_hot(dataset.labels, dataset.num_classes)
+    hyper = Hyperparams(sparsity=(0.1,) * 3, consensus_penalty=(2.0, 50.0, 7.0),
+                        label_penalty=10.0)
+    states = [optimizer._new_state(k, view, optimizer.gram_matrix(view), labels.shape[1], 0,
+                                   labels if k == 1 else None)
+              for k, view in enumerate(views)]
+    result = optimizer.train_states(states, hyper, 0)
+    assert result.converged
+    assert np.diff(result.objectives).max(initial=0.0) <= 1e-9
+    order = (1, 0, 2)
+    optimum, _ = smoothed_objective_optimum(
+        [views[k] for k in order], labels, {0}, hyper.sparsity,
+        [hyper.consensus_penalty[k] for k in order], hyper.label_penalty, EPS)
+    assert abs(result.objectives[-1] - optimum) <= 20 * hyper.outer_tol * abs(optimum)
 
 
 # ---------------------------------------------------------------------------
